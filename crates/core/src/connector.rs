@@ -20,10 +20,9 @@ use crate::tuple::AmTuple;
 /// Flattens a stream element into connector wire messages. The wire
 /// format stays item-level at every engine batch size: a micro-batch
 /// becomes that many consecutive `Tuple` messages, so the bytes in
-/// the topic are identical whether the SPE ran batched or not.
+/// the topic are identical whatever the SPE's batch size.
 fn connector_messages(element: Element<AmTuple>) -> Vec<ConnectorMessage> {
     match element {
-        Element::Item(tuple) => vec![ConnectorMessage::Tuple(tuple)],
         Element::Batch(batch) => batch
             .into_vec()
             .into_iter()
@@ -228,7 +227,7 @@ mod tests {
         let mut publish = publisher(broker.producer(), "bridge".into());
 
         let t = AmTuple::new(Timestamp::from_millis(10), 1, 0);
-        publish(Element::Item(t.clone()));
+        publish(Element::Batch(Batch::new(vec![t.clone()])));
         publish(Element::Watermark(Timestamp::from_millis(11)));
         publish(Element::End);
 
@@ -250,7 +249,7 @@ mod tests {
         let mut publish = publisher(broker.producer(), "wm".into());
         for layer in 0..3u32 {
             let t = AmTuple::new(Timestamp::from_millis(layer as u64 * 100), 1, layer);
-            publish(Element::Item(t));
+            publish(Element::Batch(Batch::new(vec![t])));
             publish(Element::Watermark(Timestamp::from_millis(
                 (layer as u64 + 1) * 100,
             )));
@@ -277,7 +276,11 @@ mod tests {
         let broker = Broker::new();
         broker.create_topic("shared", TopicConfig::new(1)).unwrap();
         let mut publish = publisher(broker.producer(), "shared".into());
-        publish(Element::Item(AmTuple::new(Timestamp::MIN, 1, 0)));
+        publish(Element::Batch(Batch::new(vec![AmTuple::new(
+            Timestamp::MIN,
+            1,
+            0,
+        )])));
         publish(Element::End);
 
         for group in ["monitor-a", "monitor-b"] {
@@ -300,7 +303,7 @@ mod tests {
         let producer = strata_net::RemoteProducer::connect(&addr).unwrap();
         let mut publish = remote_publisher(producer, "bridge".into());
         let t = AmTuple::new(Timestamp::from_millis(10), 1, 0);
-        publish(Element::Item(t.clone()));
+        publish(Element::Batch(Batch::new(vec![t.clone()])));
         publish(Element::Watermark(Timestamp::from_millis(11)));
         publish(Element::End);
 

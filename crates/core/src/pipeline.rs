@@ -18,7 +18,6 @@
 use std::collections::{BTreeMap, HashMap};
 
 use crossbeam::channel::{unbounded, Receiver};
-use strata_kv::Db;
 use strata_pubsub::{Broker, LogKind, TopicConfig};
 use strata_spe::operator::UnaryOperator;
 use strata_spe::operators::{FlatMap, RoutePolicy};
@@ -193,8 +192,6 @@ pub struct PipelineBuilder {
     topic_prefix: String,
     config: StrataConfig,
     broker: Broker,
-    #[allow(dead_code)] // Reserved for store/get access from compiled operators.
-    kv: Db,
     collector: QueryBuilder,
     monitor: QueryBuilder,
     aggregator: QueryBuilder,
@@ -215,13 +212,7 @@ impl std::fmt::Debug for PipelineBuilder {
 }
 
 impl PipelineBuilder {
-    pub(crate) fn new(
-        name: String,
-        instance: u64,
-        config: StrataConfig,
-        broker: Broker,
-        kv: Db,
-    ) -> Self {
+    pub(crate) fn new(name: String, instance: u64, config: StrataConfig, broker: Broker) -> Self {
         let mut collector = QueryBuilder::new(format!("{name}.collector"));
         let mut monitor = QueryBuilder::new(format!("{name}.monitor"));
         let mut aggregator = QueryBuilder::new(format!("{name}.aggregator"));
@@ -244,7 +235,6 @@ impl PipelineBuilder {
             name,
             config,
             broker,
-            kv,
             collector,
             monitor,
             aggregator,

@@ -1,12 +1,9 @@
-//! MPMC channels with select, mirroring `crossbeam::channel`.
+//! MPMC channels, mirroring `crossbeam::channel`.
 //!
 //! A channel is a `Mutex<VecDeque>` plus two condition variables
-//! (`not_empty`, `not_full`) and a list of registered select signals.
-//! Bounded senders block while the queue is full; receivers block
-//! while it is empty; dropping the last sender (receiver) disconnects
-//! the other side. [`Select`] registers a shared signal with every
-//! watched channel so a single waiter can block on "any of these
-//! became ready" without polling.
+//! (`not_empty`, `not_full`). Bounded senders block while the queue is
+//! full; receivers block while it is empty; dropping the last sender
+//! (receiver) disconnects the other side.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -83,52 +80,11 @@ impl fmt::Display for RecvTimeoutError {
 
 impl std::error::Error for RecvTimeoutError {}
 
-/// The signal a [`Select`] registers with each watched channel: a
-/// flag + condvar the channel fires whenever it may have become
-/// ready (data arrived or the side disconnected).
-struct SelectSignal {
-    fired: Mutex<bool>,
-    cond: Condvar,
-}
-
-impl SelectSignal {
-    fn new() -> Self {
-        SelectSignal {
-            fired: Mutex::new(false),
-            cond: Condvar::new(),
-        }
-    }
-
-    fn fire(&self) {
-        *self.fired.lock().unwrap_or_else(|p| p.into_inner()) = true;
-        self.cond.notify_all();
-    }
-
-    /// Waits until fired (or a defensive timeout), then resets.
-    fn wait_and_reset(&self) {
-        let mut fired = self.fired.lock().unwrap_or_else(|p| p.into_inner());
-        while !*fired {
-            let (guard, _) = self
-                .cond
-                .wait_timeout(fired, Duration::from_millis(50))
-                .unwrap_or_else(|p| p.into_inner());
-            fired = guard;
-            // The defensive timeout bounds the cost of any missed
-            // wakeup; correctness comes from re-checking readiness.
-            if !*fired {
-                break;
-            }
-        }
-        *fired = false;
-    }
-}
-
 struct State<T> {
     queue: VecDeque<T>,
     capacity: Option<usize>,
     senders: usize,
     receivers: usize,
-    signals: Vec<Arc<SelectSignal>>,
 }
 
 struct Core<T> {
@@ -140,14 +96,6 @@ struct Core<T> {
 impl<T> Core<T> {
     fn lock(&self) -> std::sync::MutexGuard<'_, State<T>> {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Fires every registered select signal. Called with data newly
-    /// available or a side newly disconnected.
-    fn fire_signals(state: &State<T>) {
-        for signal in &state.signals {
-            signal.fire();
-        }
     }
 }
 
@@ -193,7 +141,6 @@ fn with_capacity<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
             capacity,
             senders: 1,
             receivers: 1,
-            signals: Vec::new(),
         }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
@@ -222,7 +169,6 @@ impl<T> Drop for Sender<T> {
         if state.senders == 0 {
             // Wake receivers so they observe the disconnect.
             self.core.not_empty.notify_all();
-            Core::fire_signals(&state);
         }
     }
 }
@@ -246,7 +192,6 @@ impl<T> Sender<T> {
             if !full {
                 state.queue.push_back(value);
                 self.core.not_empty.notify_one();
-                Core::fire_signals(&state);
                 return Ok(());
             }
             state = self
@@ -274,7 +219,6 @@ impl<T> Sender<T> {
         }
         state.queue.push_back(value);
         self.core.not_empty.notify_one();
-        Core::fire_signals(&state);
         Ok(())
     }
 }
@@ -391,20 +335,6 @@ impl<T> Receiver<T> {
     pub fn try_iter(&self) -> TryIter<'_, T> {
         TryIter { receiver: self }
     }
-
-    fn register_signal(&self, signal: &Arc<SelectSignal>) {
-        self.core.lock().signals.push(Arc::clone(signal));
-    }
-
-    fn unregister_signal(&self, signal: &Arc<SelectSignal>) {
-        self.core.lock().signals.retain(|s| !Arc::ptr_eq(s, signal));
-    }
-
-    /// Ready for a select: has data or is disconnected.
-    fn is_select_ready(&self) -> bool {
-        let state = self.core.lock();
-        !state.queue.is_empty() || state.senders == 0
-    }
 }
 
 /// Blocking iterator over a receiver. See [`Receiver::iter`].
@@ -456,146 +386,6 @@ impl<'a, T> IntoIterator for &'a Receiver<T> {
     type IntoIter = Iter<'a, T>;
     fn into_iter(self) -> Iter<'a, T> {
         self.iter()
-    }
-}
-
-/// Object-safe view of a receiver that a [`Select`] can watch without
-/// knowing its message type.
-trait Selectable {
-    fn ready(&self) -> bool;
-    fn register(&self, signal: &Arc<SelectSignal>);
-    fn unregister(&self, signal: &Arc<SelectSignal>);
-}
-
-impl<T> Selectable for Receiver<T> {
-    fn ready(&self) -> bool {
-        self.is_select_ready()
-    }
-    fn register(&self, signal: &Arc<SelectSignal>) {
-        self.register_signal(signal);
-    }
-    fn unregister(&self, signal: &Arc<SelectSignal>) {
-        self.unregister_signal(signal);
-    }
-}
-
-/// Waits for any of several receivers — possibly of different message
-/// types — to become ready (have data or be disconnected).
-///
-/// ```
-/// use crossbeam::channel::{unbounded, Select};
-/// let (tx, rx) = unbounded::<u32>();
-/// tx.send(7).unwrap();
-/// let mut sel = Select::new();
-/// sel.recv(&rx);
-/// let oper = sel.select();
-/// assert_eq!(oper.index(), 0);
-/// assert_eq!(oper.recv(&rx), Ok(7));
-/// ```
-pub struct Select<'a> {
-    handles: Vec<&'a dyn Selectable>,
-}
-
-impl fmt::Debug for Select<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Select")
-            .field("handles", &self.handles.len())
-            .finish()
-    }
-}
-
-impl Default for Select<'_> {
-    fn default() -> Self {
-        Select::new()
-    }
-}
-
-impl<'a> Select<'a> {
-    /// Creates an empty select set.
-    pub fn new() -> Self {
-        Select {
-            handles: Vec::new(),
-        }
-    }
-
-    /// Adds a receive operation; returns its index.
-    pub fn recv<T>(&mut self, receiver: &'a Receiver<T>) -> usize {
-        self.handles.push(receiver);
-        self.handles.len() - 1
-    }
-
-    /// Blocks until some registered receiver is ready, round-robin
-    /// scanning to avoid starving high-index channels.
-    pub fn select(&mut self) -> SelectedOperation<'_> {
-        assert!(!self.handles.is_empty(), "select on an empty set");
-        // Fast path: something is already ready.
-        if let Some(index) = self.find_ready(0) {
-            return SelectedOperation {
-                index,
-                _marker: std::marker::PhantomData,
-            };
-        }
-        // Slow path: register a shared signal, re-check (a message
-        // may have raced in before registration), then wait.
-        let signal = Arc::new(SelectSignal::new());
-        for handle in &self.handles {
-            handle.register(&signal);
-        }
-        let mut rotation = 0;
-        let index = loop {
-            if let Some(index) = self.find_ready(rotation) {
-                break index;
-            }
-            rotation = rotation.wrapping_add(1);
-            signal.wait_and_reset();
-        };
-        for handle in &self.handles {
-            handle.unregister(&signal);
-        }
-        SelectedOperation {
-            index,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    fn find_ready(&self, rotation: usize) -> Option<usize> {
-        let n = self.handles.len();
-        (0..n)
-            .map(|i| (i + rotation) % n)
-            .find(|&i| self.handles[i].ready())
-    }
-}
-
-/// A ready operation returned by [`Select::select`]. Complete it by
-/// calling [`recv`](SelectedOperation::recv) with the receiver that
-/// was registered at [`index`](SelectedOperation::index).
-#[derive(Debug)]
-pub struct SelectedOperation<'a> {
-    index: usize,
-    _marker: std::marker::PhantomData<&'a ()>,
-}
-
-impl SelectedOperation<'_> {
-    /// Index of the ready operation (registration order).
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Completes the operation on `receiver`.
-    ///
-    /// # Errors
-    ///
-    /// [`RecvError`] when the receiver is disconnected.
-    pub fn recv<T>(self, receiver: &Receiver<T>) -> Result<T, RecvError> {
-        // Select observed readiness; if another consumer stole the
-        // message since (not the case anywhere in this workspace —
-        // every receiver has one consuming thread), fall back to a
-        // blocking receive for correct semantics.
-        match receiver.try_recv() {
-            Ok(value) => Ok(value),
-            Err(TryRecvError::Disconnected) => Err(RecvError),
-            Err(TryRecvError::Empty) => receiver.recv(),
-        }
     }
 }
 
@@ -656,36 +446,5 @@ mod tests {
         drop(tx);
         let got: Vec<i32> = rx.iter().collect();
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn select_wakes_on_late_send() {
-        let (tx_a, rx_a) = unbounded::<u8>();
-        let (tx_b, rx_b) = unbounded::<String>();
-        let handle = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(30));
-            tx_b.send("late".to_string()).unwrap();
-            drop(tx_a); // keep alive until here
-        });
-        let mut sel = Select::new();
-        let a = sel.recv(&rx_a);
-        let b = sel.recv(&rx_b);
-        let oper = sel.select();
-        let index = oper.index();
-        assert!(index == a || index == b);
-        if index == b {
-            assert_eq!(oper.recv(&rx_b), Ok("late".to_string()));
-        }
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn select_sees_disconnect_as_ready() {
-        let (tx, rx) = unbounded::<u8>();
-        drop(tx);
-        let mut sel = Select::new();
-        sel.recv(&rx);
-        let oper = sel.select();
-        assert_eq!(oper.recv(&rx), Err(RecvError));
     }
 }

@@ -2,7 +2,6 @@
 //!
 //! Provides the subset the workspace uses — `crossbeam::channel` with
 //! bounded/unbounded MPMC channels, blocking/timed/non-blocking
-//! receive, iteration, and a heterogeneous [`channel::Select`] — all
-//! implemented over `std::sync` primitives.
+//! receive and iteration — all implemented over `std::sync` primitives.
 
 pub mod channel;

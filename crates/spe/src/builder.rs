@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::element::Element;
@@ -14,12 +14,12 @@ use crate::error::{Error, Result};
 use crate::metrics::NodeMetrics;
 use crate::operator::UnaryOperator;
 use crate::operators::aggregate::{Aggregate, WindowBounds};
-use crate::operators::join::Join;
+use crate::operators::join::{Join, JoinInput};
 use crate::operators::router::{RoutePolicy, Router};
 use crate::operators::{Filter, FlatMap, Identity, Map};
 use crate::query::Query;
-use crate::runtime::{self, Ports};
-use crate::sink::CollectHandle;
+use crate::runtime::{self, Inbound, Outlet, Ports};
+use crate::sink::{CollectHandle, ElementSink, Sink};
 use crate::source::Source;
 use crate::time::Timestamped;
 use crate::window::WindowSpec;
@@ -116,7 +116,8 @@ impl QueryBuilder {
         }
     }
 
-    /// Sets the capacity of every channel created from now on.
+    /// Sets the per-input buffer of every node created from now on: a
+    /// node's inbox holds `capacity` elements for each of its inputs.
     /// Smaller capacities bound memory and tighten backpressure;
     /// larger ones absorb bursts. The default is 256 elements.
     pub fn channel_capacity(&mut self, capacity: usize) -> &mut Self {
@@ -131,11 +132,12 @@ impl QueryBuilder {
 
     /// Sets the micro-batch size of every node created from now on:
     /// worker loops drain up to this many buffered items per wakeup
-    /// and move them through the graph as one shared batch, trading
-    /// per-item latency for channel-synchronization amortization. The
-    /// default of 1 preserves item-at-a-time behavior (today's latency
-    /// profile). Watermarks and end-of-stream are always batch
-    /// boundaries, so event-time semantics are unaffected.
+    /// and move them through the graph as shared batches of at most
+    /// this many items, trading per-item latency for amortized
+    /// synchronization. There is one data path at every size; the
+    /// default of 1 sends each item as a batch of one. Watermarks and
+    /// end-of-stream are always batch boundaries, so event-time
+    /// semantics are unaffected.
     pub fn batch_size(&mut self, batch_size: usize) -> &mut Self {
         if batch_size == 0 {
             self.errors
@@ -161,22 +163,37 @@ impl QueryBuilder {
         }
     }
 
-    fn connect<T: Clone + Send + Sync + 'static>(&mut self, s: &Stream<T>) -> Receiver<Element<T>> {
-        let (tx, rx) = bounded(self.capacity);
+    /// Attaches to stream `s` an outlet that feeds input `input` of
+    /// the inbox behind `inbox`, converting elements with `wrap`.
+    fn connect<T, X>(
+        &mut self,
+        s: &Stream<T>,
+        inbox: &Sender<Inbound<X>>,
+        input: usize,
+        wrap: fn(Element<T>) -> Element<X>,
+    ) where
+        T: Clone + Send + Sync + 'static,
+        X: Send + Sync + 'static,
+    {
         if s.builder != self.id {
             self.errors.push(Error::InvalidQuery(
                 "stream handle used with a different QueryBuilder".into(),
             ));
-            return rx; // Disconnected: tx dropped below.
+            return;
         }
         match self.nodes[s.node].senders.downcast_mut::<Ports<T>>() {
-            Some(ports) => ports[s.port].push(tx),
+            Some(ports) => ports[s.port].push(Outlet::new(inbox.clone(), input, wrap)),
             None => self.errors.push(Error::InvalidQuery(format!(
                 "stream type mismatch on node `{}`",
                 self.nodes[s.node].name
             ))),
         }
-        rx
+    }
+
+    /// A node's inbox: `channel_capacity` elements per input, so each
+    /// input buffers as much as a channel of its own would.
+    fn inbox<I>(&self, inputs: usize) -> (Sender<Inbound<I>>, Receiver<Inbound<I>>) {
+        bounded(self.capacity * inputs)
     }
 
     fn stream<T>(&self, node: usize, port: usize) -> Stream<T> {
@@ -247,16 +264,44 @@ impl QueryBuilder {
         O: Clone + Send + Sync + 'static,
         Op: UnaryOperator<I, O> + 'static,
     {
-        let rx = self.connect(input);
-        self.unary_node(name.into(), vec![rx], op)
+        let node = self.node(name.into(), std::slice::from_ref(input), op, None, 1);
+        self.stream(node, 0)
     }
 
-    fn unary_node<I, O, Op>(
+    /// Adds a node running `op` whose inputs are `inputs`, in order,
+    /// with `ports` output ports (a router picks among them); returns
+    /// the node's index.
+    fn node<I, O, Op>(
         &mut self,
         name: String,
-        rxs: Vec<Receiver<Element<I>>>,
+        inputs: &[Stream<I>],
         op: Op,
-    ) -> Stream<O>
+        router: Option<Router<O>>,
+        ports: usize,
+    ) -> usize
+    where
+        I: Clone + Send + Sync + 'static,
+        O: Clone + Send + Sync + 'static,
+        Op: UnaryOperator<I, O> + 'static,
+    {
+        let (tx, inbox) = self.inbox(inputs.len());
+        for (input, s) in inputs.iter().enumerate() {
+            self.connect(s, &tx, input, |e| e);
+        }
+        self.add_node(name, inbox, inputs.len(), op, router, ports)
+    }
+
+    /// Registers a node that runs `op` over `inbox`, fed by `inputs`
+    /// upstream outlets; returns the node's index.
+    fn add_node<I, O, Op>(
+        &mut self,
+        name: String,
+        inbox: Receiver<Inbound<I>>,
+        inputs: usize,
+        op: Op,
+        router: Option<Router<O>>,
+        ports: usize,
+    ) -> usize
     where
         I: Clone + Send + Sync + 'static,
         O: Clone + Send + Sync + 'static,
@@ -267,16 +312,16 @@ impl QueryBuilder {
         let m = Arc::clone(&metrics);
         let max_batch = self.batch_size;
         let factory: Factory = Box::new(move |senders, _stop, _errors| {
-            let ports = *senders.downcast::<Ports<O>>().expect("unary port type");
-            Box::new(move || runtime::run_unary(op, rxs, ports, m, max_batch))
+            let ports = *senders.downcast::<Ports<O>>().expect("node port type");
+            Box::new(move || runtime::run_node(op, inbox, inputs, router, ports, m, max_batch))
         });
         self.nodes.push(NodeSpec {
             name,
-            senders: Self::empty_ports::<O>(1),
+            senders: Self::empty_ports::<O>(ports),
             factory,
             metrics,
         });
-        self.stream(self.nodes.len() - 1, 0)
+        self.nodes.len() - 1
     }
 
     /// Adds a `Map` node: exactly one output per input.
@@ -361,27 +406,12 @@ impl QueryBuilder {
         K: std::hash::Hash + Eq + Clone + Send + 'static,
         O: Clone + Send + Sync + 'static,
     {
-        let name = name.into();
-        let left_rx = self.connect(left);
-        let right_rx = self.connect(right);
-        self.check_name(&name);
-        let metrics = Arc::new(NodeMetrics::new(name.clone()));
-        let m = Arc::clone(&metrics);
+        let (tx, inbox) = self.inbox(2);
+        self.connect(left, &tx, 0, |e| e.map(JoinInput::Left));
+        self.connect(right, &tx, 1, |e| e.map(JoinInput::Right));
         let op = Join::new(ws_millis, key_left, key_right, join_fn);
-        let max_batch = self.batch_size;
-        let factory: Factory = Box::new(move |senders, _stop, _errors| {
-            let ports = *senders.downcast::<Ports<O>>().expect("join port type");
-            Box::new(move || {
-                runtime::run_binary(op, vec![left_rx], vec![right_rx], ports, m, max_batch)
-            })
-        });
-        self.nodes.push(NodeSpec {
-            name,
-            senders: Self::empty_ports::<O>(1),
-            factory,
-            metrics,
-        });
-        self.stream(self.nodes.len() - 1, 0)
+        let node = self.add_node(name.into(), inbox, 2, op, None, 1);
+        self.stream(node, 0)
     }
 
     /// Adds a `Union` node merging homogeneous streams; watermarks
@@ -395,8 +425,8 @@ impl QueryBuilder {
                 "union requires at least one input stream".into(),
             ));
         }
-        let rxs: Vec<_> = inputs.iter().map(|s| self.connect(s)).collect();
-        self.unary_node(name.into(), rxs, Identity::new())
+        let node = self.node(name.into(), inputs, Identity::new(), None, 1);
+        self.stream(node, 0)
     }
 
     /// Adds a router node distributing items over `ports` output
@@ -422,23 +452,14 @@ impl QueryBuilder {
         } else {
             ports
         };
-        let rx = self.connect(input);
-        self.check_name(&name);
-        let metrics = Arc::new(NodeMetrics::new(name.clone()));
-        let m = Arc::clone(&metrics);
         let router = Router::new(policy, ports);
-        let max_batch = self.batch_size;
-        let factory: Factory = Box::new(move |senders, _stop, _errors| {
-            let p = *senders.downcast::<Ports<T>>().expect("router port type");
-            Box::new(move || runtime::run_router(router, vec![rx], p, m, max_batch))
-        });
-        self.nodes.push(NodeSpec {
+        let node = self.node(
             name,
-            senders: Self::empty_ports::<T>(ports),
-            factory,
-            metrics,
-        });
-        let node = self.nodes.len() - 1;
+            std::slice::from_ref(input),
+            Identity::new(),
+            Some(router),
+            ports,
+        );
         (0..ports).map(|p| self.stream(node, p)).collect()
     }
 
@@ -488,27 +509,14 @@ impl QueryBuilder {
     ) where
         T: Clone + Send + Sync + 'static,
     {
-        let name = name.into();
-        let rx = self.connect(input);
-        self.check_name(&name);
-        let metrics = Arc::new(NodeMetrics::new(name.clone()));
-        let m = Arc::clone(&metrics);
-        let factory: Factory = Box::new(move |_senders, _stop, _errors| {
-            Box::new(move || runtime::run_sink(f, vec![rx], m))
-        });
-        self.nodes.push(NodeSpec {
-            name,
-            senders: Self::empty_ports::<T>(0),
-            factory,
-            metrics,
-        });
+        self.node(name.into(), std::slice::from_ref(input), Sink(f), None, 0);
         self.sink_count += 1;
     }
 
-    /// Adds an element-level sink: `f` receives data items, merged
-    /// watermarks and the final end-of-stream marker — everything a
-    /// connector needs to republish a stream (control flow included)
-    /// into an external system.
+    /// Adds an element-level sink: `f` receives the data batches,
+    /// merged watermarks and the final end-of-stream marker —
+    /// everything a connector needs to republish a stream (control
+    /// flow included) into an external system.
     pub fn element_sink<T>(
         &mut self,
         name: impl Into<String>,
@@ -517,20 +525,13 @@ impl QueryBuilder {
     ) where
         T: Clone + Send + Sync + 'static,
     {
-        let name = name.into();
-        let rx = self.connect(input);
-        self.check_name(&name);
-        let metrics = Arc::new(NodeMetrics::new(name.clone()));
-        let m = Arc::clone(&metrics);
-        let factory: Factory = Box::new(move |_senders, _stop, _errors| {
-            Box::new(move || runtime::run_element_sink(f, vec![rx], m))
-        });
-        self.nodes.push(NodeSpec {
-            name,
-            senders: Self::empty_ports::<T>(0),
-            factory,
-            metrics,
-        });
+        self.node(
+            name.into(),
+            std::slice::from_ref(input),
+            ElementSink(f),
+            None,
+            0,
+        );
         self.sink_count += 1;
     }
 

@@ -92,23 +92,21 @@ impl<'a, T> IntoIterator for &'a Batch<T> {
     }
 }
 
-/// A single unit flowing through a stream channel: data (one item or
-/// a shared micro-batch) or an in-band control marker.
+/// A single unit flowing through a node's inbox: data (a shared
+/// micro-batch; a single item is a batch of one) or an in-band control
+/// marker.
 ///
 /// Watermarks and end-of-stream markers travel through the same
-/// bounded channels as data, so control information can never overtake
+/// bounded inboxes as data, so control information can never overtake
 /// the data it describes. Control markers are always batch boundaries:
 /// the engine flushes buffered data before forwarding them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Element<T> {
-    /// A single data tuple.
-    Item(T),
     /// A micro-batch of data tuples, shared by reference count across
-    /// fan-out. Semantically identical to that many consecutive
-    /// [`Item`](Element::Item)s.
+    /// fan-out.
     Batch(Batch<T>),
     /// A promise from the upstream node that no future data element on
-    /// this channel will carry an event time **strictly lower** than
+    /// this input will carry an event time **strictly lower** than
     /// the carried timestamp. Watermarks drive window closing in
     /// stateful operators.
     Watermark(Timestamp),
@@ -119,58 +117,37 @@ pub enum Element<T> {
 }
 
 impl<T> Element<T> {
-    /// Returns `true` for [`Element::Item`].
-    pub fn is_item(&self) -> bool {
-        matches!(self, Element::Item(_))
-    }
-
-    /// Returns `true` for data elements ([`Element::Item`] and
-    /// [`Element::Batch`]).
+    /// Returns `true` for data ([`Element::Batch`]).
     pub fn is_data(&self) -> bool {
-        matches!(self, Element::Item(_) | Element::Batch(_))
+        matches!(self, Element::Batch(_))
     }
 
     /// Returns `true` for [`Element::End`].
     pub fn is_end(&self) -> bool {
         matches!(self, Element::End)
     }
-
-    /// Returns the contained single item, if any. Batches are not
-    /// unwrapped; use [`into_items`](Element::into_items) to extract
-    /// data from either form.
-    pub fn into_item(self) -> Option<T> {
-        match self {
-            Element::Item(item) => Some(item),
-            _ => None,
-        }
-    }
 }
 
 impl<T: Clone> Element<T> {
-    /// Extracts all data items: one for [`Item`](Element::Item), all
-    /// of them for [`Batch`](Element::Batch), none for control
-    /// markers.
+    /// Extracts the data items of a batch; none for control markers.
     pub fn into_items(self) -> Vec<T> {
         match self {
-            Element::Item(item) => vec![item],
             Element::Batch(batch) => batch.into_vec(),
             _ => Vec::new(),
         }
     }
 
-    /// Maps the contained item(s) with `f`, preserving control
-    /// markers.
+    /// Maps the contained items with `f`, preserving control markers.
     ///
     /// ```
-    /// use strata_spe::{Element, Timestamp};
-    /// let e = Element::Item(2).map(|x| x * 10);
-    /// assert_eq!(e, Element::Item(20));
+    /// use strata_spe::{Batch, Element, Timestamp};
+    /// let e = Element::Batch(Batch::new(vec![1, 2])).map(|x| x * 10);
+    /// assert_eq!(e, Element::Batch(Batch::new(vec![10, 20])));
     /// let w: Element<i32> = Element::Watermark(Timestamp::from_millis(5));
     /// assert_eq!(w.map(|x| x * 10), Element::Watermark(Timestamp::from_millis(5)));
     /// ```
-    pub fn map<U>(self, mut f: impl FnMut(T) -> U) -> Element<U> {
+    pub fn map<U>(self, f: impl FnMut(T) -> U) -> Element<U> {
         match self {
-            Element::Item(item) => Element::Item(f(item)),
             Element::Batch(batch) => {
                 Element::Batch(Batch::new(batch.into_vec().into_iter().map(f).collect()))
             }
@@ -186,34 +163,24 @@ mod tests {
 
     #[test]
     fn predicates() {
-        assert!(Element::Item(1).is_item());
-        assert!(!Element::Item(1).is_end());
-        assert!(Element::<u32>::End.is_end());
-        assert!(!Element::<u32>::Watermark(Timestamp::MIN).is_item());
-        assert!(Element::Item(1).is_data());
         assert!(Element::Batch(Batch::new(vec![1])).is_data());
+        assert!(!Element::Batch(Batch::new(vec![1])).is_end());
+        assert!(Element::<u32>::End.is_end());
         assert!(!Element::<u32>::End.is_data());
+        assert!(!Element::<u32>::Watermark(Timestamp::MIN).is_data());
     }
 
     #[test]
-    fn into_item_extracts_only_items() {
-        assert_eq!(Element::Item(7).into_item(), Some(7));
-        assert_eq!(Element::<u8>::End.into_item(), None);
-        assert_eq!(
-            Element::<u8>::Watermark(Timestamp::from_millis(1)).into_item(),
-            None
-        );
-        assert_eq!(Element::Batch(Batch::new(vec![1u8])).into_item(), None);
-    }
-
-    #[test]
-    fn into_items_handles_both_data_forms() {
-        assert_eq!(Element::Item(7).into_items(), vec![7]);
+    fn into_items_extracts_batch_data_only() {
         assert_eq!(
             Element::Batch(Batch::new(vec![1, 2])).into_items(),
             vec![1, 2]
         );
         assert_eq!(Element::<u8>::End.into_items(), Vec::<u8>::new());
+        assert_eq!(
+            Element::<u8>::Watermark(Timestamp::from_millis(1)).into_items(),
+            Vec::<u8>::new()
+        );
     }
 
     #[test]

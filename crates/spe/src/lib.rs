@@ -40,12 +40,17 @@
 //! # Threads, backpressure and termination
 //!
 //! Every node (source, operator, sink) runs on a dedicated thread.
-//! Channels are bounded; a fast producer blocks on a full channel,
-//! which propagates backpressure to the sources. Termination is
-//! cooperative: when a [`source::Source`] finishes (or the
-//! query is [stopped](query::RunningQuery::stop)), an *end-of-stream*
-//! marker flows through the graph, flushing stateful operators on the
-//! way, and every thread exits.
+//! Each non-source node has one bounded inbox that all of its inputs
+//! feed, tagged by input; a fast producer blocks on a full inbox,
+//! which propagates backpressure to the sources. Data moves in
+//! micro-batches ([`Batch`]; a single item is a batch of one), and
+//! watermarks and end-of-stream travel in-band behind the data they
+//! follow. Termination is cooperative: when a [`source::Source`]
+//! finishes (or the query is [stopped](query::RunningQuery::stop)), an
+//! *end-of-stream* marker flows through the graph, flushing stateful
+//! operators on the way, and every thread exits. A node that stops for
+//! any other reason — including a panic — still ends each input it
+//! fed, so the rest of the graph drains.
 
 pub mod builder;
 pub mod element;

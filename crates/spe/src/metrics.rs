@@ -90,9 +90,8 @@ impl NodeMetrics {
     }
 
     /// Distribution of micro-batch sizes the node processed (items per
-    /// wakeup). Only recorded when the query runs with a batch size
-    /// above 1, so item-at-a-time queries report an empty
-    /// distribution.
+    /// wakeup), recorded at every batch size: a query at batch size 1
+    /// records a 1 per item.
     pub fn batch_items(&self) -> HistogramSnapshot {
         self.batch_items.snapshot()
     }
@@ -167,7 +166,7 @@ impl NodeMetrics {
         );
         registry.register_histogram(
             "spe_node_batch_items",
-            "Micro-batch sizes processed per wakeup (batched queries only)",
+            "Micro-batch sizes processed per wakeup",
             labels,
             &self.batch_items,
         );
@@ -290,8 +289,7 @@ pub struct NodeMetricsSnapshot {
     pub process_ns: HistogramSnapshot,
     /// Input queue depth distribution, sampled at item receipt.
     pub queue_depth: HistogramSnapshot,
-    /// Micro-batch size distribution (items per wakeup); empty unless
-    /// the query ran with a batch size above 1.
+    /// Micro-batch size distribution (items per wakeup).
     pub batch_items: HistogramSnapshot,
 }
 

@@ -1,16 +1,19 @@
-//! Operator traits implemented by the engine's native operators and
+//! The operator trait implemented by the engine's native operators and
 //! available for custom user operators.
 
 use crate::time::Timestamp;
 
-/// A single-input operator transforming items of type `I` into items
-/// of type `O`.
+/// An operator transforming items of type `I` into items of type `O`.
 ///
-/// The engine calls the three hooks from the operator's dedicated
-/// worker thread, in channel order, so implementations never need
-/// internal synchronization:
+/// Every non-source node runs one: maps, filters, aggregates, unions,
+/// joins (over [`JoinInput`](crate::operators::JoinInput)-tagged items)
+/// and sinks (which emit nothing). The engine calls the hooks from the
+/// node's dedicated worker thread, in inbox order, so implementations
+/// never need internal synchronization:
 ///
-/// * [`on_item`](UnaryOperator::on_item) for every data tuple;
+/// * [`on_batch`](UnaryOperator::on_batch) for every micro-batch of
+///   data tuples (a single tuple is a batch of one); the default loops
+///   over [`on_item`](UnaryOperator::on_item);
 /// * [`on_watermark`](UnaryOperator::on_watermark) whenever the
 ///   *combined* (minimum across inputs) watermark advances — stateful
 ///   operators close windows here;
@@ -18,12 +21,12 @@ use crate::time::Timestamp;
 ///   reached end-of-stream — stateful operators flush here.
 ///
 /// Outputs are appended to `out`; the worker broadcasts them to all
-/// downstream channels after the hook returns.
+/// downstream nodes after the hook returns.
 pub trait UnaryOperator<I, O>: Send {
     /// Processes one input tuple, appending any number of outputs.
     fn on_item(&mut self, item: I, out: &mut Vec<O>);
 
-    /// Processes a micro-batch of input tuples in channel order. The
+    /// Processes a micro-batch of input tuples in inbox order. The
     /// default simply loops over [`on_item`](UnaryOperator::on_item);
     /// stateless operators override it to amortize per-item dispatch.
     /// Implementations must be observationally equivalent to the
@@ -42,44 +45,6 @@ pub trait UnaryOperator<I, O>: Send {
 
     /// Flushes remaining state at end-of-stream. The default does
     /// nothing.
-    fn on_end(&mut self, out: &mut Vec<O>) {
-        let _ = out;
-    }
-}
-
-/// A two-input operator combining a left stream of `L` and a right
-/// stream of `R` into outputs of type `O` (the engine's `Join`).
-///
-/// The same threading guarantees as [`UnaryOperator`] apply.
-pub trait BinaryOperator<L, R, O>: Send {
-    /// Processes one tuple from the left input.
-    fn on_left(&mut self, item: L, out: &mut Vec<O>);
-
-    /// Processes one tuple from the right input.
-    fn on_right(&mut self, item: R, out: &mut Vec<O>);
-
-    /// Processes a micro-batch of left tuples in channel order. The
-    /// default loops over [`on_left`](BinaryOperator::on_left).
-    fn on_left_batch(&mut self, items: Vec<L>, out: &mut Vec<O>) {
-        for item in items {
-            self.on_left(item, out);
-        }
-    }
-
-    /// Processes a micro-batch of right tuples in channel order. The
-    /// default loops over [`on_right`](BinaryOperator::on_right).
-    fn on_right_batch(&mut self, items: Vec<R>, out: &mut Vec<O>) {
-        for item in items {
-            self.on_right(item, out);
-        }
-    }
-
-    /// Reacts to combined event-time progress across both inputs.
-    fn on_watermark(&mut self, watermark: Timestamp, out: &mut Vec<O>) {
-        let _ = (watermark, out);
-    }
-
-    /// Flushes remaining state once both inputs ended.
     fn on_end(&mut self, out: &mut Vec<O>) {
         let _ = out;
     }

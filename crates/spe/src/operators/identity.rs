@@ -4,10 +4,10 @@ use crate::operator::UnaryOperator;
 
 /// Forwards every input unchanged.
 ///
-/// A `Union` node is an `Identity` operator with several input
-/// channels: the engine's multi-input worker already merges items and
-/// tracks the minimum watermark across inputs, so merging requires no
-/// operator logic at all.
+/// A `Union` node is an `Identity` operator with several inputs: the
+/// node's inbox already merges items and the worker tracks the minimum
+/// watermark across inputs, so merging requires no operator logic at
+/// all. A router node is an `Identity` too; only its flush differs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Identity;
 

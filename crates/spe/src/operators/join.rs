@@ -4,7 +4,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 
-use crate::operator::BinaryOperator;
+use crate::operator::UnaryOperator;
 use crate::time::{Timestamp, Timestamped};
 
 /// Joins a left stream `L` and a right stream `R`, producing an
@@ -19,6 +19,10 @@ use crate::time::{Timestamp, Timestamped};
 /// State is bounded by watermarks: a buffered tuple is evicted once
 /// the combined watermark passes `τ + WS`, because no future tuple of
 /// the other stream can still match it.
+///
+/// A join node has one inbox like every other node: its two inputs
+/// arrive tagged as [`JoinInput::Left`] and [`JoinInput::Right`], and
+/// the join is an ordinary [`UnaryOperator`] over the tagged items.
 pub struct Join<L, R, K, O, KL, KR, JF> {
     ws: u64,
     key_left: KL,
@@ -28,6 +32,15 @@ pub struct Join<L, R, K, O, KL, KR, JF> {
     right: HashMap<K, VecDeque<R>>,
     buffered: usize,
     _out: std::marker::PhantomData<fn() -> O>,
+}
+
+/// An item on one of a [`Join`]'s two inputs, tagged with its side.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JoinInput<L, R> {
+    /// A tuple of the left stream.
+    Left(L),
+    /// A tuple of the right stream.
+    Right(R),
 }
 
 impl<L, R, K, O, KL, KR, JF> std::fmt::Debug for Join<L, R, K, O, KL, KR, JF> {
@@ -89,7 +102,7 @@ where
     }
 }
 
-impl<L, R, K, O, KL, KR, JF> BinaryOperator<L, R, O> for Join<L, R, K, O, KL, KR, JF>
+impl<L, R, K, O, KL, KR, JF> UnaryOperator<JoinInput<L, R>, O> for Join<L, R, K, O, KL, KR, JF>
 where
     L: Timestamped + Send,
     R: Timestamped + Send,
@@ -99,33 +112,27 @@ where
     KR: FnMut(&R) -> K + Send,
     JF: FnMut(&L, &R) -> Option<O> + Send,
 {
-    fn on_left(&mut self, item: L, out: &mut Vec<O>) {
-        let key = (self.key_left)(&item);
-        if let Some(candidates) = self.right.get(&key) {
-            for r in candidates {
-                if item.timestamp().abs_diff(r.timestamp()) <= self.ws {
-                    if let Some(o) = (self.join_fn)(&item, r) {
-                        out.push(o);
+    fn on_item(&mut self, item: JoinInput<L, R>, out: &mut Vec<O>) {
+        match item {
+            JoinInput::Left(l) => {
+                let key = (self.key_left)(&l);
+                for r in self.right.get(&key).into_iter().flatten() {
+                    if l.timestamp().abs_diff(r.timestamp()) <= self.ws {
+                        out.extend((self.join_fn)(&l, r));
                     }
                 }
+                self.left.entry(key).or_default().push_back(l);
             }
-        }
-        self.left.entry(key).or_default().push_back(item);
-        self.buffered += 1;
-    }
-
-    fn on_right(&mut self, item: R, out: &mut Vec<O>) {
-        let key = (self.key_right)(&item);
-        if let Some(candidates) = self.left.get(&key) {
-            for l in candidates {
-                if l.timestamp().abs_diff(item.timestamp()) <= self.ws {
-                    if let Some(o) = (self.join_fn)(l, &item) {
-                        out.push(o);
+            JoinInput::Right(r) => {
+                let key = (self.key_right)(&r);
+                for l in self.left.get(&key).into_iter().flatten() {
+                    if l.timestamp().abs_diff(r.timestamp()) <= self.ws {
+                        out.extend((self.join_fn)(l, &r));
                     }
                 }
+                self.right.entry(key).or_default().push_back(r);
             }
         }
-        self.right.entry(key).or_default().push_back(item);
         self.buffered += 1;
     }
 
@@ -142,6 +149,7 @@ where
 
 #[cfg(test)]
 mod tests {
+    use super::JoinInput::{Left, Right};
     use super::*;
 
     #[derive(Debug, Clone, PartialEq)]
@@ -184,10 +192,10 @@ mod tests {
     fn joins_within_band_and_key() {
         let mut j = pair_join(10);
         let mut out = Vec::new();
-        j.on_left(tup(100, 1, "l1"), &mut out);
-        j.on_right(tup(105, 1, "r1"), &mut out); // in band, same key
-        j.on_right(tup(150, 1, "r2"), &mut out); // out of band
-        j.on_right(tup(105, 2, "r3"), &mut out); // different key
+        j.on_item(Left(tup(100, 1, "l1")), &mut out);
+        j.on_item(Right(tup(105, 1, "r1")), &mut out); // in band, same key
+        j.on_item(Right(tup(150, 1, "r2")), &mut out); // out of band
+        j.on_item(Right(tup(105, 2, "r3")), &mut out); // different key
         assert_eq!(out, vec![("l1", "r1")]);
     }
 
@@ -195,9 +203,9 @@ mod tests {
     fn zero_band_matches_equal_timestamps_only() {
         let mut j = pair_join(0);
         let mut out = Vec::new();
-        j.on_left(tup(100, 1, "l"), &mut out);
-        j.on_right(tup(100, 1, "r="), &mut out);
-        j.on_right(tup(101, 1, "r+"), &mut out);
+        j.on_item(Left(tup(100, 1, "l")), &mut out);
+        j.on_item(Right(tup(100, 1, "r=")), &mut out);
+        j.on_item(Right(tup(101, 1, "r+")), &mut out);
         assert_eq!(out, vec![("l", "r=")]);
     }
 
@@ -205,8 +213,8 @@ mod tests {
     fn both_arrival_orders_match() {
         let mut j = pair_join(5);
         let mut out = Vec::new();
-        j.on_right(tup(10, 7, "r"), &mut out);
-        j.on_left(tup(12, 7, "l"), &mut out);
+        j.on_item(Right(tup(10, 7, "r")), &mut out);
+        j.on_item(Left(tup(12, 7, "l")), &mut out);
         assert_eq!(out, vec![("l", "r")]);
     }
 
@@ -219,8 +227,8 @@ mod tests {
             |_l: &Tup, _r: &Tup| None,
         );
         let mut out = Vec::new();
-        j.on_left(tup(1, 1, "l"), &mut out);
-        j.on_right(tup(1, 1, "r"), &mut out);
+        j.on_item(Left(tup(1, 1, "l")), &mut out);
+        j.on_item(Right(tup(1, 1, "r")), &mut out);
         assert!(out.is_empty());
     }
 
@@ -228,8 +236,8 @@ mod tests {
     fn watermark_bounds_state() {
         let mut j = pair_join(10);
         let mut out = Vec::new();
-        j.on_left(tup(100, 1, "old"), &mut out);
-        j.on_left(tup(200, 1, "new"), &mut out);
+        j.on_item(Left(tup(100, 1, "old")), &mut out);
+        j.on_item(Left(tup(200, 1, "new")), &mut out);
         assert_eq!(j.buffered(), 2);
         // Watermark 150: tuples with τ + 10 < 150 can never match again.
         j.on_watermark(Timestamp::from_millis(150), &mut out);
@@ -237,7 +245,7 @@ mod tests {
         // A right tuple at 111 would have matched "old" (|100-111|>10 →
         // no), at 105 it would — but 105 is below the watermark anyway,
         // so dropping "old" was safe.
-        j.on_right(tup(205, 1, "r"), &mut out);
+        j.on_item(Right(tup(205, 1, "r")), &mut out);
         assert_eq!(out, vec![("new", "r")]);
         j.on_end(&mut out);
         assert_eq!(j.buffered(), 0);
@@ -247,11 +255,11 @@ mod tests {
     fn eviction_keeps_still_matchable_tuples() {
         let mut j = pair_join(50);
         let mut out = Vec::new();
-        j.on_left(tup(100, 1, "l"), &mut out);
+        j.on_item(Left(tup(100, 1, "l")), &mut out);
         j.on_watermark(Timestamp::from_millis(120), &mut out);
         // τ=100 with WS=50 can still match right tuples up to τ=150,
         // and watermark 120 < 150, so "l" must survive.
-        j.on_right(tup(130, 1, "r"), &mut out);
+        j.on_item(Right(tup(130, 1, "r")), &mut out);
         assert_eq!(out, vec![("l", "r")]);
     }
 }

@@ -22,6 +22,6 @@ pub use aggregate::Aggregate;
 pub use filter::Filter;
 pub use flat_map::FlatMap;
 pub use identity::Identity;
-pub use join::Join;
+pub use join::{Join, JoinInput};
 pub use map::Map;
 pub use router::RoutePolicy;

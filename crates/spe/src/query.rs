@@ -61,8 +61,8 @@ impl Query {
     ///
     /// Every worker runs under panic supervision: a panic in user
     /// code (an operator closure, a source, a sink) is caught, its
-    /// node's channels close so the rest of the graph drains
-    /// normally, and [`join`](RunningQuery::join) reports a
+    /// node's inbox closes and its outlets end the inputs it fed, so
+    /// the rest of the graph drains normally, and [`join`](RunningQuery::join) reports a
     /// structured [`Error::OperatorPanicked`] instead of the query
     /// hanging or aborting the process.
     pub fn run(self) -> RunningQuery {

@@ -1,20 +1,26 @@
-//! Worker loops: one thread per node, watermark merging across
+//! The two worker loops — one per node, one per source — and the
+//! plumbing between them: one inbox per node, watermark merging across
 //! inputs, broadcast fan-out, cooperative termination.
 //!
-//! # Micro-batched data plane
+//! # One inbox, one loop
 //!
-//! Channels carry [`Element::Batch`] alongside single items: each
-//! worker wakeup drains up to `max_batch` buffered data elements from
-//! the channel that woke it, invokes the operator once over the whole
-//! batch, and forwards the outputs as shared batches. Watermarks and
-//! end-of-stream are always batch boundaries — a control marker found
-//! mid-drain is set aside (`pending`) and processed on the next loop
-//! iteration, after the data before it. With `max_batch == 1` the
-//! loops take the exact item-at-a-time paths of the pre-batching
-//! engine, which the `batch_equivalence` suite pins bit for bit.
+//! Every non-source node owns a single bounded inbox of
+//! `(input, Element)` pairs. Each upstream port holds an [`Outlet`]: the
+//! inbox's sender plus the index of the input it feeds. One generic
+//! loop, [`run_node`], drives every node kind: unary operators, unions,
+//! joins (a unary operator over left/right-tagged items), routers (whose
+//! flush picks a port per item) and sinks (operators without ports).
 //!
-//! Broadcast fan-out never clones for the sole (or last) consumer:
-//! the original element is moved into the final send, and batches are
+//! Data is always a [`Batch`]; a single item is a batch of one. Each
+//! wakeup drains up to `max_batch` buffered items, invokes the operator
+//! once over the whole batch, and forwards the outputs as shared
+//! batches of at most `max_batch` items. Watermarks and end-of-stream
+//! are always batch boundaries — a control marker found mid-drain is
+//! set aside and processed on the next iteration, after the data
+//! before it.
+//!
+//! Broadcast fan-out never clones for the sole (or last) consumer: the
+//! original element is moved into the final send, and batches are
 //! reference-counted so the extra N−1 sends bump an `Arc` instead of
 //! copying items.
 
@@ -22,55 +28,138 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, Select, Sender};
+use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::element::{Batch, Element};
 use crate::error::Error;
 use crate::metrics::NodeMetrics;
-use crate::operator::{BinaryOperator, UnaryOperator};
+use crate::operator::UnaryOperator;
 use crate::operators::router::Router;
 use crate::source::{Source, SourceContext};
 use crate::time::Timestamp;
 
-/// Output ports of a node: `ports[p]` is the list of downstream
-/// channels attached to port `p`. Ordinary nodes have one port and
-/// broadcast to every channel on it; router nodes send each item to
-/// exactly one port.
-pub(crate) type Ports<T> = Vec<Vec<Sender<Element<T>>>>;
+/// What a node's inbox carries: the index of the input an element
+/// arrived on, and the element.
+pub(crate) type Inbound<T> = (usize, Element<T>);
 
-/// Sends `element` to every channel of every port: a clone to the
-/// first N−1 channels, the original — by move — into the last. The
-/// sole consumer of a stream therefore never pays for a clone.
-/// Returns `true` while at least one receiver is still connected.
-fn broadcast_all<T: Clone>(ports: &Ports<T>, element: Element<T>) -> bool {
-    let total: usize = ports.iter().map(|p| p.len()).sum();
-    if total == 0 {
-        return false;
-    }
-    let mut alive = false;
-    let mut element = Some(element);
-    let mut sent = 0usize;
-    for tx in ports.iter().flatten() {
-        sent += 1;
-        let payload = if sent == total {
-            element.take().expect("original moved into the last send")
-        } else {
-            element
-                .as_ref()
-                .expect("original kept until last send")
-                .clone()
-        };
-        if tx.send(payload).is_ok() {
-            alive = true;
-        }
-    }
-    alive
+/// The sending end of one input of a downstream node: the node's inbox
+/// plus the input index, and the conversion into the inbox's element
+/// type (the identity everywhere except on the two sides of a join).
+///
+/// Dropping an outlet sends `End` on its input. A node therefore closes
+/// its outputs by returning — whether it finished, lost its consumers
+/// or panicked — and every input of a downstream node closes exactly
+/// once, just as a disconnected channel would.
+pub(crate) struct Outlet<T> {
+    send: Box<dyn Fn(Element<T>) -> bool + Send>,
 }
 
-/// Tracks the watermark of each input channel and exposes the
-/// combined (minimum) watermark across the inputs that are still
-/// open. A closed input no longer constrains progress.
+impl<T: 'static> Outlet<T> {
+    pub(crate) fn new<X: Send + Sync + 'static>(
+        inbox: Sender<Inbound<X>>,
+        input: usize,
+        wrap: fn(Element<T>) -> Element<X>,
+    ) -> Self {
+        Outlet {
+            send: Box::new(move |element| inbox.send((input, wrap(element))).is_ok()),
+        }
+    }
+}
+
+impl<T> Outlet<T> {
+    /// Sends `element`; `false` once the downstream node is gone.
+    fn send(&self, element: Element<T>) -> bool {
+        (self.send)(element)
+    }
+}
+
+impl<T> Drop for Outlet<T> {
+    fn drop(&mut self) {
+        self.send(Element::End);
+    }
+}
+
+impl<T> std::fmt::Debug for Outlet<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Outlet").finish_non_exhaustive()
+    }
+}
+
+/// Output ports of a node: `ports[p]` holds the outlets attached to
+/// port `p`. Ordinary nodes have one port and broadcast to every outlet
+/// on it; a router sends each item to exactly one port; sinks have no
+/// ports.
+pub(crate) type Ports<T> = Vec<Vec<Outlet<T>>>;
+
+/// Sends `element` to every outlet of a port: a clone to the first N−1,
+/// the original — by move — into the last, so the sole consumer of a
+/// stream never pays for a clone. Returns `false` when the port has
+/// outlets and none accepted (its consumers are gone); a port nobody
+/// consumes never fails.
+pub(crate) fn broadcast<T: Clone>(port: &[Outlet<T>], element: Element<T>) -> bool {
+    let Some((last, rest)) = port.split_last() else {
+        return true;
+    };
+    let mut alive = false;
+    for outlet in rest {
+        alive |= outlet.send(element.clone());
+    }
+    last.send(element) || alive
+}
+
+/// Sends `items` to one port as shared batches of at most `max_batch`
+/// items. The items are moved into their chunks, so a flush costs
+/// O(items) whatever the number of chunks.
+fn send_chunked<T: Clone>(port: &[Outlet<T>], items: Vec<T>, max_batch: usize) -> bool {
+    if items.len() <= max_batch {
+        return broadcast(port, Element::Batch(Batch::new(items)));
+    }
+    let mut items = items.into_iter();
+    loop {
+        let chunk: Vec<T> = items.by_ref().take(max_batch).collect();
+        if chunk.is_empty() {
+            return true;
+        }
+        if !broadcast(port, Element::Batch(Batch::new(chunk))) {
+            return false;
+        }
+    }
+}
+
+/// Sends a wakeup's outputs downstream and records them. A router
+/// picks each item's port, in arrival order, so routing decisions are
+/// the same at every batch size; every other node sends everything to
+/// its single port. Returns `false` when a port that was sent data has
+/// lost all its consumers.
+fn flush<O: Clone>(
+    out: &mut Vec<O>,
+    ports: &Ports<O>,
+    router: &mut Option<Router<O>>,
+    metrics: &NodeMetrics,
+    max_batch: usize,
+) -> bool {
+    if out.is_empty() {
+        return true;
+    }
+    metrics.record_out(out.len() as u64);
+    let items = std::mem::take(out);
+    let Some(router) = router else {
+        return send_chunked(&ports[0], items, max_batch);
+    };
+    let mut by_port: Vec<Vec<O>> = ports.iter().map(|_| Vec::new()).collect();
+    for item in items {
+        by_port[router.route(&item)].push(item);
+    }
+    by_port
+        .into_iter()
+        .zip(ports)
+        .all(|(items, port)| items.is_empty() || send_chunked(port, items, max_batch))
+}
+
+/// Tracks the watermark of each input and exposes the combined
+/// (minimum) watermark across the inputs that are still open. A closed
+/// input no longer constrains progress.
 #[derive(Debug)]
 pub(crate) struct WatermarkMerge {
     per_input: Vec<Timestamp>,
@@ -125,506 +214,100 @@ impl WatermarkMerge {
     }
 }
 
-/// Receives from whichever of `rxs` is ready; `None` marks
-/// already-closed slots. Returns `(input_index, element_or_closed)`.
-/// A disconnected channel (its sender's thread exited, panicked or
-/// not) is reported as closed, never unwrapped.
-fn recv_any<T>(rxs: &[Option<Receiver<Element<T>>>]) -> (usize, Option<Element<T>>) {
-    let mut sel = Select::new();
-    let mut open: Vec<(usize, &Receiver<Element<T>>)> = Vec::new();
-    for (i, rx) in rxs.iter().enumerate() {
-        if let Some(rx) = rx {
-            sel.recv(rx);
-            open.push((i, rx));
-        }
-    }
-    debug_assert!(!open.is_empty());
-    let oper = sel.select();
-    let (slot, rx) = open[oper.index()];
-    match oper.recv(rx) {
-        Ok(el) => (slot, Some(el)),
-        Err(_) => (slot, None),
-    }
-}
-
-/// Total buffered items across a node's still-open inputs. Sampled
-/// into the queue-depth histogram at each wakeup, so sustained
-/// backpressure shows up as a rising distribution.
-fn queue_depth<T>(rxs: &[Option<Receiver<Element<T>>>]) -> u64 {
-    rxs.iter().flatten().map(|rx| rx.len() as u64).sum()
-}
-
-/// Appends the items of a data element to `buf`; a batch whose items
-/// land in an empty buffer is taken over wholesale (no copy for the
-/// sole consumer).
-fn push_data<T: Clone>(element: Element<T>, buf: &mut Vec<T>) {
-    match element {
-        Element::Item(item) => buf.push(item),
-        Element::Batch(batch) => {
-            if buf.is_empty() {
-                *buf = batch.into_vec();
-            } else {
-                buf.extend(batch.into_vec());
-            }
-        }
-        _ => unreachable!("push_data only receives data elements"),
-    }
-}
-
-/// Starting from the already-received data element `first`, drains
-/// `rx` without blocking until `max_batch` items are buffered, the
-/// channel runs dry, or a control marker appears. The control marker,
-/// if any, is returned so the caller can process it *after* the data
-/// that preceded it — keeping watermarks and end-of-stream exact
-/// batch boundaries.
-fn drain_data<T: Clone>(
-    first: Element<T>,
-    rx: &Receiver<Element<T>>,
+/// Starting from the batch that woke the node, drains the inbox without
+/// blocking until `max_batch` items are buffered, the inbox runs dry, or
+/// a control marker appears. The marker, if any, is returned so the
+/// caller processes it *after* the data that preceded it — keeping
+/// watermarks and end-of-stream exact batch boundaries.
+fn drain<T: Clone>(
+    first: Batch<T>,
+    inbox: &Receiver<Inbound<T>>,
     max_batch: usize,
-) -> (Vec<T>, Option<Element<T>>) {
-    let mut buf = Vec::new();
-    push_data(first, &mut buf);
-    let mut ctrl = None;
-    while buf.len() < max_batch {
-        match rx.try_recv() {
-            Ok(el @ (Element::Item(_) | Element::Batch(_))) => push_data(el, &mut buf),
-            Ok(marker) => {
-                ctrl = Some(marker);
-                break;
-            }
-            // Empty: nothing more to coalesce. Disconnected: the next
-            // blocking receive reports it as a closed slot.
+) -> (Vec<T>, Option<Inbound<T>>) {
+    let mut items = first.into_vec();
+    while items.len() < max_batch {
+        match inbox.try_recv() {
+            Ok((_, Element::Batch(more))) => items.extend(more.into_vec()),
+            Ok(marker) => return (items, Some(marker)),
             Err(_) => break,
         }
     }
-    (buf, ctrl)
+    (items, None)
 }
 
-/// Drains `out` into the node's ports, recording output metrics.
-/// With `max_batch > 1` the outputs travel as shared batches chunked
-/// to at most `max_batch` items; otherwise one `Element::Item` per
-/// tuple, exactly as the pre-batching engine.
-/// Returns `false` when every downstream consumer is gone.
-fn flush_outputs<O: Clone>(
-    out: &mut Vec<O>,
-    ports: &Ports<O>,
-    metrics: &NodeMetrics,
-    max_batch: usize,
-) -> bool {
-    if out.is_empty() {
-        return true;
-    }
-    let mut alive = true;
-    if max_batch <= 1 {
-        for item in out.drain(..) {
-            metrics.record_out(1);
-            alive = broadcast_all(ports, Element::Item(item));
-        }
-        return alive;
-    }
-    metrics.record_out(out.len() as u64);
-    let mut items = std::mem::take(out);
-    while !items.is_empty() {
-        let rest = if items.len() > max_batch {
-            items.split_off(max_batch)
-        } else {
-            Vec::new()
-        };
-        alive = if items.len() == 1 {
-            broadcast_all(ports, Element::Item(items.pop().expect("one item")))
-        } else {
-            broadcast_all(ports, Element::Batch(Batch::new(items)))
-        };
-        items = rest;
-    }
-    alive
-}
-
-/// The worker loop shared by every single-input-type node (Map,
-/// Filter, FlatMap, Aggregate, Union/Identity; sinks are separate).
-pub(crate) fn run_unary<I, O, Op>(
+/// The worker loop of every non-source node. `inputs` is the number of
+/// upstream outlets feeding `inbox`; the node ends once each of them
+/// has sent `End`, and returns early when a send finds a port's
+/// consumers gone. Returning drops `ports`, which ends every
+/// downstream input this node feeds.
+pub(crate) fn run_node<I, O, Op>(
     mut op: Op,
-    rxs: Vec<Receiver<Element<I>>>,
+    inbox: Receiver<Inbound<I>>,
+    inputs: usize,
+    mut router: Option<Router<O>>,
     ports: Ports<O>,
     metrics: Arc<NodeMetrics>,
     max_batch: usize,
 ) where
-    I: Clone + Send + Sync,
-    O: Clone + Send + Sync,
+    I: Clone,
+    O: Clone,
     Op: UnaryOperator<I, O>,
 {
-    let has_outputs = ports.iter().any(|p| !p.is_empty());
-    let mut rxs: Vec<Option<_>> = rxs.into_iter().map(Some).collect();
-    let mut merge = WatermarkMerge::new(rxs.len());
+    let mut merge = WatermarkMerge::new(inputs);
     let mut out: Vec<O> = Vec::new();
-    let mut pending: Option<(usize, Element<I>)> = None;
+    let mut pending: Option<Inbound<I>> = None;
     loop {
-        let (slot, received) = match pending.take() {
-            Some((slot, marker)) => (slot, Some(marker)),
-            None => recv_any(&rxs),
+        let (input, element) = match pending.take() {
+            Some(inbound) => inbound,
+            None => match inbox.recv() {
+                Ok(inbound) => inbound,
+                // Every outlet sends `End` before it goes, so all inputs
+                // have closed before the inbox can disconnect.
+                Err(_) => break,
+            },
         };
-        match received {
-            Some(Element::Item(item)) if max_batch <= 1 => {
-                // The exact pre-batching hot path: no buffering, no
-                // allocation per item.
-                metrics.record_in(1);
-                metrics.record_queue_depth(queue_depth(&rxs));
+        let watermark = match element {
+            Element::Batch(batch) => {
+                let (items, marker) = drain(batch, &inbox, max_batch);
+                pending = marker;
+                metrics.record_in(items.len() as u64);
+                metrics.record_batch(items.len() as u64);
+                metrics.record_queue_depth(inbox.len() as u64);
                 // Time the operator callback only: send-side
-                // backpressure in flush_outputs is queueing, not
-                // processing, and would drown the signal.
+                // backpressure in `flush` is queueing, not processing,
+                // and would drown the signal.
                 let started = Instant::now();
-                op.on_item(item, &mut out);
+                op.on_batch(items, &mut out);
                 metrics.record_process_since(started);
-                if !flush_outputs(&mut out, &ports, &metrics, max_batch) && has_outputs {
-                    return;
-                }
+                None
             }
-            Some(el @ (Element::Item(_) | Element::Batch(_))) => {
-                let rx = rxs[slot].as_ref().expect("data from an open slot");
-                let (mut batch, ctrl) = drain_data(el, rx, max_batch);
-                if let Some(marker) = ctrl {
-                    pending = Some((slot, marker));
-                }
-                metrics.record_in(batch.len() as u64);
-                metrics.record_queue_depth(queue_depth(&rxs));
-                if max_batch > 1 {
-                    metrics.record_batch(batch.len() as u64);
-                }
-                let started = Instant::now();
-                if batch.len() == 1 {
-                    op.on_item(batch.pop().expect("single item"), &mut out);
-                } else {
-                    op.on_batch(batch, &mut out);
-                }
-                metrics.record_process_since(started);
-                if !flush_outputs(&mut out, &ports, &metrics, max_batch) && has_outputs {
-                    return;
-                }
-            }
-            Some(Element::Watermark(wm)) => {
+            Element::Watermark(wm) => {
                 metrics.record_watermark();
-                if let Some(combined) = merge.advance(slot, wm) {
-                    op.on_watermark(combined, &mut out);
-                    let alive = flush_outputs(&mut out, &ports, &metrics, max_batch)
-                        && broadcast_all(&ports, Element::Watermark(combined));
-                    if !alive && has_outputs {
-                        return;
-                    }
-                }
+                merge.advance(input, wm)
             }
-            Some(Element::End) | None => {
-                rxs[slot] = None;
-                if let Some(combined) = merge.close(slot) {
-                    if !merge.all_closed() {
-                        op.on_watermark(combined, &mut out);
-                        let alive = flush_outputs(&mut out, &ports, &metrics, max_batch)
-                            && broadcast_all(&ports, Element::Watermark(combined));
-                        if !alive && has_outputs {
-                            return;
-                        }
-                    }
-                }
+            Element::End => {
+                let released = merge.close(input);
                 if merge.all_closed() {
-                    op.on_end(&mut out);
-                    flush_outputs(&mut out, &ports, &metrics, max_batch);
-                    broadcast_all(&ports, Element::End);
-                    return;
+                    break;
                 }
+                released
             }
-        }
-    }
-}
-
-/// A control marker carried over to the next loop iteration of a
-/// binary worker; side-agnostic because markers hold no payload.
-enum PendingCtrl {
-    Watermark(Timestamp),
-    End,
-}
-
-enum ElementEvent<L, R> {
-    LeftBatch(Vec<L>),
-    RightBatch(Vec<R>),
-    Watermark(Timestamp),
-    Closed,
-}
-
-/// A still-open input of a binary node, tagged by side so the select
-/// loop can complete the chosen operation against the right type.
-enum SideRx<'a, L, R> {
-    Left(&'a Receiver<Element<L>>),
-    Right(&'a Receiver<Element<R>>),
-}
-
-/// Receives one event for a binary worker, draining data into a batch
-/// of the selected side. A control marker hit mid-drain lands in
-/// `pending`.
-#[allow(clippy::type_complexity)]
-fn recv_binary<L: Clone + Send + Sync, R: Clone + Send + Sync>(
-    left: &[Option<Receiver<Element<L>>>],
-    right: &[Option<Receiver<Element<R>>>],
-    max_batch: usize,
-    pending: &mut Option<(usize, PendingCtrl)>,
-) -> (usize, ElementEvent<L, R>) {
-    if let Some((slot, ctrl)) = pending.take() {
-        let event = match ctrl {
-            PendingCtrl::Watermark(wm) => ElementEvent::Watermark(wm),
-            PendingCtrl::End => ElementEvent::Closed,
         };
-        return (slot, event);
-    }
-    let left_count = left.len();
-    // A heterogeneous select: left and right channels carry different
-    // element types, so build the Select manually. The slot list keeps
-    // a typed reference alongside each index, so the selected receiver
-    // is recovered without unwrapping.
-    let mut sel = Select::new();
-    let mut slots: Vec<(usize, SideRx<'_, L, R>)> = Vec::new();
-    for (i, rx) in left.iter().enumerate() {
-        if let Some(rx) = rx {
-            sel.recv(rx);
-            slots.push((i, SideRx::Left(rx)));
+        if let Some(wm) = watermark {
+            op.on_watermark(wm, &mut out);
+        }
+        let alive = flush(&mut out, &ports, &mut router, &metrics, max_batch)
+            && watermark.is_none_or(|wm| {
+                ports
+                    .iter()
+                    .all(|port| broadcast(port, Element::Watermark(wm)))
+            });
+        if !alive {
+            return;
         }
     }
-    for (i, rx) in right.iter().enumerate() {
-        if let Some(rx) = rx {
-            sel.recv(rx);
-            slots.push((left_count + i, SideRx::Right(rx)));
-        }
-    }
-    debug_assert!(!slots.is_empty());
-    let oper = sel.select();
-    let (slot, side) = &slots[oper.index()];
-    let slot = *slot;
-    let event = match side {
-        SideRx::Left(rx) => match oper.recv(rx) {
-            Ok(el @ (Element::Item(_) | Element::Batch(_))) => {
-                let (batch, ctrl) = drain_data(el, rx, max_batch);
-                *pending = ctrl.map(|marker| (slot, to_pending(marker)));
-                ElementEvent::LeftBatch(batch)
-            }
-            Ok(Element::Watermark(wm)) => ElementEvent::Watermark(wm),
-            Ok(Element::End) | Err(_) => ElementEvent::Closed,
-        },
-        SideRx::Right(rx) => match oper.recv(rx) {
-            Ok(el @ (Element::Item(_) | Element::Batch(_))) => {
-                let (batch, ctrl) = drain_data(el, rx, max_batch);
-                *pending = ctrl.map(|marker| (slot, to_pending(marker)));
-                ElementEvent::RightBatch(batch)
-            }
-            Ok(Element::Watermark(wm)) => ElementEvent::Watermark(wm),
-            Ok(Element::End) | Err(_) => ElementEvent::Closed,
-        },
-    };
-    (slot, event)
-}
-
-fn to_pending<T>(marker: Element<T>) -> PendingCtrl {
-    match marker {
-        Element::Watermark(wm) => PendingCtrl::Watermark(wm),
-        Element::End => PendingCtrl::End,
-        _ => unreachable!("data elements are drained, not carried over"),
-    }
-}
-
-/// The worker loop for two-input-type nodes (Join). `left_rxs` and
-/// `right_rxs` are usually singletons but may each carry several
-/// channels (e.g. a union feeding a join side directly).
-pub(crate) fn run_binary<L, R, O, Op>(
-    mut op: Op,
-    left_rxs: Vec<Receiver<Element<L>>>,
-    right_rxs: Vec<Receiver<Element<R>>>,
-    ports: Ports<O>,
-    metrics: Arc<NodeMetrics>,
-    max_batch: usize,
-) where
-    L: Clone + Send + Sync,
-    R: Clone + Send + Sync,
-    O: Clone + Send + Sync,
-    Op: BinaryOperator<L, R, O>,
-{
-    let has_outputs = ports.iter().any(|p| !p.is_empty());
-    let left_count = left_rxs.len();
-    let mut left: Vec<Option<_>> = left_rxs.into_iter().map(Some).collect();
-    let mut right: Vec<Option<_>> = right_rxs.into_iter().map(Some).collect();
-    let mut merge = WatermarkMerge::new(left.len() + right.len());
-    let mut out: Vec<O> = Vec::new();
-    let mut pending: Option<(usize, PendingCtrl)> = None;
-
-    loop {
-        let (slot, event) = recv_binary(&left, &right, max_batch, &mut pending);
-        match event {
-            ElementEvent::LeftBatch(mut batch) => {
-                metrics.record_in(batch.len() as u64);
-                metrics.record_queue_depth(queue_depth(&left) + queue_depth(&right));
-                if max_batch > 1 {
-                    metrics.record_batch(batch.len() as u64);
-                }
-                let started = Instant::now();
-                if batch.len() == 1 {
-                    op.on_left(batch.pop().expect("single item"), &mut out);
-                } else {
-                    op.on_left_batch(batch, &mut out);
-                }
-                metrics.record_process_since(started);
-                if !flush_outputs(&mut out, &ports, &metrics, max_batch) && has_outputs {
-                    return;
-                }
-            }
-            ElementEvent::RightBatch(mut batch) => {
-                metrics.record_in(batch.len() as u64);
-                metrics.record_queue_depth(queue_depth(&left) + queue_depth(&right));
-                if max_batch > 1 {
-                    metrics.record_batch(batch.len() as u64);
-                }
-                let started = Instant::now();
-                if batch.len() == 1 {
-                    op.on_right(batch.pop().expect("single item"), &mut out);
-                } else {
-                    op.on_right_batch(batch, &mut out);
-                }
-                metrics.record_process_since(started);
-                if !flush_outputs(&mut out, &ports, &metrics, max_batch) && has_outputs {
-                    return;
-                }
-            }
-            ElementEvent::Watermark(wm) => {
-                metrics.record_watermark();
-                if let Some(combined) = merge.advance(slot, wm) {
-                    op.on_watermark(combined, &mut out);
-                    let alive = flush_outputs(&mut out, &ports, &metrics, max_batch)
-                        && broadcast_all(&ports, Element::Watermark(combined));
-                    if !alive && has_outputs {
-                        return;
-                    }
-                }
-            }
-            ElementEvent::Closed => {
-                if slot < left_count {
-                    left[slot] = None;
-                } else {
-                    right[slot - left_count] = None;
-                }
-                if let Some(combined) = merge.close(slot) {
-                    if !merge.all_closed() {
-                        op.on_watermark(combined, &mut out);
-                        let alive = flush_outputs(&mut out, &ports, &metrics, max_batch)
-                            && broadcast_all(&ports, Element::Watermark(combined));
-                        if !alive && has_outputs {
-                            return;
-                        }
-                    }
-                }
-                if merge.all_closed() {
-                    op.on_end(&mut out);
-                    flush_outputs(&mut out, &ports, &metrics, max_batch);
-                    broadcast_all(&ports, Element::End);
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// The worker loop for router nodes: each item goes to exactly one
-/// port (all channels of that port, normally one); watermarks and
-/// end-of-stream go to every port. Under batching the router drains a
-/// wakeup's worth of items, partitions them into per-port buffers in
-/// arrival order, and flushes every buffer before the next receive —
-/// so routing decisions (including round-robin) are identical at
-/// every batch size.
-pub(crate) fn run_router<T>(
-    mut router: Router<T>,
-    rxs: Vec<Receiver<Element<T>>>,
-    ports: Ports<T>,
-    metrics: Arc<NodeMetrics>,
-    max_batch: usize,
-) where
-    T: Clone + Send + Sync,
-{
-    let mut rxs: Vec<Option<_>> = rxs.into_iter().map(Some).collect();
-    let mut merge = WatermarkMerge::new(rxs.len());
-    let mut pending: Option<(usize, Element<T>)> = None;
-    let mut port_bufs: Vec<Vec<T>> = ports.iter().map(|_| Vec::new()).collect();
-    loop {
-        let (slot, received) = match pending.take() {
-            Some((slot, marker)) => (slot, Some(marker)),
-            None => recv_any(&rxs),
-        };
-        match received {
-            Some(el @ (Element::Item(_) | Element::Batch(_))) => {
-                let rx = rxs[slot].as_ref().expect("data from an open slot");
-                let (batch, ctrl) = drain_data(el, rx, max_batch);
-                if let Some(marker) = ctrl {
-                    pending = Some((slot, marker));
-                }
-                metrics.record_in(batch.len() as u64);
-                metrics.record_queue_depth(queue_depth(&rxs));
-                if max_batch > 1 {
-                    metrics.record_batch(batch.len() as u64);
-                }
-                let started = Instant::now();
-                for item in batch {
-                    port_bufs[router.route(&item)].push(item);
-                }
-                metrics.record_process_since(started);
-                // Flush every non-empty port buffer. The router dies
-                // when data it routed found no live receiver, exactly
-                // like the per-item engine did.
-                let mut routed_to_dead_port = false;
-                for (port, buf) in port_bufs.iter_mut().enumerate() {
-                    if buf.is_empty() {
-                        continue;
-                    }
-                    metrics.record_out(buf.len() as u64);
-                    let element = if buf.len() == 1 {
-                        Element::Item(buf.pop().expect("one item"))
-                    } else {
-                        Element::Batch(Batch::new(std::mem::take(buf)))
-                    };
-                    let channels = &ports[port];
-                    let mut alive = false;
-                    let mut element = Some(element);
-                    for (i, tx) in channels.iter().enumerate() {
-                        let payload = if i + 1 == channels.len() {
-                            element.take().expect("moved into last channel")
-                        } else {
-                            element.as_ref().expect("kept until last channel").clone()
-                        };
-                        if tx.send(payload).is_ok() {
-                            alive = true;
-                        }
-                    }
-                    if !alive {
-                        routed_to_dead_port = true;
-                    }
-                }
-                if routed_to_dead_port {
-                    return;
-                }
-            }
-            Some(Element::Watermark(wm)) => {
-                metrics.record_watermark();
-                if let Some(combined) = merge.advance(slot, wm) {
-                    if !broadcast_all(&ports, Element::Watermark(combined)) {
-                        return;
-                    }
-                }
-            }
-            Some(Element::End) | None => {
-                rxs[slot] = None;
-                if let Some(combined) = merge.close(slot) {
-                    if !merge.all_closed() {
-                        broadcast_all(&ports, Element::Watermark(combined));
-                    }
-                }
-                if merge.all_closed() {
-                    broadcast_all(&ports, Element::End);
-                    return;
-                }
-            }
-        }
-    }
+    op.on_end(&mut out);
+    flush(&mut out, &ports, &mut router, &metrics, max_batch);
 }
 
 /// The worker loop for source nodes: runs the user source, then
@@ -642,7 +325,7 @@ pub(crate) fn run_source<S>(
 ) where
     S: Source,
 {
-    let outputs: Vec<Sender<Element<S::Out>>> = ports.into_iter().flatten().collect();
+    let outputs: Vec<Outlet<S::Out>> = ports.into_iter().flatten().collect();
     let mut ctx = SourceContext::new(outputs, stop, metrics, max_batch, batch_timeout);
     if let Err(reason) = source.run(&mut ctx) {
         errors
@@ -652,106 +335,21 @@ pub(crate) fn run_source<S>(
     ctx.finish();
 }
 
-/// The worker loop for element-level sink nodes: the callback sees
-/// items, (merged) watermarks and the final end-of-stream marker —
-/// what a connector publisher needs to forward stream control through
-/// a broker topic. Batches are exploded into per-item calls, so the
-/// callback's view of the stream is identical at every batch size.
-pub(crate) fn run_element_sink<T, F>(
-    mut f: F,
-    rxs: Vec<Receiver<Element<T>>>,
-    metrics: Arc<NodeMetrics>,
-) where
-    T: Clone + Send + Sync,
-    F: FnMut(Element<T>),
-{
-    let mut rxs: Vec<Option<_>> = rxs.into_iter().map(Some).collect();
-    let mut merge = WatermarkMerge::new(rxs.len());
-    loop {
-        let (slot, received) = recv_any(&rxs);
-        match received {
-            Some(Element::Item(item)) => {
-                metrics.record_in(1);
-                metrics.record_queue_depth(queue_depth(&rxs));
-                let started = Instant::now();
-                f(Element::Item(item));
-                metrics.record_process_since(started);
-            }
-            Some(Element::Batch(batch)) => {
-                metrics.record_in(batch.len() as u64);
-                metrics.record_queue_depth(queue_depth(&rxs));
-                metrics.record_batch(batch.len() as u64);
-                let started = Instant::now();
-                for item in batch.into_vec() {
-                    f(Element::Item(item));
-                }
-                metrics.record_process_since(started);
-            }
-            Some(Element::Watermark(wm)) => {
-                metrics.record_watermark();
-                if let Some(combined) = merge.advance(slot, wm) {
-                    f(Element::Watermark(combined));
-                }
-            }
-            Some(Element::End) | None => {
-                rxs[slot] = None;
-                if let Some(combined) = merge.close(slot) {
-                    if !merge.all_closed() {
-                        f(Element::Watermark(combined));
-                    }
-                }
-                if merge.all_closed() {
-                    f(Element::End);
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// The worker loop for sink nodes: applies the callback to every item
-/// until all inputs end.
-pub(crate) fn run_sink<T, F>(mut f: F, rxs: Vec<Receiver<Element<T>>>, metrics: Arc<NodeMetrics>)
-where
-    T: Clone + Send + Sync,
-    F: FnMut(T),
-{
-    let mut rxs: Vec<Option<_>> = rxs.into_iter().map(Some).collect();
-    let mut open = rxs.iter().filter(|r| r.is_some()).count();
-    while open > 0 {
-        let (slot, received) = recv_any(&rxs);
-        match received {
-            Some(Element::Item(item)) => {
-                metrics.record_in(1);
-                metrics.record_queue_depth(queue_depth(&rxs));
-                let started = Instant::now();
-                f(item);
-                metrics.record_process_since(started);
-            }
-            Some(Element::Batch(batch)) => {
-                metrics.record_in(batch.len() as u64);
-                metrics.record_queue_depth(queue_depth(&rxs));
-                metrics.record_batch(batch.len() as u64);
-                let started = Instant::now();
-                for item in batch.into_vec() {
-                    f(item);
-                }
-                metrics.record_process_since(started);
-            }
-            Some(Element::Watermark(_)) => metrics.record_watermark(),
-            Some(Element::End) | None => {
-                rxs[slot] = None;
-                open -= 1;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crossbeam::channel::bounded;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// An outlet feeding input 0 of a fresh inbox, and that inbox.
+    fn outlet<T: Send + Sync + 'static>(capacity: usize) -> (Outlet<T>, Receiver<Inbound<T>>) {
+        let (tx, rx) = bounded(capacity);
+        (Outlet::new(tx, 0, |e| e), rx)
+    }
+
+    fn batch<T>(items: Vec<T>) -> Element<T> {
+        Element::Batch(Batch::new(items))
+    }
 
     #[test]
     fn watermark_merge_takes_minimum() {
@@ -790,7 +388,7 @@ mod tests {
     }
 
     /// A payload that counts how many times it is cloned, to pin the
-    /// broadcast fan-out contract: N downstream channels cost exactly
+    /// broadcast fan-out contract: N downstream consumers cost exactly
     /// N−1 clones, because the original moves into the last send.
     #[derive(Debug)]
     struct CloneCounter(Arc<AtomicUsize>);
@@ -805,48 +403,44 @@ mod tests {
     #[test]
     fn broadcast_moves_the_original_into_the_last_send() {
         let clones = Arc::new(AtomicUsize::new(0));
-        for channels in 1..=4usize {
+        for consumers in 1..=4usize {
             clones.store(0, Ordering::Relaxed);
-            let mut rxs = Vec::new();
-            let mut port = Vec::new();
-            for _ in 0..channels {
-                let (tx, rx) = bounded(4);
-                port.push(tx);
-                rxs.push(rx);
-            }
-            let ports: Ports<CloneCounter> = vec![port];
-            assert!(broadcast_all(
-                &ports,
-                Element::Item(CloneCounter(Arc::clone(&clones)))
+            let (port, inboxes): (Vec<_>, Vec<_>) = (0..consumers).map(|_| outlet(4)).unzip();
+            assert!(broadcast(
+                &port,
+                batch(vec![CloneCounter(Arc::clone(&clones))])
             ));
+            // The consumers share one `Arc`'d batch; each one that
+            // unwraps it while it is still shared clones the item, the
+            // last one takes it by move.
+            for inbox in &inboxes {
+                let (_, element) = inbox.try_recv().unwrap();
+                drop(element.into_items());
+            }
             assert_eq!(
                 clones.load(Ordering::Relaxed),
-                channels - 1,
-                "{channels} channels must cost exactly {} clones",
-                channels - 1
+                consumers - 1,
+                "{consumers} consumers must cost exactly {} clones",
+                consumers - 1
             );
-            for rx in &rxs {
-                assert!(rx.try_recv().is_ok());
-            }
         }
     }
 
     #[test]
     fn broadcast_batches_share_instead_of_cloning_items() {
         let clones = Arc::new(AtomicUsize::new(0));
-        let (tx_a, rx_a) = bounded(4);
-        let (tx_b, rx_b) = bounded(4);
-        let ports: Ports<CloneCounter> = vec![vec![tx_a, tx_b]];
-        let batch = Batch::new(vec![
+        let (a, rx_a) = outlet(4);
+        let (b, rx_b) = outlet(4);
+        let items = vec![
             CloneCounter(Arc::clone(&clones)),
             CloneCounter(Arc::clone(&clones)),
-        ]);
-        assert!(broadcast_all(&ports, Element::Batch(batch)));
-        // Two channels share one Arc'd batch: zero item clones on the
+        ];
+        assert!(broadcast(&[a, b], batch(items)));
+        // Two outlets share one Arc'd batch: zero item clones on the
         // way out...
         assert_eq!(clones.load(Ordering::Relaxed), 0);
-        let first: Element<CloneCounter> = rx_a.try_recv().unwrap();
-        let second: Element<CloneCounter> = rx_b.try_recv().unwrap();
+        let (_, first) = rx_a.try_recv().unwrap();
+        let (_, second) = rx_b.try_recv().unwrap();
         // ...one clone pass when the first consumer unwraps while the
         // batch is still shared...
         drop(first.into_items());
@@ -857,18 +451,59 @@ mod tests {
     }
 
     #[test]
-    fn drain_data_stops_at_control_markers() {
+    fn dropping_an_outlet_ends_its_input() {
+        let (tx, rx) = bounded::<Inbound<u8>>(4);
+        let outlet = Outlet::new(tx, 3, |e| e);
+        assert!(outlet.send(batch(vec![1])));
+        drop(outlet);
+        let got: Vec<Inbound<u8>> = rx.iter().collect();
+        assert_eq!(got, vec![(3, batch(vec![1])), (3, Element::End)]);
+    }
+
+    #[test]
+    fn chunking_moves_items_into_batches_of_at_most_max_batch() {
+        let (port, inbox) = outlet(16);
+        assert!(send_chunked(&[port], (0..10).collect(), 4));
+        let got: Vec<Element<u32>> = inbox.iter().map(|(_, e)| e).collect();
+        assert_eq!(
+            got,
+            vec![
+                batch(vec![0, 1, 2, 3]),
+                batch(vec![4, 5, 6, 7]),
+                batch(vec![8, 9]),
+                Element::End,
+            ]
+        );
+    }
+
+    #[test]
+    fn drain_stops_at_control_markers() {
         let (tx, rx) = bounded(16);
-        tx.send(Element::Item(2)).unwrap();
-        tx.send(Element::Batch(Batch::new(vec![3, 4]))).unwrap();
-        tx.send(Element::Watermark(Timestamp::from_millis(9)))
+        tx.send((0, batch(vec![2]))).unwrap();
+        tx.send((1, batch(vec![3, 4]))).unwrap();
+        tx.send((1, Element::Watermark(Timestamp::from_millis(9))))
             .unwrap();
-        tx.send(Element::Item(5)).unwrap();
-        let (batch, ctrl) = drain_data(Element::Item(1), &rx, 64);
-        assert_eq!(batch, vec![1, 2, 3, 4]);
-        assert_eq!(ctrl, Some(Element::Watermark(Timestamp::from_millis(9))));
-        // The item after the watermark stays queued for the next wakeup.
-        assert_eq!(rx.try_recv(), Ok(Element::Item(5)));
+        tx.send((0, batch(vec![5]))).unwrap();
+        let (items, marker) = drain(Batch::new(vec![1]), &rx, 64);
+        assert_eq!(items, vec![1, 2, 3, 4]);
+        assert_eq!(
+            marker,
+            Some((1, Element::Watermark(Timestamp::from_millis(9))))
+        );
+        // The batch after the watermark stays queued for the next wakeup.
+        assert_eq!(rx.try_recv(), Ok((0, batch(vec![5]))));
+    }
+
+    #[test]
+    fn drain_respects_max_batch() {
+        let (tx, rx) = bounded(16);
+        for i in 2..10 {
+            tx.send((0, batch(vec![i]))).unwrap();
+        }
+        let (items, marker) = drain(Batch::new(vec![1]), &rx, 4);
+        assert_eq!(items, vec![1, 2, 3, 4]);
+        assert_eq!(marker, None);
+        assert_eq!(rx.len(), 5);
     }
 
     mod watermark_merge_properties {
@@ -957,47 +592,33 @@ mod tests {
     /// node, not just the merge struct.
     #[test]
     fn closed_idle_input_releases_downstream_watermarks() {
-        let (busy_tx, busy_rx) = bounded(16);
-        let (idle_tx, idle_rx) = bounded(16);
-        let (out_tx, out_rx) = bounded(16);
+        let (inbox_tx, inbox) = bounded(16);
+        let (out, out_rx) = outlet(16);
         let metrics = Arc::new(NodeMetrics::new("merge"));
         let worker = std::thread::spawn(move || {
-            run_unary(
+            run_node(
                 crate::operators::Identity::new(),
-                vec![busy_rx, idle_rx],
-                vec![vec![out_tx]],
+                inbox,
+                2,
+                None,
+                vec![vec![out]],
                 metrics,
                 1,
             );
         });
-        busy_tx
-            .send(Element::Watermark(Timestamp::from_millis(50)))
+        // Input 0 is busy; input 1 stays idle at MIN and pins the
+        // merge there until it closes, which must release input 0's
+        // watermark.
+        inbox_tx
+            .send((0, Element::Watermark(Timestamp::from_millis(50))))
             .unwrap();
-        // The idle input pins the merge at MIN; closing it must
-        // release the busy input's watermark (in either processing
-        // order — the merge only emits on a strict increase).
-        idle_tx.send(Element::End).unwrap();
-        let released: Element<i32> = out_rx.recv().unwrap();
+        inbox_tx.send((1, Element::<i32>::End)).unwrap();
+        let (_, released) = out_rx.recv().unwrap();
         assert_eq!(released, Element::Watermark(Timestamp::from_millis(50)));
-        // Only close the busy input after observing the release, so
-        // the End cannot race ahead of the watermark above.
-        busy_tx.send(Element::End).unwrap();
-        drop(busy_tx);
-        drop(idle_tx);
-        let got: Vec<Element<i32>> = out_rx.iter().collect();
+        inbox_tx.send((0, Element::End)).unwrap();
+        drop(inbox_tx);
+        let got: Vec<Element<i32>> = out_rx.iter().map(|(_, e)| e).collect();
         assert_eq!(got, vec![Element::End]);
         worker.join().unwrap();
-    }
-
-    #[test]
-    fn drain_data_respects_max_batch() {
-        let (tx, rx) = bounded(16);
-        for i in 2..10 {
-            tx.send(Element::Item(i)).unwrap();
-        }
-        let (batch, ctrl) = drain_data(Element::Item(1), &rx, 4);
-        assert_eq!(batch, vec![1, 2, 3, 4]);
-        assert_eq!(ctrl, None);
-        assert_eq!(rx.len(), 5);
     }
 }

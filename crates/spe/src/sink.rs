@@ -1,8 +1,47 @@
-//! Sinks: the exit points of a continuous query.
+//! Sinks: the exit points of a continuous query. A sink node is an
+//! operator with no output ports.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+
+use crate::element::{Batch, Element};
+use crate::operator::UnaryOperator;
+use crate::time::Timestamp;
+
+/// The operator of a [`sink`](crate::builder::QueryBuilder::sink)
+/// node: hands every item to the callback.
+pub(crate) struct Sink<F>(pub(crate) F);
+
+impl<T, F: FnMut(T) + Send> UnaryOperator<T, ()> for Sink<F> {
+    fn on_item(&mut self, item: T, _out: &mut Vec<()>) {
+        (self.0)(item);
+    }
+}
+
+/// The operator of an
+/// [`element_sink`](crate::builder::QueryBuilder::element_sink) node:
+/// hands the callback each batch, each merged watermark and the final
+/// end-of-stream marker.
+pub(crate) struct ElementSink<F>(pub(crate) F);
+
+impl<T, F: FnMut(Element<T>) + Send> UnaryOperator<T, ()> for ElementSink<F> {
+    fn on_item(&mut self, item: T, out: &mut Vec<()>) {
+        self.on_batch(vec![item], out);
+    }
+
+    fn on_batch(&mut self, items: Vec<T>, _out: &mut Vec<()>) {
+        (self.0)(Element::Batch(Batch::new(items)));
+    }
+
+    fn on_watermark(&mut self, watermark: Timestamp, _out: &mut Vec<()>) {
+        (self.0)(Element::Watermark(watermark));
+    }
+
+    fn on_end(&mut self, _out: &mut Vec<()>) {
+        (self.0)(Element::End);
+    }
+}
 
 /// A shared handle to the items accumulated by a
 /// [`collect_sink`](crate::builder::QueryBuilder::collect_sink).

@@ -4,10 +4,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::Sender;
-
 use crate::element::{Batch, Element};
 use crate::metrics::NodeMetrics;
+use crate::runtime::{self, Outlet};
 use crate::time::{Timestamp, Timestamped};
 
 /// A data source feeding a continuous query.
@@ -36,19 +35,19 @@ pub trait Source: Send {
 /// Handle given to a [`Source`] for emitting data and watermarks and
 /// for observing cooperative-stop requests.
 ///
-/// With a query batch size above one, consecutive [`emit`] calls are
-/// coalesced into a shared [`Batch`] that is forwarded when it
-/// reaches `max_batch` items, when the batch timeout elapses (checked
-/// on the next `emit`), or when a watermark or end-of-stream follows
-/// — so control markers are always batch boundaries. The timeout is
-/// emit-driven: a source that stops emitting mid-batch holds the
-/// partial batch until its next call, its watermark, or the end of
-/// its run, each of which flushes.
+/// Consecutive [`emit`] calls are coalesced into a shared [`Batch`]
+/// that is forwarded when it reaches the query's batch size, when the
+/// batch timeout elapses (checked on the next `emit`), or when a
+/// watermark or end-of-stream follows — so control markers are always
+/// batch boundaries. At batch size one every item travels alone. The
+/// timeout is emit-driven: a source that stops emitting mid-batch
+/// holds the partial batch until its next call, its watermark, or the
+/// end of its run, each of which flushes.
 ///
 /// [`emit`]: SourceContext::emit
 #[derive(Debug)]
 pub struct SourceContext<T> {
-    outputs: Vec<Sender<Element<T>>>,
+    outputs: Vec<Outlet<T>>,
     stop: Arc<AtomicBool>,
     metrics: Arc<NodeMetrics>,
     disconnected: bool,
@@ -60,7 +59,7 @@ pub struct SourceContext<T> {
 
 impl<T: Clone> SourceContext<T> {
     pub(crate) fn new(
-        outputs: Vec<Sender<Element<T>>>,
+        outputs: Vec<Outlet<T>>,
         stop: Arc<AtomicBool>,
         metrics: Arc<NodeMetrics>,
         max_batch: usize,
@@ -78,15 +77,11 @@ impl<T: Clone> SourceContext<T> {
         }
     }
 
-    /// Emits one item downstream, blocking while downstream channels
+    /// Emits one item downstream, blocking while downstream inboxes
     /// are full (backpressure). Returns `false` if every downstream
     /// consumer is gone, in which case the source should return from
     /// [`Source::run`].
     pub fn emit(&mut self, item: T) -> bool {
-        if self.max_batch <= 1 {
-            self.metrics.record_out(1);
-            return self.broadcast(Element::Item(item));
-        }
         if self.buf.is_empty() {
             self.deadline = Some(Instant::now() + self.batch_timeout);
         }
@@ -120,44 +115,19 @@ impl<T: Clone> SourceContext<T> {
         }
         self.metrics.record_out(self.buf.len() as u64);
         self.metrics.record_batch(self.buf.len() as u64);
-        let element = if self.buf.len() == 1 {
-            Element::Item(self.buf.pop().expect("one buffered item"))
-        } else {
-            Element::Batch(Batch::new(std::mem::take(&mut self.buf)))
-        };
-        self.broadcast(element);
+        let batch = Batch::new(std::mem::take(&mut self.buf));
+        self.broadcast(Element::Batch(batch));
     }
 
-    /// Flushes any partial batch and closes the stream with one
-    /// end-of-stream marker per output. Called by the engine after
-    /// [`Source::run`] returns.
+    /// Flushes any partial batch and closes the stream: dropping the
+    /// outlets sends one end-of-stream marker per output. Called by the
+    /// engine after [`Source::run`] returns.
     pub(crate) fn finish(mut self) {
         self.flush_batch();
-        for tx in &self.outputs {
-            let _ = tx.send(Element::End);
-        }
     }
 
     fn broadcast(&mut self, element: Element<T>) -> bool {
-        // The original moves into the last send; only extra fan-out
-        // channels pay for a clone (an `Arc` bump for batches).
-        if self.outputs.is_empty() {
-            self.disconnected = true;
-            return false;
-        }
-        let mut alive = false;
-        let last = self.outputs.len() - 1;
-        let mut element = Some(element);
-        for (i, tx) in self.outputs.iter().enumerate() {
-            let payload = if i == last {
-                element.take().expect("moved into the last send")
-            } else {
-                element.as_ref().expect("kept until the last send").clone()
-            };
-            if tx.send(payload).is_ok() {
-                alive = true;
-            }
-        }
+        let alive = !self.outputs.is_empty() && runtime::broadcast(&self.outputs, element);
         if !alive {
             self.disconnected = true;
         }
@@ -332,21 +302,22 @@ impl<T: Clone + Send + Sync + 'static> Source for TimedBatchSource<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::bounded;
+    use crate::runtime::Inbound;
+    use crossbeam::channel::{bounded, Receiver};
 
-    fn test_ctx<T: Clone>(
+    fn test_ctx<T: Clone + Send + Sync + 'static>(
         cap: usize,
-    ) -> (SourceContext<T>, crossbeam::channel::Receiver<Element<T>>) {
+    ) -> (SourceContext<T>, Receiver<Inbound<T>>) {
         batched_ctx(cap, 1)
     }
 
-    fn batched_ctx<T: Clone>(
+    fn batched_ctx<T: Clone + Send + Sync + 'static>(
         cap: usize,
         max_batch: usize,
-    ) -> (SourceContext<T>, crossbeam::channel::Receiver<Element<T>>) {
+    ) -> (SourceContext<T>, Receiver<Inbound<T>>) {
         let (tx, rx) = bounded(cap);
         let ctx = SourceContext::new(
-            vec![tx],
+            vec![Outlet::new(tx, 0, |e| e)],
             Arc::new(AtomicBool::new(false)),
             Arc::new(NodeMetrics::new("test")),
             max_batch,
@@ -355,13 +326,25 @@ mod tests {
         (ctx, rx)
     }
 
+    /// Everything the source sent, once its context is gone.
+    fn received<T>(rx: Receiver<Inbound<T>>) -> Vec<Element<T>> {
+        rx.iter().map(|(_, element)| element).collect()
+    }
+
+    fn one<T>(item: T) -> Element<T> {
+        Element::Batch(Batch::new(vec![item]))
+    }
+
     #[test]
     fn iterator_source_emits_all_items() {
         let (mut ctx, rx) = test_ctx(16);
         let mut src = IteratorSource::new(vec![1, 2, 3]);
         src.run(&mut ctx).unwrap();
         drop(ctx);
-        let got: Vec<_> = rx.iter().filter_map(Element::into_item).collect();
+        let got: Vec<_> = received(rx)
+            .into_iter()
+            .flat_map(Element::into_items)
+            .collect();
         assert_eq!(got, vec![1, 2, 3]);
     }
 
@@ -380,14 +363,14 @@ mod tests {
         let mut src = IteratorSource::with_watermarks(items);
         src.run(&mut ctx).unwrap();
         drop(ctx);
-        let got: Vec<_> = rx.iter().collect();
         assert_eq!(
-            got,
+            received(rx),
             vec![
-                Element::Item(Timestamp::from_millis(5)),
+                one(Timestamp::from_millis(5)),
                 Element::Watermark(Timestamp::from_millis(5)),
-                Element::Item(Timestamp::from_millis(9)),
+                one(Timestamp::from_millis(9)),
                 Element::Watermark(Timestamp::from_millis(9)),
+                Element::End,
             ]
         );
     }
@@ -409,15 +392,15 @@ mod tests {
         ]);
         src.run(&mut ctx).unwrap();
         drop(ctx);
-        let got: Vec<_> = rx.iter().collect();
         assert_eq!(
-            got,
+            received(rx),
             vec![
-                Element::Item("a"),
-                Element::Item("b"),
+                one("a"),
+                one("b"),
                 Element::Watermark(Timestamp::from_millis(10)),
-                Element::Item("c"),
+                one("c"),
                 Element::Watermark(Timestamp::from_millis(20)),
+                Element::End,
             ]
         );
     }
@@ -434,7 +417,7 @@ mod tests {
         src.run(&mut ctx).unwrap();
         assert!(started.elapsed() >= std::time::Duration::from_millis(35));
         drop(ctx);
-        assert_eq!(rx.iter().filter(|e| e.is_item()).count(), 2);
+        assert_eq!(received(rx).iter().filter(|e| e.is_data()).count(), 2);
     }
 
     #[test]
@@ -442,7 +425,7 @@ mod tests {
         let (tx, rx) = bounded(1024);
         let stop = Arc::new(AtomicBool::new(true));
         let mut ctx = SourceContext::new(
-            vec![tx],
+            vec![Outlet::new(tx, 0, |e| e)],
             stop,
             Arc::new(NodeMetrics::new("s")),
             1,
@@ -451,7 +434,7 @@ mod tests {
         let mut src = IteratorSource::new(0..1_000_000);
         src.run(&mut ctx).unwrap();
         drop(ctx);
-        assert_eq!(rx.iter().count(), 0);
+        assert_eq!(received(rx), vec![Element::End]);
     }
 
     #[test]
@@ -462,11 +445,10 @@ mod tests {
         }
         assert!(ctx.emit_watermark(Timestamp::from_millis(99)));
         ctx.finish();
-        let got: Vec<_> = rx.iter().collect();
         // 10 items at max_batch 4: two full batches, then the partial
         // pair flushed by the watermark, then the end marker.
         assert_eq!(
-            got,
+            received(rx),
             vec![
                 Element::Batch(Batch::new(vec![0, 1, 2, 3])),
                 Element::Batch(Batch::new(vec![4, 5, 6, 7])),
@@ -478,11 +460,10 @@ mod tests {
     }
 
     #[test]
-    fn finish_flushes_single_item_as_item() {
+    fn finish_flushes_a_partial_batch() {
         let (mut ctx, rx) = batched_ctx(64, 8);
         assert!(ctx.emit(7));
         ctx.finish();
-        let got: Vec<_> = rx.iter().collect();
-        assert_eq!(got, vec![Element::Item(7), Element::End]);
+        assert_eq!(received(rx), vec![one(7), Element::End]);
     }
 }

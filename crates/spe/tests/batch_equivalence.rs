@@ -199,10 +199,10 @@ fn run_pipeline(seed: u64, batch_size: usize) -> String {
     let captured_wms = Arc::new(Mutex::new(Vec::<u64>::new()));
     let (sink_items, sink_wms) = (Arc::clone(&captured_items), Arc::clone(&captured_wms));
     qb.element_sink("capture", &stream, move |element| match element {
-        Element::Item(e) => sink_items
+        Element::Batch(batch) => sink_items
             .lock()
             .unwrap()
-            .push(format!("{} {}", e.ts, e.val)),
+            .extend(batch.iter().map(|e| format!("{} {}", e.ts, e.val))),
         Element::Watermark(wm) => sink_wms.lock().unwrap().push(wm.as_millis()),
         _ => {}
     });

@@ -253,3 +253,79 @@ fn aggregate_emits_incrementally_as_watermarks_advance() {
     release.store(true, Ordering::Relaxed);
     running.join().unwrap();
 }
+
+/// Waits for `running` on a helper thread and returns what `join`
+/// reported, failing the test instead of hanging when the query does
+/// not end within 30 s.
+fn join_within_deadline(running: RunningQuery) -> Result<strata_spe::QueryMetrics> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || tx.send(running.join()).expect("the test waits"));
+    let result = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("the query ends after one of its inputs panicked");
+    waiter
+        .join()
+        .expect("the waiter thread ends once it has sent");
+    result
+}
+
+/// A panicking upstream closes exactly the one input it fed: the
+/// router loses one port, the merge sees that instance's input end,
+/// and the whole query still drains and reports the panic.
+#[test]
+fn a_panicking_parallel_instance_ends_the_query() {
+    let mut qb = QueryBuilder::new("parallel-panic");
+    let src = qb.source("src", IteratorSource::new(0u32..10_000));
+    let merged = qb.parallel_operator("work", &src, 3, RoutePolicy::RoundRobin, |i| {
+        strata_spe::operators::Map::new(move |x: u32| {
+            assert!(i != 0, "instance 0 fails");
+            x
+        })
+    });
+    let _out = qb.collect_sink("out", &merged);
+    match join_within_deadline(qb.build().unwrap().run()) {
+        Err(Error::OperatorPanicked { node, .. }) => assert_eq!(node, "work.0"),
+        other => panic!("expected OperatorPanicked, got {other:?}"),
+    }
+}
+
+/// When the upstream of a join's left side panics, only the left input
+/// closes: the right side keeps flowing into the join until its source
+/// ends, and then the query ends and reports the panic.
+#[test]
+fn a_panicking_join_input_closes_only_its_side() {
+    const RIGHT: u64 = 2_000;
+    let mut qb = QueryBuilder::new("join-panic");
+    let left = qb.source(
+        "left",
+        IteratorSource::with_watermarks(events(&[(0, 1, 1), (10, 1, 2)])),
+    );
+    let failing = qb.map("failing", &left, |e: Event| -> Event {
+        panic!("left upstream fails on {e:?}")
+    });
+    let right_events: Vec<Event> = (0..RIGHT)
+        .map(|ts| Event {
+            ts,
+            key: 1,
+            value: -1,
+        })
+        .collect();
+    let right = qb.source("right", IteratorSource::with_watermarks(right_events));
+    let joined = qb.join(
+        "join",
+        &failing,
+        &right,
+        10,
+        |e: &Event| e.key,
+        |e: &Event| e.key,
+        |l: &Event, r: &Event| Some((l.value, r.value)),
+    );
+    let _out = qb.collect_sink("out", &joined);
+    let running = qb.build().unwrap().run();
+    let metrics = running.metrics().clone();
+    match join_within_deadline(running) {
+        Err(Error::OperatorPanicked { node, .. }) => assert_eq!(node, "failing"),
+        other => panic!("expected OperatorPanicked, got {other:?}"),
+    }
+    assert_eq!(metrics.node("join").unwrap().items_in(), RIGHT);
+}

@@ -8,7 +8,7 @@ use parking_lot::Mutex;
 use strata_spe::prelude::*;
 
 #[test]
-fn element_sink_sees_items_watermarks_and_end() {
+fn element_sink_sees_batches_watermarks_and_end() {
     let seen: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let sink_seen = Arc::clone(&seen);
     let mut qb = QueryBuilder::new("elements");
@@ -17,13 +17,14 @@ fn element_sink_sees_items_watermarks_and_end() {
         IteratorSource::with_watermarks(vec![Timestamp::from_millis(5), Timestamp::from_millis(9)]),
     );
     qb.element_sink("sink", &src, move |el: Element<Timestamp>| {
-        sink_seen.lock().push(match el {
-            Element::Item(t) => format!("item:{}", t.as_millis()),
-            Element::Watermark(w) => format!("wm:{}", w.as_millis()),
-            Element::End => "end".to_string(),
-            // The engine explodes batches before element sinks.
-            Element::Batch(_) => unreachable!("element sinks see items, not batches"),
-        });
+        let mut seen = sink_seen.lock();
+        match el {
+            Element::Batch(batch) => {
+                seen.extend(batch.iter().map(|t| format!("item:{}", t.as_millis())))
+            }
+            Element::Watermark(w) => seen.push(format!("wm:{}", w.as_millis())),
+            Element::End => seen.push("end".to_string()),
+        }
     });
     qb.build().unwrap().run().join().unwrap();
     assert_eq!(
@@ -117,8 +118,8 @@ fn fan_out_to_element_sink_and_sink_coexist() {
     let mut qb = QueryBuilder::new("mixed");
     let src = qb.source("src", IteratorSource::new(0u32..50));
     qb.element_sink("elements", &src, move |el| {
-        if el.is_item() {
-            element_count.fetch_add(1, Ordering::Relaxed);
+        if let Element::Batch(batch) = el {
+            element_count.fetch_add(batch.len() as u64, Ordering::Relaxed);
         }
     });
     let collected = qb.collect_sink("items", &src);
