@@ -38,6 +38,24 @@ impl OtImage {
         }
     }
 
+    /// Wraps an existing row-major pixel buffer without copying it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `pixels.len()` is not `width × height`.
+    pub fn from_pixels(width: u32, height: u32, pixels: Vec<u8>) -> Self {
+        assert_eq!(
+            pixels.len(),
+            width as usize * height as usize,
+            "pixel buffer does not match {width}×{height}"
+        );
+        OtImage {
+            width,
+            height,
+            pixels,
+        }
+    }
+
     /// Image width in pixels.
     pub fn width(&self) -> u32 {
         self.width
@@ -104,9 +122,14 @@ impl OtImage {
     pub fn crop(&self, x: u32, y: u32, w: u32, h: u32) -> OtImage {
         let x1 = (x + w).min(self.width);
         let y1 = (y + h).min(self.height);
-        let cw = x1.saturating_sub(x);
-        let ch = y1.saturating_sub(y);
-        OtImage::from_fn(cw, ch, |cx, cy| self.get(x + cx, y + cy))
+        let (x0, y0) = (x.min(x1), y.min(y1));
+        let stride = self.width as usize;
+        let mut pixels = Vec::with_capacity((x1 - x0) as usize * (y1 - y0) as usize);
+        for yy in y0..y1 {
+            let row = yy as usize * stride;
+            pixels.extend_from_slice(&self.pixels[row + x0 as usize..row + x1 as usize]);
+        }
+        OtImage::from_pixels(x1 - x0, y1 - y0, pixels)
     }
 
     /// Writes the image as a binary PGM (P5) file — the format used
@@ -192,6 +215,36 @@ mod tests {
         assert_eq!(cropped.get(1, 1), 7);
         let clipped = img.crop(5, 5, 10, 10);
         assert_eq!((clipped.width(), clipped.height()), (1, 1));
+    }
+
+    #[test]
+    fn crop_matches_a_per_pixel_copy_for_every_rectangle() {
+        let img = OtImage::from_fn(7, 5, |x, y| (y * 7 + x) as u8);
+        for (x, y, w, h) in (0..9u32).flat_map(|x| {
+            (0..7u32).flat_map(move |y| {
+                (0..9u32).flat_map(move |w| (0..7u32).map(move |h| (x, y, w, h)))
+            })
+        }) {
+            let x1 = (x + w).min(7);
+            let y1 = (y + h).min(5);
+            let expected =
+                OtImage::from_fn(x1.saturating_sub(x), y1.saturating_sub(y), |cx, cy| {
+                    img.get(x + cx, y + cy)
+                });
+            assert_eq!(img.crop(x, y, w, h), expected, "crop({x}, {y}, {w}, {h})");
+        }
+    }
+
+    #[test]
+    fn from_pixels_keeps_the_buffer_row_major() {
+        let img = OtImage::from_pixels(3, 2, vec![0, 1, 2, 10, 11, 12]);
+        assert_eq!(img, OtImage::from_fn(3, 2, |x, y| (y * 10 + x) as u8));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match")]
+    fn from_pixels_rejects_a_wrong_length() {
+        let _ = OtImage::from_pixels(3, 2, vec![0; 5]);
     }
 
     #[test]

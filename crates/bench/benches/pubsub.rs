@@ -1,9 +1,11 @@
 //! Criterion micro-benchmarks of the pub/sub broker: produce/consume
-//! round-trips with small records and with OT-image-sized payloads.
+//! round-trips with small records and with OT-image-sized payloads,
+//! and the CRC-32 that checksums every framed byte.
 
 use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use strata_pubsub::checksum::crc32;
 use strata_pubsub::{Broker, TopicConfig};
 
 fn bench_roundtrip(c: &mut Criterion) {
@@ -64,5 +66,17 @@ fn bench_fanout(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_roundtrip, bench_fanout);
+fn bench_crc32(c: &mut Criterion) {
+    // One 1 MiB OT image's worth of bytes; a TCP hop checksums each
+    // image several times (record and net frames, both directions).
+    const LEN: usize = 1 << 20;
+    let data: Vec<u8> = (0..LEN).map(|i| (i * 31 % 251) as u8).collect();
+    let mut group = c.benchmark_group("crc32");
+    group.throughput(Throughput::Bytes(LEN as u64));
+    group.sample_size(200);
+    group.bench_function("1MiB", |b| b.iter(|| crc32(black_box(&data))));
+    group.finish();
+}
+
+criterion_group!(benches, bench_roundtrip, bench_fanout, bench_crc32);
 criterion_main!(benches);

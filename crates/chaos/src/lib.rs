@@ -14,7 +14,9 @@
 //!   injected error kinds, and power-loss simulation that truncates a
 //!   file to its last synced length;
 //! * **net-level faults** ([`ChaosStream`]) — sever or delay a
-//!   `TcpStream` at an exact byte boundary.
+//!   `TcpStream` at an exact byte boundary;
+//! * the workspace's one **CRC-32** ([`crc32`]), which every frame on
+//!   disk and on the wire carries so readers can detect those faults.
 //!
 //! Point names are dotted paths owned by the instrumented crate
 //! (`kv.wal.write`, `pubsub.segment.sync`, `net.server.send`, …); the
@@ -29,10 +31,12 @@
 //! drop(scenario); // disarms everything
 //! ```
 
+pub mod checksum;
 pub mod net;
 pub mod registry;
 pub mod vfs;
 
+pub use checksum::crc32;
 pub use net::ChaosStream;
 pub use registry::{fail_point, fired, hit, is_compiled, total_fired, Fault, Scenario};
 pub use vfs::{fsync_dir, simulate_crash, ChaosFile};

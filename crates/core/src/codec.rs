@@ -178,13 +178,7 @@ fn decode_value(r: &mut Reader<'_>) -> Result<Value> {
             let w = r.u32()?;
             let h = r.u32()?;
             let pixels = r.take(w as usize * h as usize)?;
-            let mut image = OtImage::new(w, h);
-            for y in 0..h {
-                for x in 0..w {
-                    image.set(x, y, pixels[y as usize * w as usize + x as usize]);
-                }
-            }
-            Value::Image(Arc::new(image))
+            Value::Image(Arc::new(OtImage::from_pixels(w, h, pixels.to_vec())))
         }
         6 => {
             let len = r.u32()? as usize;

@@ -25,38 +25,13 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
-use strata_chaos::ChaosFile;
+use strata_chaos::{crc32, ChaosFile};
 
 use crate::bloom::BloomFilter;
 use crate::error::{Error, Result};
 
 const MAGIC: u64 = 0x5354_5241_5441_4B56; // "STRATAKV"
 const FOOTER_LEN: usize = 48;
-
-fn crc32(data: &[u8]) -> u32 {
-    // Same IEEE polynomial as the WAL; see wal.rs.
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-            }
-            *entry = crc;
-        }
-        table
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc = (crc >> 8) ^ table[((crc ^ byte as u32) & 0xFF) as usize];
-    }
-    !crc
-}
 
 /// One sparse-index entry describing a data block.
 #[derive(Debug, Clone)]

@@ -17,7 +17,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use strata_chaos::{fsync_dir, ChaosFile};
+use strata_chaos::{crc32, fsync_dir, ChaosFile};
 
 use crate::error::{Error, Result};
 use crate::options::SyncPolicy;
@@ -37,33 +37,6 @@ static TAILS_TRUNCATED: AtomicU64 = AtomicU64::new(0);
 #[must_use]
 pub fn wal_tails_truncated() -> u64 {
     TAILS_TRUNCATED.load(Ordering::Relaxed)
-}
-
-/// Computes the IEEE CRC-32 checksum of `data` (same polynomial as
-/// `strata-pubsub`'s wire format; duplicated here to keep substrate
-/// crates independent).
-fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-            }
-            *entry = crc;
-        }
-        table
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc = (crc >> 8) ^ table[((crc ^ byte as u32) & 0xFF) as usize];
-    }
-    !crc
 }
 
 /// One recovered WAL operation.
@@ -481,5 +454,49 @@ mod tests {
         assert!(path.exists());
         wal.remove().unwrap();
         assert!(!path.exists());
+    }
+
+    /// The exact bytes this WAL format has always written for a fixed
+    /// put and delete. Replaying them and logging the replayed
+    /// operations again must reproduce them bit for bit, which pins
+    /// the frame layout and its CRC-32.
+    const GOLDEN_WAL: &[u8] = &[
+        0x01, 0x0d, 0x00, 0x00, 0x00, 0x73, 0x70, 0x65, 0x63, 0x69, 0x6d, 0x65, 0x6e, 0x2f, 0x30,
+        0x30, 0x34, 0x32, 0x27, 0x00, 0x00, 0x00, 0x6c, 0x61, 0x79, 0x65, 0x72, 0x20, 0x31, 0x37,
+        0x3a, 0x20, 0x33, 0x39, 0x20, 0x63, 0x65, 0x6c, 0x6c, 0x73, 0x20, 0x68, 0x6f, 0x74, 0x2c,
+        0x20, 0x30, 0x2e, 0x30, 0x31, 0x32, 0x35, 0x20, 0x6d, 0x6d, 0x20, 0x70, 0x69, 0x74, 0x63,
+        0x68, 0xf8, 0x4c, 0xea, 0x34, 0x00, 0x0d, 0x00, 0x00, 0x00, 0x73, 0x70, 0x65, 0x63, 0x69,
+        0x6d, 0x65, 0x6e, 0x2f, 0x30, 0x30, 0x34, 0x31, 0x3c, 0xa1, 0xf9, 0x60,
+    ];
+
+    #[test]
+    fn golden_frames_decode_and_reencode_bit_identically() {
+        let path = temp_path("golden");
+        fs::write(&path, GOLDEN_WAL).unwrap();
+        let ops = Wal::replay(&path).unwrap();
+        assert_eq!(
+            ops,
+            vec![
+                WalOp::Put {
+                    key: b"specimen/0042".to_vec(),
+                    value: b"layer 17: 39 cells hot, 0.0125 mm pitch".to_vec()
+                },
+                WalOp::Delete {
+                    key: b"specimen/0041".to_vec()
+                },
+            ]
+        );
+        fs::remove_file(&path).unwrap();
+        {
+            let mut wal = Wal::open(&path, SyncPolicy::Never).unwrap();
+            for op in &ops {
+                match op {
+                    WalOp::Put { key, value } => wal.log_put(key, value).unwrap(),
+                    WalOp::Delete { key } => wal.log_delete(key).unwrap(),
+                }
+            }
+        }
+        assert_eq!(fs::read(&path).unwrap(), GOLDEN_WAL);
+        fs::remove_file(&path).unwrap();
     }
 }

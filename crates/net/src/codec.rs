@@ -202,4 +202,38 @@ mod tests {
         write_response(&mut buf, &response).unwrap();
         assert_eq!(read_response(&mut Cursor::new(&buf)).unwrap(), response);
     }
+
+    /// The exact bytes this transport has always written for
+    /// [`golden_request`]. Reading and re-writing them must be bit
+    /// identical, which pins the frame layout and both CRC-32s (the
+    /// net frame's and the record frame's inside it).
+    const GOLDEN_FRAME: &[u8] = &[
+        0x5c, 0x00, 0x00, 0x00, 0x01, 0x02, 0x0a, 0x00, 0x73, 0x74, 0x72, 0x61, 0x74, 0x61, 0x2e,
+        0x72, 0x61, 0x77, 0x01, 0x01, 0x00, 0x00, 0x00, 0x41, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x63, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00,
+        0x00, 0x00, 0x6a, 0x6f, 0x62, 0x2d, 0x37, 0x22, 0x00, 0x00, 0x00, 0x4f, 0x54, 0x20, 0x69,
+        0x6d, 0x61, 0x67, 0x65, 0x2c, 0x20, 0x6c, 0x61, 0x79, 0x65, 0x72, 0x20, 0x31, 0x37, 0x2c,
+        0x20, 0x31, 0x30, 0x30, 0x30, 0x20, 0x78, 0x20, 0x31, 0x30, 0x30, 0x30, 0x20, 0x70, 0x78,
+        0x00, 0x00, 0xfe, 0x39, 0x33, 0x59, 0x10, 0xa4, 0xce, 0x2b,
+    ];
+
+    fn golden_request() -> Request {
+        Request::Produce {
+            topic: "strata.raw".into(),
+            partition: Some(1),
+            record: strata_pubsub::Record::new(Some("job-7"), "OT image, layer 17, 1000 x 1000 px")
+                .with_timestamp(99),
+        }
+    }
+
+    #[test]
+    fn golden_frame_decodes_and_reencodes_bit_identically() {
+        let mut cursor = Cursor::new(GOLDEN_FRAME);
+        let decoded = read_request(&mut cursor).unwrap();
+        assert_eq!(cursor.position() as usize, GOLDEN_FRAME.len());
+        assert_eq!(decoded, golden_request());
+        let mut buf = Vec::new();
+        write_request(&mut buf, &decoded).unwrap();
+        assert_eq!(buf, GOLDEN_FRAME);
+    }
 }

@@ -463,6 +463,21 @@ impl Request {
     }
 }
 
+/// Cuts `records` to the longest prefix whose [`Response::Records`]
+/// body stays within `max_body` bytes, keeping at least one record: a
+/// record too large for any frame is already refused at produce time.
+pub(crate) fn truncate_to_body(records: &mut Vec<StoredRecord>, max_body: usize) {
+    let mut body = 1 + 1 + 4; // version · tag · count
+    let fits = records
+        .iter()
+        .take_while(|stored| {
+            body += wire::frame_len(stored);
+            body <= max_body
+        })
+        .count();
+    records.truncate(fits.max(1));
+}
+
 impl Response {
     /// Encodes this response into a frame body.
     pub fn encode(&self) -> Vec<u8> {
@@ -630,6 +645,27 @@ fn expect_consumed(r: &Reader<'_>) -> NetResult<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn records_are_truncated_to_the_body_budget() {
+        let records: Vec<StoredRecord> = (0..5)
+            .map(|offset| StoredRecord {
+                offset,
+                record: Record::new(Some("k"), vec![7u8; 100]),
+            })
+            .collect();
+        let full = Response::Records(records.clone()).encode().len();
+        let mut kept = records.clone();
+        truncate_to_body(&mut kept, full);
+        assert_eq!(kept.len(), 5, "an exact fit keeps everything");
+        let mut kept = records.clone();
+        truncate_to_body(&mut kept, full - 1);
+        assert_eq!(kept.len(), 4);
+        assert!(Response::Records(kept).encode().len() < full);
+        let mut kept = records;
+        truncate_to_body(&mut kept, 10);
+        assert_eq!(kept.len(), 1, "at least one record is always returned");
+    }
 
     #[test]
     fn requests_round_trip() {

@@ -25,7 +25,7 @@ use strata_pubsub::{Broker, Producer, TopicConfig};
 
 use crate::codec;
 use crate::error::{NetError, NetResult};
-use crate::protocol::{PartitionInfo, Request, Response, TopicInfo};
+use crate::protocol::{self, PartitionInfo, Request, Response, TopicInfo};
 
 /// Tuning knobs for a [`BrokerServer`].
 #[derive(Debug, Clone)]
@@ -34,7 +34,8 @@ pub struct ServerConfig {
     /// flag. Bounds both shutdown latency and long-poll granularity.
     pub idle_poll: Duration,
     /// Server-side cap on a single fetch batch, applied on top of the
-    /// client's `max_records`.
+    /// client's `max_records`. A batch is also cut short where its
+    /// response would pass [`codec::MAX_FRAME_BYTES`].
     pub max_fetch_records: usize,
     /// Server-side cap on a fetch's long-poll budget.
     pub max_fetch_wait: Duration,
@@ -360,8 +361,11 @@ fn serve_fetch(
     let deadline = Instant::now() + budget;
     let mut seen = 0u64;
     loop {
-        let batch = broker.fetch(topic, partition, offset, max_records)?;
+        let mut batch = broker.fetch(topic, partition, offset, max_records)?;
         if !batch.is_empty() {
+            // A record count alone does not bound the frame: a backlog
+            // of large images must go out over several fetches.
+            protocol::truncate_to_body(&mut batch, codec::MAX_FRAME_BYTES);
             return Ok(Response::Records(batch));
         }
         let now = Instant::now();

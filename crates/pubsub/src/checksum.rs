@@ -1,50 +1,10 @@
 //! CRC-32 checksumming shared by the on-disk wire format and the
 //! network transport (`strata-net`).
+//!
+//! [`crc32`] is the workspace's single slicing-by-8 IEEE CRC-32 from
+//! `strata-chaos`, re-exported here. The segment and offset framing
+//! in this crate, the TCP message framing in `strata-net` and the kv
+//! WAL and SSTable blocks all use it, so a record's bytes are covered
+//! by the same algorithm at rest and in flight.
 
-/// Computes the IEEE CRC-32 checksum of `data`.
-///
-/// Implemented locally (table-driven, reflected polynomial
-/// `0xEDB88320`) to keep the crate dependency-free. Both the segment
-/// framing in [`wire`](crate::wire) and the TCP message framing in
-/// `strata-net` use this checksum, so a record's bytes are covered by
-/// the same algorithm at rest and in flight.
-pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-            }
-            *entry = crc;
-        }
-        table
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc = (crc >> 8) ^ table[((crc ^ byte as u32) & 0xFF) as usize];
-    }
-    !crc
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard test vector for CRC-32/IEEE.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn crc32_is_order_sensitive() {
-        assert_ne!(crc32(b"ab"), crc32(b"ba"));
-    }
-}
+pub use strata_chaos::crc32;

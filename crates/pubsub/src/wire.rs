@@ -120,6 +120,21 @@ pub fn encode_frame(stored: &StoredRecord, buf: &mut Vec<u8>) -> usize {
     buf.len() - start
 }
 
+/// The number of bytes [`encode_frame`] writes for `stored`, without
+/// encoding it.
+pub fn frame_len(stored: &StoredRecord) -> usize {
+    let record = &stored.record;
+    let headers: usize = record
+        .headers
+        .iter()
+        .map(|(name, value)| 2 + name.len() + 4 + value.len())
+        .sum();
+    let key = record.key.as_ref().map_or(0, |key| key.len());
+    // body_len · offset · timestamp · key_len · key · value_len · value
+    // · header_count · headers · crc
+    4 + 8 + 8 + 4 + key + 4 + record.value.len() + 2 + headers + 4
+}
+
 /// Decodes one frame from the front of `data`.
 ///
 /// Returns the record and the total number of bytes the frame
@@ -206,6 +221,18 @@ mod tests {
     }
 
     #[test]
+    fn frame_len_predicts_the_encoded_size() {
+        let keyless = StoredRecord {
+            offset: 3,
+            record: Record::new(None::<Bytes>, "payload"),
+        };
+        for stored in [sample(42), keyless] {
+            let mut buf = Vec::new();
+            assert_eq!(frame_len(&stored), encode_frame(&stored, &mut buf));
+        }
+    }
+
+    #[test]
     fn keyless_frames_round_trip() {
         let stored = StoredRecord {
             offset: 0,
@@ -243,5 +270,42 @@ mod tests {
         encode_frame(&sample(1), &mut buf);
         buf.truncate(buf.len() - 3);
         assert!(matches!(decode_frame(&buf), Err(Error::Corrupt(_))));
+    }
+
+    /// The exact bytes this segment format has always written for
+    /// [`golden_record`]. Decoding and re-encoding them must be bit
+    /// identical, which pins the frame layout and its CRC-32.
+    const GOLDEN_FRAME: &[u8] = &[
+        0x72, 0x00, 0x00, 0x00, 0x92, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x7b, 0xf4, 0xa9,
+        0x2b, 0x80, 0x01, 0x00, 0x00, 0x0e, 0x00, 0x00, 0x00, 0x6a, 0x6f, 0x62, 0x2d, 0x37, 0x2f,
+        0x6c, 0x61, 0x79, 0x65, 0x72, 0x2d, 0x31, 0x37, 0x35, 0x00, 0x00, 0x00, 0x00, 0x25, 0x4a,
+        0x6f, 0x94, 0xb9, 0xde, 0x03, 0x28, 0x4d, 0x72, 0x97, 0xbc, 0xe1, 0x06, 0x2b, 0x50, 0x75,
+        0x9a, 0xbf, 0xe4, 0x09, 0x2e, 0x53, 0x78, 0x9d, 0xc2, 0xe7, 0x0c, 0x31, 0x56, 0x7b, 0xa0,
+        0xc5, 0xea, 0x0f, 0x34, 0x59, 0x7e, 0xa3, 0xc8, 0xed, 0x12, 0x37, 0x5c, 0x81, 0xa6, 0xcb,
+        0xf0, 0x15, 0x3a, 0x5f, 0x84, 0x01, 0x00, 0x07, 0x00, 0x6d, 0x61, 0x63, 0x68, 0x69, 0x6e,
+        0x65, 0x08, 0x00, 0x00, 0x00, 0x65, 0x6f, 0x73, 0x2d, 0x6d, 0x32, 0x39, 0x30, 0x57, 0x2e,
+        0xd2, 0xfa,
+    ];
+
+    fn golden_record() -> StoredRecord {
+        StoredRecord {
+            offset: 4242,
+            record: Record::new(
+                Some("job-7/layer-17"),
+                (0..53u32).map(|i| (i * 37) as u8).collect::<Vec<u8>>(),
+            )
+            .with_timestamp(1_650_000_000_123)
+            .with_header("machine", "eos-m290"),
+        }
+    }
+
+    #[test]
+    fn golden_frame_decodes_and_reencodes_bit_identically() {
+        let (decoded, consumed) = decode_frame(GOLDEN_FRAME).unwrap();
+        assert_eq!(consumed, GOLDEN_FRAME.len());
+        assert_eq!(decoded, golden_record());
+        let mut buf = Vec::new();
+        encode_frame(&decoded, &mut buf);
+        assert_eq!(buf, GOLDEN_FRAME);
     }
 }

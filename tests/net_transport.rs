@@ -132,3 +132,52 @@ fn remote_consumer_resumes_exactly_once_after_disconnect() {
 
     server.shutdown();
 }
+
+/// A backlog whose fetch would encode above the 64 MiB frame cap must
+/// still drain: the server splits it into frames that fit instead of
+/// refusing the response (which made the client re-send the same
+/// fetch forever). Twenty paper-scale 4 MiB OT images are 80 MiB.
+#[test]
+fn a_backlog_above_the_frame_cap_drains_in_order() {
+    const IMAGES: u64 = 20;
+    const IMAGE_BYTES: usize = 4 * 1024 * 1024;
+
+    let mut server = BrokerServer::bind("127.0.0.1:0", Broker::new()).expect("bind loopback");
+    let addr = server.local_addr().to_string();
+
+    let mut producer = RemoteProducer::connect(&addr).expect("producer connect");
+    producer
+        .client_mut()
+        .create_topic("ot.images", 1)
+        .expect("create topic");
+    for seq in 0..IMAGES {
+        let mut image = vec![seq as u8; IMAGE_BYTES];
+        image[..8].copy_from_slice(&seq.to_le_bytes());
+        producer
+            .send("ot.images", None, image)
+            .expect("a 4 MiB record fits one frame");
+    }
+
+    let mut consumer =
+        RemoteConsumer::connect(&addr, "monitor", &["ot.images"]).expect("consumer connect");
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    let mut seqs = Vec::new();
+    while (seqs.len() as u64) < IMAGES && std::time::Instant::now() < deadline {
+        for polled in consumer
+            .poll(Duration::from_millis(50))
+            .expect("poll a large backlog")
+        {
+            assert_eq!(polled.record.value.len(), IMAGE_BYTES);
+            let mut seq = [0u8; 8];
+            seq.copy_from_slice(&polled.record.value[..8]);
+            seqs.push(u64::from_le_bytes(seq));
+        }
+    }
+    assert_eq!(
+        seqs,
+        (0..IMAGES).collect::<Vec<_>>(),
+        "every image, in order"
+    );
+
+    server.shutdown();
+}
