@@ -16,7 +16,10 @@
 //! * **net-level faults** ([`ChaosStream`]) — sever or delay a
 //!   `TcpStream` at an exact byte boundary;
 //! * the workspace's one **CRC-32** ([`crc32`]), which every frame on
-//!   disk and on the wire carries so readers can detect those faults.
+//!   disk and on the wire carries so readers can detect those faults;
+//! * one **frame** layer ([`frame`]) that every durable log and the
+//!   net codec share: the envelope, the torn-tail recovery rule, its
+//!   counter, and the `SyncPolicy` appender.
 //!
 //! Point names are dotted paths owned by the instrumented crate
 //! (`kv.wal.write`, `pubsub.segment.sync`, `net.server.send`, …); the
@@ -32,6 +35,7 @@
 //! ```
 
 pub mod checksum;
+pub mod frame;
 pub mod net;
 pub mod registry;
 pub mod vfs;

@@ -48,4 +48,3 @@ pub use batch::WriteBatch;
 pub use db::Db;
 pub use error::{Error, Result};
 pub use options::{DbOptions, SyncPolicy};
-pub use wal::wal_tails_truncated;

@@ -2,24 +2,7 @@
 
 use crate::error::{Error, Result};
 
-/// When the store issues an `fsync` for its write-ahead log.
-///
-/// Durability is exactly what the policy paid for: after a crash, the
-/// WAL replays every operation up to the last successful sync, and
-/// possibly (but not guaranteed) operations after it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SyncPolicy {
-    /// `fsync` after every logged operation. An acknowledged write is
-    /// durable before the call returns.
-    Always,
-    /// `fsync` once every `n` logged operations: at most `n - 1`
-    /// acknowledged writes can be lost to a crash.
-    EveryN(u32),
-    /// Never `fsync` explicitly; the OS writes back on its own
-    /// schedule. Matches the historical behavior and is the default.
-    #[default]
-    Never,
-}
+pub use strata_chaos::frame::SyncPolicy;
 
 /// Tuning knobs for a [`Db`](crate::Db), built in builder style.
 ///

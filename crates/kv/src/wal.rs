@@ -12,12 +12,15 @@
 //!                              · [value_len u32 · value]   (puts only)
 //!                              · crc32 u32 over all previous frame bytes
 //! ```
+//!
+//! Appends, syncs and torn-tail recovery go through
+//! [`strata_chaos::frame`].
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use strata_chaos::{crc32, fsync_dir, ChaosFile};
+use strata_chaos::crc32;
+use strata_chaos::frame::{self, Appender, FrameError};
 
 use crate::error::{Error, Result};
 use crate::options::SyncPolicy;
@@ -25,19 +28,9 @@ use crate::options::SyncPolicy;
 const TAG_DELETE: u8 = 0;
 const TAG_PUT: u8 = 1;
 
-/// Failpoint prefix for WAL I/O (`kv.wal.write`, `kv.wal.sync`).
+/// Failpoint prefix for WAL I/O (`kv.wal.write`, `kv.wal.sync`), and
+/// the key of its torn-tail count.
 const CHAOS_POINT: &str = "kv.wal";
-
-/// Count of torn WAL tails truncated by [`Wal::recover`] since
-/// process start (recovery observability; see also the pubsub
-/// segment counter).
-static TAILS_TRUNCATED: AtomicU64 = AtomicU64::new(0);
-
-/// Times a torn WAL tail was truncated during recovery, process-wide.
-#[must_use]
-pub fn wal_tails_truncated() -> u64 {
-    TAILS_TRUNCATED.load(Ordering::Relaxed)
-}
 
 /// One recovered WAL operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,11 +53,8 @@ pub enum WalOp {
 #[derive(Debug)]
 pub struct Wal {
     path: PathBuf,
-    file: ChaosFile,
+    log: Appender,
     frame: Vec<u8>,
-    policy: SyncPolicy,
-    /// Operations logged since the last sync (for `EveryN`).
-    unsynced: u32,
 }
 
 impl Wal {
@@ -78,26 +68,11 @@ impl Wal {
     /// I/O failures.
     pub fn open(path: impl Into<PathBuf>, policy: SyncPolicy) -> Result<Self> {
         let path = path.into();
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        let created = !path.exists();
-        let file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        if created && policy != SyncPolicy::Never {
-            if let Some(parent) = path.parent() {
-                fsync_dir(parent)?;
-            }
-        }
-        let file = ChaosFile::new(CHAOS_POINT, &path, file)?;
+        let log = Appender::open(CHAOS_POINT, &path, policy)?;
         Ok(Wal {
             path,
-            file,
+            log,
             frame: Vec::new(),
-            policy,
-            unsynced: 0,
         })
     }
 
@@ -135,19 +110,7 @@ impl Wal {
     fn finish_frame(&mut self) -> Result<()> {
         let crc = crc32(&self.frame);
         self.frame.extend_from_slice(&crc.to_le_bytes());
-        self.file.write_all(&self.frame)?;
-        self.file.flush()?;
-        match self.policy {
-            SyncPolicy::Always => self.sync()?,
-            SyncPolicy::EveryN(n) => {
-                self.unsynced += 1;
-                if self.unsynced >= n {
-                    self.sync()?;
-                }
-            }
-            SyncPolicy::Never => {}
-        }
-        Ok(())
+        Ok(self.log.append(&self.frame)?)
     }
 
     /// Forces an `fsync` now, regardless of policy. On return every
@@ -157,9 +120,7 @@ impl Wal {
     ///
     /// I/O failures.
     pub fn sync(&mut self) -> Result<()> {
-        self.file.sync_data()?;
-        self.unsynced = 0;
-        Ok(())
+        Ok(self.log.sync()?)
     }
 
     /// Deletes the WAL file (after its memtable was flushed into an
@@ -184,7 +145,9 @@ impl Wal {
     ///
     /// [`Error::Corrupt`] for mid-log corruption; I/O failures.
     pub fn replay(path: &Path) -> Result<Vec<WalOp>> {
-        Self::scan(path).map(|(ops, _)| ops)
+        let mut ops = Vec::new();
+        frame::scan(&frame::read_log(path)?, |data| decode_op(data, &mut ops))?;
+        Ok(ops)
     }
 
     /// Replays the WAL at `path` *and truncates a torn tail away*, so
@@ -196,112 +159,38 @@ impl Wal {
     ///
     /// [`Error::Corrupt`] for mid-log corruption; I/O failures.
     pub fn recover(path: &Path) -> Result<(Vec<WalOp>, u64)> {
-        let (ops, valid_len) = Self::scan(path)?;
-        let file_len = match fs::metadata(path) {
-            Ok(meta) => meta.len(),
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok((ops, 0)),
-            Err(err) => return Err(err.into()),
-        };
-        let torn = file_len.saturating_sub(valid_len);
-        if torn > 0 {
-            let file = fs::OpenOptions::new().write(true).open(path)?;
-            file.set_len(valid_len)?;
-            file.sync_data()?;
-            TAILS_TRUNCATED.fetch_add(1, Ordering::Relaxed);
-        }
+        let mut ops = Vec::new();
+        let torn =
+            frame::recover::<Error>(CHAOS_POINT, path, true, |data| decode_op(data, &mut ops))?;
         Ok((ops, torn))
     }
+}
 
-    /// Decodes the valid frame prefix: the operations and the byte
-    /// length they occupy.
-    fn scan(path: &Path) -> Result<(Vec<WalOp>, u64)> {
-        let data = match fs::read(path) {
-            Ok(data) => data,
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
-            Err(err) => return Err(err.into()),
-        };
-        let mut ops = Vec::new();
-        let mut pos = 0usize;
-        while pos < data.len() {
-            match Self::decode_op(&data[pos..]) {
-                Ok((op, used)) => {
-                    ops.push(op);
-                    pos += used;
-                }
-                Err(_) if Self::is_torn_tail(&data[pos..]) => break,
-                Err(err) => return Err(err),
-            }
+/// Decodes the frame at the front of `data` into `ops`, returning its
+/// length.
+fn decode_op(data: &[u8], ops: &mut Vec<WalOp>) -> std::result::Result<usize, FrameError> {
+    let key_len = frame::u32_at(data, 1)? as usize;
+    let key = 5..5 + key_len;
+    let (value, body_len) = match data[0] {
+        TAG_DELETE => (None, key.end),
+        TAG_PUT => {
+            let value_len = frame::u32_at(data, key.end)? as usize;
+            let value = key.end + 4..key.end + 4 + value_len;
+            (Some(value.clone()), value.end)
         }
-        Ok((ops, pos as u64))
-    }
-
-    fn decode_op(data: &[u8]) -> Result<(WalOp, usize)> {
-        let corrupt = |msg: &str| Error::Corrupt(format!("wal: {msg}"));
-        if data.len() < 5 {
-            return Err(corrupt("truncated header"));
-        }
-        let tag = data[0];
-        let key_len = u32::from_le_bytes(data[1..5].try_into().expect("len 4")) as usize;
-        let (body_len, value_range) = match tag {
-            TAG_DELETE => (5 + key_len, None),
-            TAG_PUT => {
-                if data.len() < 5 + key_len + 4 {
-                    return Err(corrupt("truncated put header"));
-                }
-                let value_len =
-                    u32::from_le_bytes(data[5 + key_len..9 + key_len].try_into().expect("len 4"))
-                        as usize;
-                (
-                    9 + key_len + value_len,
-                    Some(9 + key_len..9 + key_len + value_len),
-                )
-            }
-            other => return Err(corrupt(&format!("unknown tag {other}"))),
-        };
-        if data.len() < body_len + 4 {
-            return Err(corrupt("truncated frame"));
-        }
-        let stored_crc =
-            u32::from_le_bytes(data[body_len..body_len + 4].try_into().expect("len 4"));
-        if stored_crc != crc32(&data[..body_len]) {
-            return Err(corrupt("crc mismatch"));
-        }
-        let key = data[5..5 + key_len].to_vec();
-        let op = match value_range {
-            Some(range) => WalOp::Put {
-                key,
-                value: data[range].to_vec(),
-            },
-            None => WalOp::Delete { key },
-        };
-        Ok((op, body_len + 4))
-    }
-
-    /// A frame that fails to decode only because the data ran out is
-    /// a torn tail from a crash mid-append — safe to discard.
-    fn is_torn_tail(data: &[u8]) -> bool {
-        if data.len() < 5 {
-            return true;
-        }
-        let tag = data[0];
-        if tag != TAG_PUT && tag != TAG_DELETE {
-            return false;
-        }
-        let key_len = u32::from_le_bytes(data[1..5].try_into().expect("len 4")) as usize;
-        let needed = match tag {
-            TAG_DELETE => 5 + key_len + 4,
-            _ => {
-                if data.len() < 5 + key_len + 4 {
-                    return true;
-                }
-                let value_len =
-                    u32::from_le_bytes(data[5 + key_len..9 + key_len].try_into().expect("len 4"))
-                        as usize;
-                9 + key_len + value_len + 4
-            }
-        };
-        data.len() < needed
-    }
+        other => return Err(FrameError::Corrupt(format!("wal: unknown tag {other}"))),
+    };
+    let stored = frame::u32_at(data, body_len)?;
+    frame::verify(&data[..body_len], stored)?;
+    let key = data[key].to_vec();
+    ops.push(match value {
+        Some(value) => WalOp::Put {
+            key,
+            value: data[value].to_vec(),
+        },
+        None => WalOp::Delete { key },
+    });
+    Ok(body_len + 4)
 }
 
 #[cfg(test)]
@@ -428,22 +317,6 @@ mod tests {
                 "append after recovery must be replayable (cut {cut})"
             );
         }
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn every_n_policy_counts_down_to_a_sync() {
-        let path = temp_path("everyn");
-        let _ = fs::remove_file(&path);
-        let mut wal = Wal::open(&path, SyncPolicy::EveryN(3)).unwrap();
-        for i in 0..7u8 {
-            wal.log_put(&[i], b"v").unwrap();
-        }
-        // 7 ops under EveryN(3): synced at ops 3 and 6, one pending.
-        assert_eq!(wal.unsynced, 1);
-        wal.sync().unwrap();
-        assert_eq!(wal.unsynced, 0);
-        drop(wal);
         fs::remove_file(&path).unwrap();
     }
 

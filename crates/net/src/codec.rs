@@ -1,22 +1,14 @@
 //! Stream framing: length-prefixed, CRC-checked frames over any
 //! `Read`/`Write` pair (in practice a `TcpStream`).
 //!
-//! The transport reuses the segment-file frame shape of
-//! [`strata_pubsub::wire`]:
-//!
-//! ```text
-//! ┌──────────────┬───────────────┬──────────────┐
-//! │ body_len u32 │ body (…)      │ crc32 u32    │   little-endian
-//! └──────────────┴───────────────┴──────────────┘
-//! ```
-//!
-//! with the body being an encoded [`Request`](crate::protocol::Request)
-//! or [`Response`](crate::protocol::Response) rather than a stored
-//! record. The same CRC-32 routine guards data at rest and in flight.
+//! A frame is the [`strata_chaos::frame`] envelope that segment files
+//! also use, with the body being an encoded [`Request`] or
+//! [`Response`] rather than a stored record. The same CRC-32 routine
+//! guards data at rest and in flight.
 
 use std::io::{Read, Write};
 
-use strata_pubsub::checksum::crc32;
+use strata_chaos::frame;
 
 use crate::error::{NetError, NetResult};
 use crate::protocol::{Request, Response};
@@ -38,11 +30,9 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> NetResult<()> {
             body.len()
         )));
     }
-    let mut frame = Vec::with_capacity(body.len() + 8);
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(body);
-    frame.extend_from_slice(&crc32(body).to_le_bytes());
-    w.write_all(&frame)?;
+    let mut buf = Vec::with_capacity(body.len() + frame::OVERHEAD);
+    frame::encode(&mut buf, |buf| buf.extend_from_slice(body));
+    w.write_all(&buf)?;
     w.flush()?;
     Ok(())
 }
@@ -53,27 +43,15 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> NetResult<()> {
 /// [`NetError::Disconnected`]; EOF mid-frame is [`NetError::Corrupt`]
 /// (the peer died mid-send, the frame is unusable either way).
 pub fn read_frame(r: &mut impl Read) -> NetResult<Vec<u8>> {
-    let mut len_bytes = [0u8; 4];
-    read_exact_or_disconnect(r, &mut len_bytes)?;
-    let body_len = u32::from_le_bytes(len_bytes) as usize;
-    if body_len > MAX_FRAME_BYTES {
-        return Err(NetError::Corrupt(format!(
-            "frame length {body_len} exceeds the {MAX_FRAME_BYTES}-byte cap"
-        )));
-    }
-    let mut body = vec![0u8; body_len];
+    let mut header = [0u8; 4];
+    read_exact_or_disconnect(r, &mut header)?;
+    let mut body = vec![0u8; frame::body_len(header, MAX_FRAME_BYTES)?];
     r.read_exact(&mut body)
         .map_err(|err| truncated(err, "body"))?;
-    let mut crc_bytes = [0u8; 4];
-    r.read_exact(&mut crc_bytes)
+    let mut crc = [0u8; 4];
+    r.read_exact(&mut crc)
         .map_err(|err| truncated(err, "checksum"))?;
-    let stored_crc = u32::from_le_bytes(crc_bytes);
-    let actual_crc = crc32(&body);
-    if stored_crc != actual_crc {
-        return Err(NetError::Corrupt(format!(
-            "crc mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
-        )));
-    }
+    frame::verify(&body, u32::from_le_bytes(crc))?;
     Ok(body)
 }
 

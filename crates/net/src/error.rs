@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use strata_chaos::frame::FrameError;
 use strata_pubsub::Error as BrokerError;
 
 use crate::protocol::ErrorCode;
@@ -99,6 +100,12 @@ impl From<std::io::Error> for NetError {
 impl From<BrokerError> for NetError {
     fn from(err: BrokerError) -> Self {
         NetError::Broker(err)
+    }
+}
+
+impl From<FrameError> for NetError {
+    fn from(err: FrameError) -> Self {
+        NetError::Corrupt(err.to_string())
     }
 }
 

@@ -55,7 +55,7 @@ pub mod wire;
 pub use broker::{Broker, TopicConfig};
 pub use consumer::{Consumer, PolledRecord};
 pub use error::{Error, Result};
-pub use log::{segment_tails_truncated, LogKind, SyncPolicy};
+pub use log::{LogKind, SyncPolicy};
 pub use offsets::OffsetStore;
 pub use producer::Producer;
 pub use record::{Record, StoredRecord};

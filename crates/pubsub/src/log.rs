@@ -12,44 +12,18 @@ use std::collections::VecDeque;
 use std::fs;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use strata_chaos::{fsync_dir, ChaosFile};
+use strata_chaos::frame::{self, Appender, FrameError};
 
 use crate::error::{Error, Result};
 use crate::record::{Record, StoredRecord};
 use crate::wire;
 
+pub use strata_chaos::frame::SyncPolicy;
+
 /// Failpoint prefix for segment I/O (`pubsub.segment.write`,
-/// `pubsub.segment.sync`).
+/// `pubsub.segment.sync`), and the key of its torn-tail count.
 const CHAOS_POINT: &str = "pubsub.segment";
-
-/// Count of torn segment tails truncated during recovery since
-/// process start (see [`segment_tails_truncated`]).
-static TAILS_TRUNCATED: AtomicU64 = AtomicU64::new(0);
-
-/// Times a torn segment tail was truncated on [`FileLog::open`],
-/// process-wide. Mirrors `strata_kv::wal_tails_truncated`.
-#[must_use]
-pub fn segment_tails_truncated() -> u64 {
-    TAILS_TRUNCATED.load(Ordering::Relaxed)
-}
-
-/// When a [`FileLog`] issues an `fsync` for appended records.
-///
-/// Same contract as the kv store's policy (duplicated here to keep
-/// substrate crates independent): after a crash, recovery yields every
-/// record up to the last successful sync, and possibly more.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SyncPolicy {
-    /// `fsync` after every append.
-    Always,
-    /// `fsync` once every `n` appends.
-    EveryN(u32),
-    /// Never `fsync` explicitly (historical behavior; the default).
-    #[default]
-    Never,
-}
 
 /// Which storage backs a topic's partitions.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -218,10 +192,8 @@ pub struct FileLog {
     dir: PathBuf,
     segment_bytes: u64,
     sync: SyncPolicy,
-    /// Appends since the last sync (for `EveryN`).
-    unsynced: u32,
     segments: Vec<Segment>,
-    writer: Option<ChaosFile>,
+    writer: Option<Appender>,
     scratch: Vec<u8>,
 }
 
@@ -229,7 +201,8 @@ impl FileLog {
     /// Opens (or creates) the log stored under `dir`, recovering
     /// existing segments by re-scanning their frames. A torn tail in
     /// the *final* segment (crash mid-append) is truncated away, like
-    /// the kv WAL's tail rule; corruption anywhere else is an error.
+    /// the kv WAL's tail rule (see [`frame::recover`]); corruption
+    /// anywhere else is an error.
     ///
     /// # Errors
     ///
@@ -264,21 +237,10 @@ impl FileLog {
             dir,
             segment_bytes: segment_bytes.max(1),
             sync,
-            unsynced: 0,
             segments,
             writer: None,
             scratch: Vec::new(),
         })
-    }
-
-    /// A frame that fails to decode only because the file ran out of
-    /// bytes is a torn tail from a crash mid-append — safe to discard.
-    fn is_torn_tail(data: &[u8]) -> bool {
-        if data.len() < 4 {
-            return true;
-        }
-        let body_len = u32::from_le_bytes(data[..4].try_into().expect("len 4")) as usize;
-        data.len() < 4 + body_len + 4
     }
 
     fn recover_segment(path: &Path, is_final: bool) -> Result<Segment> {
@@ -289,61 +251,43 @@ impl FileLog {
         let base_offset: u64 = stem
             .parse()
             .map_err(|_| Error::Corrupt(format!("bad segment name {path:?}")))?;
-        let data = fs::read(path)?;
         let mut positions = Vec::new();
-        let mut pos = 0u64;
-        let mut expected = base_offset;
-        while (pos as usize) < data.len() {
-            match wire::decode_frame(&data[pos as usize..]) {
-                Ok((stored, used)) => {
-                    if stored.offset != expected {
-                        return Err(Error::Corrupt(format!(
-                            "segment {path:?}: offset {} where {expected} expected",
-                            stored.offset
-                        )));
-                    }
-                    positions.push(pos);
-                    pos += used as u64;
-                    expected += 1;
-                }
-                // Only the final segment can legitimately end mid-frame
-                // (the crash happened while appending to it); a complete
-                // frame that fails its checksum is real corruption.
-                Err(_) if is_final && Self::is_torn_tail(&data[pos as usize..]) => {
-                    let file = fs::OpenOptions::new().write(true).open(path)?;
-                    file.set_len(pos)?;
-                    file.sync_data()?;
-                    TAILS_TRUNCATED.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                Err(err) => return Err(err),
+        let mut bytes = 0u64;
+        // Only the final segment can legitimately end mid-frame (the
+        // crash happened while appending to it).
+        frame::recover::<Error>(CHAOS_POINT, path, is_final, |data| {
+            let (stored, used) = wire::decode_frame(data)?;
+            let expected = base_offset + positions.len() as u64;
+            if stored.offset != expected {
+                return Err(FrameError::Corrupt(format!(
+                    "segment {path:?}: offset {} where {expected} expected",
+                    stored.offset
+                )));
             }
-        }
+            positions.push(bytes);
+            bytes += used as u64;
+            Ok(used)
+        })?;
         Ok(Segment {
             base_offset,
             path: path.to_path_buf(),
             positions,
-            bytes: pos,
+            bytes,
         })
     }
 
     fn roll_segment(&mut self, base_offset: u64) -> Result<()> {
-        let path = self.dir.join(Segment::file_name(base_offset));
-        let file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        if self.sync != SyncPolicy::Never {
-            // Make the new segment's directory entry durable.
-            fsync_dir(&self.dir)?;
+        if let Some(outgoing) = &mut self.writer {
+            outgoing.sync_pending()?;
         }
+        let path = self.dir.join(Segment::file_name(base_offset));
+        self.writer = Some(Appender::open(CHAOS_POINT, &path, self.sync)?);
         self.segments.push(Segment {
             base_offset,
-            path: path.clone(),
+            path,
             positions: Vec::new(),
             bytes: 0,
         });
-        self.writer = Some(ChaosFile::new(CHAOS_POINT, path, file)?);
         Ok(())
     }
 
@@ -357,17 +301,14 @@ impl FileLog {
     /// final segment while it has room (so recovery does not strand
     /// partially filled segments), rolling a fresh one otherwise.
     fn ensure_writer(&mut self) -> Result<()> {
-        if self.writer.is_some() && !self.active_is_full() {
-            return Ok(());
+        if self.active_is_full() {
+            return self.roll_segment(self.end_offset());
         }
-        if self.writer.is_none() && !self.active_is_full() {
+        if self.writer.is_none() {
             let last = self.segments.last().expect("non-full implies a segment");
-            let file = fs::OpenOptions::new().append(true).open(&last.path)?;
-            self.writer = Some(ChaosFile::new(CHAOS_POINT, last.path.clone(), file)?);
-            return Ok(());
+            self.writer = Some(Appender::open(CHAOS_POINT, &last.path, self.sync)?);
         }
-        let next = self.end_offset();
-        self.roll_segment(next)
+        Ok(())
     }
 
     fn segment_for(&self, offset: u64) -> Option<&Segment> {
@@ -390,19 +331,7 @@ impl PartitionLog for FileLog {
         self.scratch.clear();
         wire::encode_frame(&stored, &mut self.scratch);
         let writer = self.writer.as_mut().expect("writer ensured above");
-        writer.write_all(&self.scratch)?;
-        writer.flush()?;
-        match self.sync {
-            SyncPolicy::Always => writer.sync_data()?,
-            SyncPolicy::EveryN(n) => {
-                self.unsynced += 1;
-                if self.unsynced >= n.max(1) {
-                    writer.sync_data()?;
-                    self.unsynced = 0;
-                }
-            }
-            SyncPolicy::Never => {}
-        }
+        writer.append(&self.scratch)?;
         let segment = self.segments.last_mut().expect("segment ensured above");
         segment.positions.push(segment.bytes);
         segment.bytes += self.scratch.len() as u64;
@@ -609,11 +538,11 @@ mod tests {
         let frame = full.len() / 3;
         // Chop into the middle of the last frame.
         fs::write(&seg, &full[..full.len() - frame / 2]).unwrap();
-        let before = segment_tails_truncated();
+        let before = frame::tails_truncated(CHAOS_POINT);
 
         let mut log = FileLog::open(&dir, 1 << 20, SyncPolicy::Never).unwrap();
         assert_eq!(log.end_offset(), 2, "torn record dropped");
-        assert_eq!(segment_tails_truncated(), before + 1);
+        assert_eq!(frame::tails_truncated(CHAOS_POINT), before + 1);
         assert_eq!(
             fs::metadata(&seg).unwrap().len() as usize,
             2 * frame,

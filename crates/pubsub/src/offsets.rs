@@ -3,35 +3,33 @@
 //! The broker's group offsets are plain in-memory state; an
 //! [`OffsetStore`] write-through makes them survive a broker restart,
 //! the way Kafka's `__consumer_offsets` topic does. The store is an
-//! append-only log of commit frames:
+//! append-only log of [`strata_chaos::frame`] envelopes, one per
+//! commit:
 //!
 //! ```text
-//! ┌──────────────┬───────────────┬──────────────┐
-//! │ body_len u32 │ body (…)      │ crc32 u32    │   little-endian
-//! └──────────────┴───────────────┴──────────────┘
 //! body := group_len u16 · group · topic_len u16 · topic
 //!       · partition u32 · offset u64
 //! ```
 //!
 //! The last frame for a `(group, topic, partition)` wins. Recovery
-//! follows the same tail rule as the WAL and segment files: a torn
-//! final frame is truncated away, corruption before the tail is an
-//! error. When the log grows well past the number of live entries it
-//! is compacted by rewriting and atomically renaming.
+//! follows the shared tail rule of [`frame::recover`]: a torn final
+//! frame is truncated away (and counted under `pubsub.offsets`),
+//! corruption before the tail is an error. When the log grows well
+//! past the number of live entries it is compacted by rewriting and
+//! atomically renaming.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
 
+use strata_chaos::frame::{self, Appender, FrameError, SyncPolicy};
 use strata_chaos::{fsync_dir, ChaosFile};
 
-use crate::checksum::crc32;
 use crate::error::{Error, Result};
-use crate::log::SyncPolicy;
 use crate::wire::Reader;
 
 /// Failpoint prefix for offset-store I/O (`pubsub.offsets.write`,
-/// `pubsub.offsets.sync`).
+/// `pubsub.offsets.sync`), and the key of its torn-tail count.
 const CHAOS_POINT: &str = "pubsub.offsets";
 
 /// Compact when the log holds this many frames beyond the live count.
@@ -43,9 +41,8 @@ type Key = (String, String, u32);
 #[derive(Debug)]
 pub struct OffsetStore {
     path: PathBuf,
-    file: ChaosFile,
+    log: Appender,
     policy: SyncPolicy,
-    unsynced: u32,
     /// Frames currently in the file (live + superseded).
     frames: u64,
     live: BTreeMap<Key, u64>,
@@ -61,112 +58,55 @@ impl OffsetStore {
     /// [`Error::Corrupt`] for mid-log corruption; I/O failures.
     pub fn open(path: impl Into<PathBuf>, policy: SyncPolicy) -> Result<Self> {
         let path = path.into();
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        let data = match fs::read(&path) {
-            Ok(data) => data,
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(err) => return Err(err.into()),
-        };
-        let (live, frames, valid_len) = Self::scan(&data)?;
-        let created = !path.exists();
-        let file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        if valid_len < data.len() as u64 {
-            file.set_len(valid_len)?;
-            file.sync_data()?;
-        }
-        if created && policy != SyncPolicy::Never {
-            if let Some(parent) = path.parent() {
-                fsync_dir(parent)?;
-            }
-        }
-        let file = ChaosFile::new(CHAOS_POINT, &path, file)?;
+        let mut live = BTreeMap::new();
+        let mut frames = 0u64;
+        frame::recover::<Error>(CHAOS_POINT, &path, true, |data| {
+            let (key, offset, used) = Self::decode_frame(data)?;
+            live.insert(key, offset);
+            frames += 1;
+            Ok(used)
+        })?;
         Ok(OffsetStore {
+            log: Appender::open(CHAOS_POINT, &path, policy)?,
             path,
-            file,
             policy,
-            unsynced: 0,
             frames,
             live,
             scratch: Vec::new(),
         })
     }
 
-    fn scan(data: &[u8]) -> Result<(BTreeMap<Key, u64>, u64, u64)> {
-        let mut live = BTreeMap::new();
-        let mut frames = 0u64;
-        let mut pos = 0usize;
-        while pos < data.len() {
-            match Self::decode_frame(&data[pos..]) {
-                Ok((key, offset, used)) => {
-                    live.insert(key, offset);
-                    frames += 1;
-                    pos += used;
-                }
-                Err(_) if Self::is_torn_tail(&data[pos..]) => break,
-                Err(err) => return Err(err),
-            }
-        }
-        Ok((live, frames, pos as u64))
-    }
-
-    fn is_torn_tail(data: &[u8]) -> bool {
-        if data.len() < 4 {
-            return true;
-        }
-        let body_len = u32::from_le_bytes(data[..4].try_into().expect("len 4")) as usize;
-        data.len() < 4 + body_len + 4
-    }
-
-    fn decode_frame(data: &[u8]) -> Result<(Key, u64, usize)> {
-        let mut outer = Reader::new(data);
-        let body_len = outer.u32()? as usize;
-        let body = outer.bytes(body_len)?;
-        let stored_crc = outer.u32()?;
-        let actual_crc = crc32(body);
-        if stored_crc != actual_crc {
-            return Err(Error::Corrupt(format!(
-                "offset store: crc mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
-            )));
-        }
+    fn decode_frame(data: &[u8]) -> std::result::Result<(Key, u64, usize), FrameError> {
+        let (body, used) = frame::split(data)?;
         let mut r = Reader::new(body);
         let group_len = r.u16()? as usize;
         let group = std::str::from_utf8(r.bytes(group_len)?)
-            .map_err(|_| Error::Corrupt("offset store: group is not utf-8".into()))?
+            .map_err(|_| FrameError::Corrupt("offset store: group is not utf-8".into()))?
             .to_string();
         let topic_len = r.u16()? as usize;
         let topic = std::str::from_utf8(r.bytes(topic_len)?)
-            .map_err(|_| Error::Corrupt("offset store: topic is not utf-8".into()))?
+            .map_err(|_| FrameError::Corrupt("offset store: topic is not utf-8".into()))?
             .to_string();
         let partition = r.u32()?;
         let offset = r.u64()?;
         if r.remaining() != 0 {
-            return Err(Error::Corrupt(format!(
+            return Err(FrameError::Corrupt(format!(
                 "offset store: {} trailing bytes in frame body",
                 r.remaining()
             )));
         }
-        Ok(((group, topic, partition), offset, 4 + body_len + 4))
+        Ok(((group, topic, partition), offset, used))
     }
 
     fn encode_frame(buf: &mut Vec<u8>, group: &str, topic: &str, partition: u32, offset: u64) {
-        let start = buf.len();
-        buf.extend_from_slice(&0u32.to_le_bytes()); // body_len placeholder
-        let body_start = buf.len();
-        buf.extend_from_slice(&(group.len() as u16).to_le_bytes());
-        buf.extend_from_slice(group.as_bytes());
-        buf.extend_from_slice(&(topic.len() as u16).to_le_bytes());
-        buf.extend_from_slice(topic.as_bytes());
-        buf.extend_from_slice(&partition.to_le_bytes());
-        buf.extend_from_slice(&offset.to_le_bytes());
-        let body_len = (buf.len() - body_start) as u32;
-        buf[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
-        let crc = crc32(&buf[body_start..]);
-        buf.extend_from_slice(&crc.to_le_bytes());
+        frame::encode(buf, |buf| {
+            buf.extend_from_slice(&(group.len() as u16).to_le_bytes());
+            buf.extend_from_slice(group.as_bytes());
+            buf.extend_from_slice(&(topic.len() as u16).to_le_bytes());
+            buf.extend_from_slice(topic.as_bytes());
+            buf.extend_from_slice(&partition.to_le_bytes());
+            buf.extend_from_slice(&offset.to_le_bytes());
+        });
     }
 
     /// The stored offset of `(group, topic, partition)`, if any.
@@ -205,19 +145,7 @@ impl OffsetStore {
     pub fn record(&mut self, group: &str, topic: &str, partition: u32, offset: u64) -> Result<()> {
         self.scratch.clear();
         Self::encode_frame(&mut self.scratch, group, topic, partition, offset);
-        self.file.write_all(&self.scratch)?;
-        self.file.flush()?;
-        match self.policy {
-            SyncPolicy::Always => self.file.sync_data()?,
-            SyncPolicy::EveryN(n) => {
-                self.unsynced += 1;
-                if self.unsynced >= n.max(1) {
-                    self.file.sync_data()?;
-                    self.unsynced = 0;
-                }
-            }
-            SyncPolicy::Never => {}
-        }
+        self.log.append(&self.scratch)?;
         self.frames += 1;
         self.live
             .insert((group.to_string(), topic.to_string(), partition), offset);
@@ -250,10 +178,8 @@ impl OffsetStore {
         if let Some(parent) = self.path.parent() {
             fsync_dir(parent)?;
         }
-        let file = fs::OpenOptions::new().append(true).open(&self.path)?;
-        self.file = ChaosFile::new(CHAOS_POINT, &self.path, file)?;
+        self.log = Appender::open(CHAOS_POINT, &self.path, self.policy)?;
         self.frames = self.live.len() as u64;
-        self.unsynced = 0;
         Ok(())
     }
 }
@@ -299,11 +225,14 @@ mod tests {
             store.record("group", "topic", 1, 22).unwrap();
         }
         let full = fs::read(&path).unwrap();
-        // Tear the final frame: the first commit must survive.
+        // Tear the final frame: the first commit must survive, and the
+        // cut is counted.
         fs::write(&path, &full[..full.len() - 4]).unwrap();
+        let before = frame::tails_truncated(CHAOS_POINT);
         let store = OffsetStore::open(&path, SyncPolicy::Never).unwrap();
         assert_eq!(store.get("group", "topic", 0), Some(11));
         assert_eq!(store.get("group", "topic", 1), None);
+        assert_eq!(frame::tails_truncated(CHAOS_POINT), before + 1);
         drop(store);
         // Corrupt the first frame: that is not a tail, so it errors.
         let mut data = full.clone();
@@ -334,6 +263,44 @@ mod tests {
         drop(store);
         let store = OffsetStore::open(&path, SyncPolicy::Never).unwrap();
         assert_eq!(store.get("g", "t", 0), Some(100));
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// The exact bytes this store has always written for two fixed
+    /// commits. Replaying them and recording the replayed entries again
+    /// must reproduce them bit for bit, which pins the frame layout and
+    /// its CRC-32.
+    const GOLDEN_OFFSETS: &[u8] = &[
+        0x29, 0x00, 0x00, 0x00, 0x0f, 0x00, 0x74, 0x68, 0x65, 0x72, 0x6d, 0x61, 0x6c, 0x2d, 0x6d,
+        0x6f, 0x6e, 0x69, 0x74, 0x6f, 0x72, 0x0a, 0x00, 0x73, 0x74, 0x72, 0x61, 0x74, 0x61, 0x2e,
+        0x72, 0x61, 0x77, 0x03, 0x00, 0x00, 0x00, 0x50, 0x2d, 0x19, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x39, 0x44, 0xc8, 0x33, 0x23, 0x00, 0x00, 0x00, 0x06, 0x00, 0x65, 0x78, 0x70, 0x65, 0x72,
+        0x74, 0x0d, 0x00, 0x73, 0x74, 0x72, 0x61, 0x74, 0x61, 0x2e, 0x65, 0x76, 0x65, 0x6e, 0x74,
+        0x73, 0x00, 0x00, 0x00, 0x00, 0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x88, 0x9d,
+        0x88, 0xfd,
+    ];
+
+    #[test]
+    fn golden_frames_decode_and_reencode_bit_identically() {
+        let path = temp_path("golden");
+        fs::write(&path, GOLDEN_OFFSETS).unwrap();
+        let store = OffsetStore::open(&path, SyncPolicy::Never).unwrap();
+        assert_eq!(
+            store.get("thermal-monitor", "strata.raw", 3),
+            Some(1_650_000)
+        );
+        assert_eq!(store.get("expert", "strata.events", 0), Some(42));
+        assert_eq!(store.len(), 2);
+        drop(store);
+        fs::remove_file(&path).unwrap();
+        {
+            let mut store = OffsetStore::open(&path, SyncPolicy::Never).unwrap();
+            store
+                .record("thermal-monitor", "strata.raw", 3, 1_650_000)
+                .unwrap();
+            store.record("expert", "strata.events", 0, 42).unwrap();
+        }
+        assert_eq!(fs::read(&path).unwrap(), GOLDEN_OFFSETS);
         fs::remove_file(&path).unwrap();
     }
 }

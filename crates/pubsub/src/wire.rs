@@ -1,30 +1,31 @@
 //! On-disk framing for file-backed partition logs.
 //!
-//! A segment file is a sequence of frames, each holding one record:
+//! A segment file is a sequence of [`strata_chaos::frame`] envelopes,
+//! each holding one record:
 //!
 //! ```text
-//! ┌──────────────┬───────────────┬──────────────┐
-//! │ body_len u32 │ body (…)      │ crc32 u32    │   little-endian
-//! └──────────────┴───────────────┴──────────────┘
 //! body := offset u64 · timestamp u64
 //!       · key_len u32 (u32::MAX = none) · key bytes
 //!       · value_len u32 · value bytes
 //!       · header_count u16 · (name_len u16 · name · value_len u32 · value)*
 //! ```
 //!
-//! The CRC-32 (IEEE 802.3 polynomial) covers the body only; a frame
-//! failing the checksum or the framing invariants is reported as
-//! [`Error::Corrupt`].
+//! The envelope's CRC-32 covers the body only; a frame failing the
+//! checksum or the framing invariants is reported as
+//! [`FrameError::Corrupt`], one that runs out of bytes as
+//! [`FrameError::Incomplete`].
 
 use bytes::Bytes;
 
-use crate::error::{Error, Result};
+use strata_chaos::frame::{self, FrameError};
+
 use crate::record::{Record, StoredRecord};
 
 /// Marker for "no key" in the key-length field.
 const NO_KEY: u32 = u32::MAX;
 
-pub use crate::checksum::crc32;
+/// The result of decoding a frame or one of its fields.
+type Result<T> = std::result::Result<T, FrameError>;
 
 fn put_u16(buf: &mut Vec<u8>, v: u16) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -58,7 +59,7 @@ impl<'a> Reader<'a> {
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
-            return Err(Error::Corrupt(format!(
+            return Err(FrameError::Corrupt(format!(
                 "truncated frame: wanted {n} bytes, have {}",
                 self.remaining()
             )));
@@ -92,32 +93,26 @@ impl<'a> Reader<'a> {
 /// Encodes one stored record into a framed byte buffer (appended to
 /// `buf`). Returns the number of bytes written.
 pub fn encode_frame(stored: &StoredRecord, buf: &mut Vec<u8>) -> usize {
-    let start = buf.len();
-    put_u32(buf, 0); // body_len placeholder
-    let body_start = buf.len();
-    put_u64(buf, stored.offset);
-    put_u64(buf, stored.record.timestamp_millis);
-    match &stored.record.key {
-        Some(key) => {
-            put_u32(buf, key.len() as u32);
-            buf.extend_from_slice(key);
+    frame::encode(buf, |buf| {
+        put_u64(buf, stored.offset);
+        put_u64(buf, stored.record.timestamp_millis);
+        match &stored.record.key {
+            Some(key) => {
+                put_u32(buf, key.len() as u32);
+                buf.extend_from_slice(key);
+            }
+            None => put_u32(buf, NO_KEY),
         }
-        None => put_u32(buf, NO_KEY),
-    }
-    put_u32(buf, stored.record.value.len() as u32);
-    buf.extend_from_slice(&stored.record.value);
-    put_u16(buf, stored.record.headers.len() as u16);
-    for (name, value) in &stored.record.headers {
-        put_u16(buf, name.len() as u16);
-        buf.extend_from_slice(name.as_bytes());
-        put_u32(buf, value.len() as u32);
-        buf.extend_from_slice(value);
-    }
-    let body_len = (buf.len() - body_start) as u32;
-    buf[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
-    let crc = crc32(&buf[body_start..]);
-    put_u32(buf, crc);
-    buf.len() - start
+        put_u32(buf, stored.record.value.len() as u32);
+        buf.extend_from_slice(&stored.record.value);
+        put_u16(buf, stored.record.headers.len() as u16);
+        for (name, value) in &stored.record.headers {
+            put_u16(buf, name.len() as u16);
+            buf.extend_from_slice(name.as_bytes());
+            put_u32(buf, value.len() as u32);
+            buf.extend_from_slice(value);
+        }
+    })
 }
 
 /// The number of bytes [`encode_frame`] writes for `stored`, without
@@ -130,9 +125,9 @@ pub fn frame_len(stored: &StoredRecord) -> usize {
         .map(|(name, value)| 2 + name.len() + 4 + value.len())
         .sum();
     let key = record.key.as_ref().map_or(0, |key| key.len());
-    // body_len · offset · timestamp · key_len · key · value_len · value
-    // · header_count · headers · crc
-    4 + 8 + 8 + 4 + key + 4 + record.value.len() + 2 + headers + 4
+    // envelope · offset · timestamp · key_len · key · value_len · value
+    // · header_count · headers
+    frame::OVERHEAD + 8 + 8 + 4 + key + 4 + record.value.len() + 2 + headers
 }
 
 /// Decodes one frame from the front of `data`.
@@ -142,19 +137,11 @@ pub fn frame_len(stored: &StoredRecord) -> usize {
 ///
 /// # Errors
 ///
-/// [`Error::Corrupt`] on truncation, checksum mismatch, or invalid
-/// UTF-8 in a header name.
+/// [`FrameError::Incomplete`] when `data` ends inside the frame;
+/// [`FrameError::Corrupt`] on a checksum mismatch, a malformed body, or
+/// invalid UTF-8 in a header name.
 pub fn decode_frame(data: &[u8]) -> Result<(StoredRecord, usize)> {
-    let mut outer = Reader::new(data);
-    let body_len = outer.u32()? as usize;
-    let body = outer.bytes(body_len)?;
-    let stored_crc = outer.u32()?;
-    let actual_crc = crc32(body);
-    if stored_crc != actual_crc {
-        return Err(Error::Corrupt(format!(
-            "crc mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
-        )));
-    }
+    let (body, used) = frame::split(data)?;
     let mut r = Reader::new(body);
     let offset = r.u64()?;
     let timestamp_millis = r.u64()?;
@@ -171,14 +158,14 @@ pub fn decode_frame(data: &[u8]) -> Result<(StoredRecord, usize)> {
     for _ in 0..header_count {
         let name_len = r.u16()? as usize;
         let name = std::str::from_utf8(r.bytes(name_len)?)
-            .map_err(|_| Error::Corrupt("header name is not utf-8".into()))?
+            .map_err(|_| FrameError::Corrupt("header name is not utf-8".into()))?
             .to_string();
         let hval_len = r.u32()? as usize;
         let hval = Bytes::copy_from_slice(r.bytes(hval_len)?);
         headers.push((name, hval));
     }
     if r.remaining() != 0 {
-        return Err(Error::Corrupt(format!(
+        return Err(FrameError::Corrupt(format!(
             "{} trailing bytes in frame body",
             r.remaining()
         )));
@@ -193,7 +180,7 @@ pub fn decode_frame(data: &[u8]) -> Result<(StoredRecord, usize)> {
                 headers,
             },
         },
-        4 + body_len + 4,
+        used,
     ))
 }
 
@@ -261,7 +248,7 @@ mod tests {
         encode_frame(&sample(1), &mut buf);
         let mid = buf.len() / 2;
         buf[mid] ^= 0x01;
-        assert!(matches!(decode_frame(&buf), Err(Error::Corrupt(_))));
+        assert!(matches!(decode_frame(&buf), Err(FrameError::Corrupt(_))));
     }
 
     #[test]
@@ -269,7 +256,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_frame(&sample(1), &mut buf);
         buf.truncate(buf.len() - 3);
-        assert!(matches!(decode_frame(&buf), Err(Error::Corrupt(_))));
+        assert_eq!(decode_frame(&buf), Err(FrameError::Incomplete));
     }
 
     /// The exact bytes this segment format has always written for

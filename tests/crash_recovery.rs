@@ -14,13 +14,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io::ErrorKind;
 use std::time::Duration;
 
+use strata_chaos::frame::tails_truncated;
 use strata_chaos::{fired, simulate_crash, Fault, Scenario};
 use strata_kv::{Db, DbOptions, SyncPolicy as KvSync};
 use strata_net::{BrokerServer, RemoteConsumer, RemoteProducer};
 use strata_pubsub::log::{FileLog, PartitionLog};
-use strata_pubsub::{
-    segment_tails_truncated, Broker, LogKind, Record, SyncPolicy as PubSync, TopicConfig,
-};
+use strata_pubsub::{Broker, LogKind, Record, SyncPolicy as PubSync, TopicConfig};
 
 /// Fixed seed for probabilistic triggers: same seed, same fault
 /// schedule, same test outcome.
@@ -109,7 +108,7 @@ fn pubsub_torn_segment_append_recovers_on_reopen() {
     let dir = temp_dir("pubsub-segment");
     let _ = std::fs::remove_dir_all(&dir);
     let s = Scenario::setup();
-    let truncations_before = segment_tails_truncated();
+    let truncations_before = tails_truncated("pubsub.segment");
     {
         let mut log = FileLog::open(&dir, 1 << 20, PubSync::Always).unwrap();
         for i in 0..5u8 {
@@ -132,7 +131,7 @@ fn pubsub_torn_segment_append_recovers_on_reopen() {
     let mut log = FileLog::open(&dir, 1 << 20, PubSync::Always).expect("log reopens");
     assert_eq!(log.end_offset(), 5, "only acked records survive");
     assert_eq!(
-        segment_tails_truncated() - truncations_before,
+        tails_truncated("pubsub.segment") - truncations_before,
         1,
         "recovery counter reflects the truncated tail"
     );
@@ -144,6 +143,52 @@ fn pubsub_torn_segment_append_recovers_on_reopen() {
     let records = log.read_from(0, usize::MAX).unwrap();
     assert_eq!(records.len(), 6);
     assert_eq!(records[5].record.value.as_ref(), &[9u8]);
+    drop(log);
+    drop(s);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Under `EveryN(n)` a power loss may cost at most the last `n - 1`
+/// appends, also when they straddle segment rolls: a roll syncs the
+/// outgoing segment, so a later segment never outlives an earlier
+/// segment's unsynced tail (which would leave an offset gap that keeps
+/// the partition from reopening).
+#[test]
+fn pubsub_every_n_power_loss_across_segment_rolls_loses_at_most_n_minus_1() {
+    if !strata_chaos::is_compiled() {
+        return;
+    }
+    const N: u32 = 2;
+    const APPENDS: u8 = 4;
+    let dir = temp_dir("pubsub-roll");
+    let _ = std::fs::remove_dir_all(&dir);
+    let s = Scenario::setup();
+    {
+        // A one-byte segment size puts every record in its own segment.
+        let mut log = FileLog::open(&dir, 1, PubSync::EveryN(N)).unwrap();
+        for i in 0..APPENDS {
+            log.append(Record::new(None::<Vec<u8>>, vec![i])).unwrap();
+        }
+    }
+    for segment in std::fs::read_dir(&dir).unwrap() {
+        simulate_crash(&segment.unwrap().path()).unwrap();
+    }
+
+    let mut log =
+        FileLog::open(&dir, 1, PubSync::EveryN(N)).expect("partition reopens after power loss");
+    let records = log.read_from(0, usize::MAX).unwrap();
+    assert!(
+        records.len() >= usize::from(APPENDS) - (N as usize - 1),
+        "lost more than n - 1 acked records: {} of {APPENDS} survive",
+        records.len()
+    );
+    for (i, r) in records.iter().enumerate() {
+        assert_eq!(
+            r.record.value.as_ref(),
+            &[i as u8],
+            "records survive in order"
+        );
+    }
     drop(log);
     drop(s);
     std::fs::remove_dir_all(&dir).unwrap();
