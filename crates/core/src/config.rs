@@ -3,8 +3,6 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use strata_pubsub::RetentionPolicy;
-
 /// How STRATA's modules exchange data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConnectorMode {
@@ -36,19 +34,14 @@ pub enum ConnectorMode {
 /// let config = StrataConfig::default()
 ///     .qos(Duration::from_secs(3))
 ///     .connector_mode(ConnectorMode::PubSub)
-///     .channel_capacity(64);
+///     .batch_size(64);
 /// ```
 #[derive(Debug, Clone)]
 pub struct StrataConfig {
     qos: Duration,
     connector_mode: ConnectorMode,
-    channel_capacity: usize,
-    raw_retention: RetentionPolicy,
-    event_retention: RetentionPolicy,
     kv_dir: Option<PathBuf>,
-    poll_timeout: Duration,
     batch_size: usize,
-    batch_timeout: Duration,
 }
 
 impl Default for StrataConfig {
@@ -58,18 +51,12 @@ impl Default for StrataConfig {
             // layers, within which a layer's result must be out.
             qos: Duration::from_secs(3),
             connector_mode: ConnectorMode::PubSub,
-            channel_capacity: 64,
-            // Raw topics carry whole OT images: bound them by bytes.
-            raw_retention: RetentionPolicy::default().with_max_bytes(512 * 1024 * 1024),
-            event_retention: RetentionPolicy::default().with_max_records(1_000_000),
             kv_dir: None,
-            poll_timeout: Duration::from_millis(20),
             // One OT image row region per channel wakeup amortizes
             // channel synchronization ~10× (see BENCH_spe_batch.json)
-            // while the flush deadline keeps per-layer latency far
-            // below the 3 s QoS gap.
+            // while the engine's flush deadline keeps per-layer
+            // latency far below the 3 s QoS gap.
             batch_size: 64,
-            batch_timeout: Duration::from_millis(5),
         }
     }
 }
@@ -89,34 +76,9 @@ impl StrataConfig {
         self
     }
 
-    /// Sets the SPE channel capacity used by all pipeline queries.
-    pub fn channel_capacity(mut self, capacity: usize) -> Self {
-        self.channel_capacity = capacity.max(1);
-        self
-    }
-
-    /// Bounds the raw-data connector topics.
-    pub fn raw_retention(mut self, retention: RetentionPolicy) -> Self {
-        self.raw_retention = retention;
-        self
-    }
-
-    /// Bounds the event connector topics.
-    pub fn event_retention(mut self, retention: RetentionPolicy) -> Self {
-        self.event_retention = retention;
-        self
-    }
-
     /// Persists the key-value store under `dir` (default: in-memory).
     pub fn kv_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.kv_dir = Some(dir.into());
-        self
-    }
-
-    /// Sets how long connector subscribers block per poll (default
-    /// 20 ms; only affects shutdown promptness, not latency).
-    pub fn poll_timeout(mut self, timeout: Duration) -> Self {
-        self.poll_timeout = timeout;
         self
     }
 
@@ -126,14 +88,6 @@ impl StrataConfig {
     /// identical at every batch size; only performance changes.
     pub fn batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// Bounds how long a partially filled source batch may wait
-    /// before being flushed downstream (default 5 ms). Only
-    /// meaningful with [`batch_size`](Self::batch_size) > 1.
-    pub fn batch_timeout(mut self, timeout: Duration) -> Self {
-        self.batch_timeout = timeout;
         self
     }
 
@@ -147,32 +101,12 @@ impl StrataConfig {
         self.connector_mode.clone()
     }
 
-    pub(crate) fn channel_capacity_value(&self) -> usize {
-        self.channel_capacity
-    }
-
-    pub(crate) fn raw_retention_value(&self) -> RetentionPolicy {
-        self.raw_retention
-    }
-
-    pub(crate) fn event_retention_value(&self) -> RetentionPolicy {
-        self.event_retention
-    }
-
     pub(crate) fn kv_dir_value(&self) -> Option<&PathBuf> {
         self.kv_dir.as_ref()
     }
 
-    pub(crate) fn poll_timeout_value(&self) -> Duration {
-        self.poll_timeout
-    }
-
     pub(crate) fn batch_size_value(&self) -> usize {
         self.batch_size
-    }
-
-    pub(crate) fn batch_timeout_value(&self) -> Duration {
-        self.batch_timeout
     }
 }
 
@@ -192,21 +126,16 @@ mod tests {
         let c = StrataConfig::default()
             .qos(Duration::from_millis(500))
             .connector_mode(ConnectorMode::Direct)
-            .channel_capacity(0)
-            .batch_size(0)
-            .batch_timeout(Duration::from_millis(2));
+            .batch_size(0);
         assert_eq!(c.qos_threshold(), Duration::from_millis(500));
         assert_eq!(c.connector_mode_value(), ConnectorMode::Direct);
-        assert_eq!(c.channel_capacity_value(), 1, "clamped");
         assert_eq!(c.batch_size_value(), 1, "clamped");
-        assert_eq!(c.batch_timeout_value(), Duration::from_millis(2));
     }
 
     #[test]
     fn batching_defaults_are_on() {
         let c = StrataConfig::default();
         assert_eq!(c.batch_size_value(), 64);
-        assert_eq!(c.batch_timeout_value(), Duration::from_millis(5));
     }
 
     #[test]

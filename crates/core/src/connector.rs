@@ -7,15 +7,104 @@
 //! Aggregator. Stream control (watermarks, end-of-stream) crosses the
 //! broker in-band as [`ConnectorMessage`]s, so event time keeps
 //! progressing on the other side.
+//!
+//! One connector serves both transports: the in-process broker
+//! ([`Producer`], [`Consumer`]) and a broker server reached over TCP
+//! ([`RemoteProducer`], [`RemoteConsumer`]) sit behind
+//! [`TopicProducer`] and [`TopicConsumer`]. Either way a
+//! [`TopicSource`] commits its group's offsets after every polled
+//! batch it fully hands to the engine, and again when it stops, so a
+//! successor in the group resumes where it left off.
 
+use std::fmt::Debug;
 use std::time::Duration;
 
-use strata_net::RemoteConsumer;
-use strata_pubsub::{Consumer, Producer, Record};
+use strata_net::{RemoteConsumer, RemoteProducer};
+use strata_pubsub::{Consumer, PolledRecord, Producer, Record};
 use strata_spe::{Element, Source, SourceContext};
 
 use crate::codec::{self, ConnectorMessage};
+use crate::error::Result;
 use crate::tuple::AmTuple;
+
+/// The publishing end of a connector topic.
+pub trait TopicProducer: Send + 'static {
+    /// Appends `record` to `topic`.
+    ///
+    /// # Errors
+    ///
+    /// Broker or transport errors.
+    fn send(&mut self, topic: &str, record: Record) -> Result<()>;
+}
+
+/// The subscribing end of a connector topic: a member of the
+/// downstream module's consumer group.
+pub trait TopicConsumer: Debug + Send + 'static {
+    /// Fetches the next records, blocking up to `timeout` when none
+    /// are available.
+    ///
+    /// # Errors
+    ///
+    /// Broker or transport errors.
+    fn poll(&mut self, timeout: Duration) -> Result<Vec<PolledRecord>>;
+
+    /// Makes the positions polled so far the group's resume point.
+    ///
+    /// # Errors
+    ///
+    /// Broker or transport errors.
+    fn commit(&mut self) -> Result<()>;
+}
+
+impl TopicProducer for Producer {
+    fn send(&mut self, topic: &str, record: Record) -> Result<()> {
+        self.send_record(topic, record)?;
+        Ok(())
+    }
+}
+
+impl TopicProducer for RemoteProducer {
+    fn send(&mut self, topic: &str, record: Record) -> Result<()> {
+        self.send_record(topic, record)?;
+        Ok(())
+    }
+}
+
+impl<P: TopicProducer + ?Sized> TopicProducer for Box<P> {
+    fn send(&mut self, topic: &str, record: Record) -> Result<()> {
+        (**self).send(topic, record)
+    }
+}
+
+impl TopicConsumer for Consumer {
+    fn poll(&mut self, timeout: Duration) -> Result<Vec<PolledRecord>> {
+        Ok(Consumer::poll(self, timeout)?)
+    }
+
+    fn commit(&mut self) -> Result<()> {
+        Ok(Consumer::commit(self)?)
+    }
+}
+
+impl TopicConsumer for RemoteConsumer {
+    fn poll(&mut self, timeout: Duration) -> Result<Vec<PolledRecord>> {
+        Ok(RemoteConsumer::poll(self, timeout)?)
+    }
+
+    fn commit(&mut self) -> Result<()> {
+        Ok(RemoteConsumer::commit(self)?)
+    }
+}
+
+impl<C: TopicConsumer + ?Sized> TopicConsumer for Box<C> {
+    fn poll(&mut self, timeout: Duration) -> Result<Vec<PolledRecord>> {
+        (**self).poll(timeout)
+    }
+
+    fn commit(&mut self) -> Result<()> {
+        (**self).commit()
+    }
+}
 
 /// Flattens a stream element into connector wire messages. The wire
 /// format stays item-level at every engine batch size: a micro-batch
@@ -52,31 +141,16 @@ fn connector_record(message: ConnectorMessage) -> Record {
 }
 
 /// Builds the element-sink callback that republishes a stream into
-/// `topic` of the in-process broker.
+/// `topic`. A send fails only when the topic was deleted mid-run or
+/// the remote producer's retries ran out; dropping the element then
+/// matches "subscriber gone".
 pub fn publisher(
-    producer: Producer,
-    topic: String,
-) -> impl FnMut(Element<AmTuple>) + Send + 'static {
-    move |element| {
-        // A send can only fail if the topic was deleted mid-run;
-        // dropping the element then matches "subscriber gone".
-        for message in connector_messages(element) {
-            let _ = producer.send_record(&topic, connector_record(message));
-        }
-    }
-}
-
-/// Builds the element-sink callback that republishes a stream into
-/// `topic` of a remote broker over TCP. Transient transport failures
-/// are retried by the producer's reliability layer; elements that
-/// still fail are dropped, like a deleted local topic.
-pub fn remote_publisher(
-    mut producer: strata_net::RemoteProducer,
+    mut producer: impl TopicProducer,
     topic: String,
 ) -> impl FnMut(Element<AmTuple>) + Send + 'static {
     move |element| {
         for message in connector_messages(element) {
-            let _ = producer.send_record(&topic, connector_record(message));
+            let _ = producer.send(&topic, connector_record(message));
         }
     }
 }
@@ -84,162 +158,198 @@ pub fn remote_publisher(
 /// An SPE [`Source`] feeding a downstream module from a connector
 /// topic: decodes tuples, re-emits watermarks, and ends when the
 /// upstream's end-of-stream marker arrives.
-pub struct TopicSource {
-    consumer: Consumer,
+#[derive(Debug)]
+pub struct TopicSource<C> {
+    consumer: C,
     poll_timeout: Duration,
 }
 
-impl std::fmt::Debug for TopicSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TopicSource")
-            .field("consumer", &self.consumer)
-            .finish()
-    }
-}
-
-impl TopicSource {
+impl<C: TopicConsumer> TopicSource<C> {
     /// Wraps a subscribed consumer. Each downstream module uses its
     /// own consumer group, so independent pipelines each see the full
     /// stream.
-    pub fn new(consumer: Consumer, poll_timeout: Duration) -> Self {
+    pub fn new(consumer: C, poll_timeout: Duration) -> Self {
         TopicSource {
             consumer,
             poll_timeout,
         }
     }
-}
 
-impl Source for TopicSource {
-    type Out = AmTuple;
-
-    fn run(&mut self, ctx: &mut SourceContext<AmTuple>) -> Result<(), String> {
-        loop {
-            if ctx.should_stop() {
-                return Ok(());
-            }
+    /// Hands polled records to the engine until end-of-stream, a stop
+    /// request or a refused emit, committing after every whole batch.
+    fn forward(&mut self, ctx: &mut SourceContext<AmTuple>) -> std::result::Result<(), String> {
+        while !ctx.should_stop() {
             let records = self
                 .consumer
                 .poll(self.poll_timeout)
                 .map_err(|e| format!("connector poll failed: {e}"))?;
+            if records.is_empty() {
+                continue; // Nothing new to commit.
+            }
             for polled in records {
-                match codec::decode(&polled.record.value)
+                let open = match codec::decode(&polled.record.value)
                     .map_err(|e| format!("connector decode failed: {e}"))?
                 {
-                    ConnectorMessage::Tuple(tuple) => {
-                        if !ctx.emit(tuple) {
-                            return Ok(());
-                        }
-                    }
-                    ConnectorMessage::Watermark(ts) => {
-                        if !ctx.emit_watermark(ts) {
-                            return Ok(());
-                        }
-                    }
-                    ConnectorMessage::End => return Ok(()),
+                    ConnectorMessage::Tuple(tuple) => ctx.emit(tuple),
+                    ConnectorMessage::Watermark(ts) => ctx.emit_watermark(ts),
+                    ConnectorMessage::End => false,
+                };
+                if !open {
+                    return Ok(());
                 }
             }
-        }
-    }
-}
-
-/// An SPE [`Source`] feeding a downstream module from a connector
-/// topic that lives across a TCP connection. The remote consumer
-/// commits its offsets after every delivered batch, so a restarted
-/// module resumes from the last batch it fully handed to the engine.
-pub struct RemoteTopicSource {
-    consumer: RemoteConsumer,
-    poll_timeout: Duration,
-}
-
-impl std::fmt::Debug for RemoteTopicSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RemoteTopicSource")
-            .field("consumer", &self.consumer)
-            .finish()
-    }
-}
-
-impl RemoteTopicSource {
-    /// Wraps a connected remote consumer.
-    pub fn new(consumer: RemoteConsumer, poll_timeout: Duration) -> Self {
-        RemoteTopicSource {
-            consumer,
-            poll_timeout,
-        }
-    }
-}
-
-impl Source for RemoteTopicSource {
-    type Out = AmTuple;
-
-    fn run(&mut self, ctx: &mut SourceContext<AmTuple>) -> Result<(), String> {
-        loop {
-            if ctx.should_stop() {
-                let _ = self.consumer.commit();
-                return Ok(());
-            }
-            let records = self
-                .consumer
-                .poll(self.poll_timeout)
-                .map_err(|e| format!("remote connector poll failed: {e}"))?;
-            if records.is_empty() {
-                continue;
-            }
-            for polled in records {
-                match codec::decode(&polled.record.value)
-                    .map_err(|e| format!("remote connector decode failed: {e}"))?
-                {
-                    ConnectorMessage::Tuple(tuple) => {
-                        if !ctx.emit(tuple) {
-                            let _ = self.consumer.commit();
-                            return Ok(());
-                        }
-                    }
-                    ConnectorMessage::Watermark(ts) => {
-                        if !ctx.emit_watermark(ts) {
-                            let _ = self.consumer.commit();
-                            return Ok(());
-                        }
-                    }
-                    ConnectorMessage::End => {
-                        let _ = self.consumer.commit();
-                        return Ok(());
-                    }
-                }
-            }
-            // Batch fully handed to the engine: make it the resume
-            // point for a successor or a reconnect.
             let _ = self.consumer.commit();
         }
+        Ok(())
+    }
+}
+
+impl<C: TopicConsumer> Source for TopicSource<C> {
+    type Out = AmTuple;
+
+    fn run(&mut self, ctx: &mut SourceContext<AmTuple>) -> std::result::Result<(), String> {
+        self.forward(ctx)?;
+        // A clean stop also moves the resume point past what was
+        // handed over; a failed poll or decode keeps the last one.
+        let _ = self.consumer.commit();
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ConnectorMode, Strata, StrataConfig};
+    use strata_net::{BrokerClient, BrokerServer};
     use strata_pubsub::{Broker, TopicConfig};
     use strata_spe::prelude::*;
 
+    /// A broker behind one of the connector's two transports.
+    enum Bus {
+        Local(Broker),
+        Tcp(BrokerServer),
+    }
+
+    impl Bus {
+        fn tcp() -> Bus {
+            Bus::Tcp(BrokerServer::bind("127.0.0.1:0", Broker::new()).unwrap())
+        }
+
+        fn mode(&self) -> ConnectorMode {
+            match self {
+                Bus::Local(_) => ConnectorMode::PubSub,
+                Bus::Tcp(server) => ConnectorMode::Remote {
+                    addr: server.local_addr().to_string(),
+                },
+            }
+        }
+
+        /// Creates `topic` and connects a producer to it.
+        fn producer(&self, topic: &str) -> Box<dyn TopicProducer> {
+            match self {
+                Bus::Local(broker) => {
+                    broker.create_topic(topic, TopicConfig::new(1)).unwrap();
+                    Box::new(broker.producer())
+                }
+                Bus::Tcp(server) => {
+                    let mut producer =
+                        RemoteProducer::connect(server.local_addr().to_string()).unwrap();
+                    producer.client_mut().create_topic(topic, 1).unwrap();
+                    Box::new(producer)
+                }
+            }
+        }
+
+        fn consumer(&self, group: &str, topic: &str) -> Box<dyn TopicConsumer> {
+            match self {
+                Bus::Local(broker) => Box::new(broker.consumer(group, &[topic]).unwrap()),
+                Bus::Tcp(server) => Box::new(
+                    RemoteConsumer::connect(server.local_addr().to_string(), group, &[topic])
+                        .unwrap(),
+                ),
+            }
+        }
+
+        /// Every topic on the broker with the lag of the connector
+        /// group subscribed to it, read over this transport.
+        fn connector_lags(&self) -> Vec<(String, u64)> {
+            match self {
+                Bus::Local(broker) => broker
+                    .topics()
+                    .into_iter()
+                    .map(|topic| {
+                        let lag = broker.consumer_lag(&format!("{topic}.sub"), &topic);
+                        (topic, lag.unwrap())
+                    })
+                    .collect(),
+                Bus::Tcp(server) => {
+                    let mut client =
+                        BrokerClient::connect(server.local_addr().to_string()).unwrap();
+                    let topics = client.metadata(&[]).unwrap();
+                    topics
+                        .into_iter()
+                        .map(|info| {
+                            let lag =
+                                client.consumer_lag(&format!("{}.sub", info.name), &info.name);
+                            (info.name, lag.unwrap())
+                        })
+                        .collect()
+                }
+            }
+        }
+    }
+
     #[test]
-    fn stream_control_round_trips_through_a_topic() {
-        let broker = Broker::new();
-        broker.create_topic("bridge", TopicConfig::new(1)).unwrap();
-        let mut publish = publisher(broker.producer(), "bridge".into());
+    fn stream_control_round_trips_over_each_transport() {
+        for bus in [Bus::Local(Broker::new()), Bus::tcp()] {
+            let mut publish = publisher(bus.producer("bridge"), "bridge".into());
+            let t = AmTuple::new(Timestamp::from_millis(10), 1, 0);
+            publish(Element::Batch(Batch::new(vec![t.clone()])));
+            publish(Element::Watermark(Timestamp::from_millis(11)));
+            publish(Element::End);
 
-        let t = AmTuple::new(Timestamp::from_millis(10), 1, 0);
-        publish(Element::Batch(Batch::new(vec![t.clone()])));
-        publish(Element::Watermark(Timestamp::from_millis(11)));
-        publish(Element::End);
+            // Drive the TopicSource manually through a collect query.
+            let consumer = bus.consumer("g", "bridge");
+            let mut qb = QueryBuilder::new("sub");
+            let src = qb.source("in", TopicSource::new(consumer, Duration::from_millis(10)));
+            let out = qb.collect_sink("out", &src);
+            qb.build().unwrap().run().join().unwrap();
+            let got = out.take();
+            assert_eq!(got.len(), 1);
+            assert_eq!(got[0].metadata(), t.metadata());
+        }
+    }
 
-        // Drive the TopicSource manually through a collect query.
-        let consumer = broker.consumer("g", &["bridge"]).unwrap();
-        let mut qb = QueryBuilder::new("sub");
-        let src = qb.source("in", TopicSource::new(consumer, Duration::from_millis(10)));
-        let out = qb.collect_sink("out", &src);
-        qb.build().unwrap().run().join().unwrap();
-        let got = out.take();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].metadata(), t.metadata());
+    #[test]
+    fn drained_pipelines_leave_no_connector_lag() {
+        let local = Strata::new(StrataConfig::default()).unwrap();
+        let tcp = Bus::tcp();
+        let remote = Strata::new(StrataConfig::default().connector_mode(tcp.mode())).unwrap();
+        for (strata, bus) in [
+            (local.clone(), Bus::Local(local.broker().clone())),
+            (remote, tcp),
+        ] {
+            let mut pipeline = strata.pipeline("drain");
+            let layers: Vec<AmTuple> = (0..5u32)
+                .map(|l| AmTuple::new(Timestamp::from_millis(l as u64 * 100), 1, l))
+                .collect();
+            let src = pipeline.add_source("layers", IteratorSource::new(layers));
+            let events = pipeline.detect_event("ev", &src, |t: &AmTuple| Some(vec![t.clone()]));
+            let out = pipeline.correlate_events("corr", &events, 1, |w| {
+                vec![AmTuple::new(Timestamp::MIN, w.job, w.layer)]
+            });
+            let reports = pipeline.deliver("expert", &out);
+            pipeline.deploy().unwrap().join().unwrap();
+            assert_eq!(reports.try_iter().count(), 5, "{:?}", bus.mode());
+
+            let lags = bus.connector_lags();
+            assert_eq!(lags.len(), 2, "{lags:?}");
+            assert!(lags.iter().any(|(topic, _)| topic.contains(".raw.")));
+            assert!(lags.iter().any(|(topic, _)| topic.contains(".events.")));
+            for (topic, lag) in lags {
+                assert_eq!(lag, 0, "{topic} over {:?}", bus.mode());
+            }
+        }
     }
 
     #[test]
@@ -291,33 +401,5 @@ mod tests {
             qb.build().unwrap().run().join().unwrap();
             assert_eq!(out.len(), 1, "group {group}");
         }
-    }
-
-    #[test]
-    fn remote_bridge_round_trips_over_tcp() {
-        let broker = Broker::new();
-        broker.create_topic("bridge", TopicConfig::new(1)).unwrap();
-        let mut server = strata_net::BrokerServer::bind("127.0.0.1:0", broker).unwrap();
-        let addr = server.local_addr().to_string();
-
-        let producer = strata_net::RemoteProducer::connect(&addr).unwrap();
-        let mut publish = remote_publisher(producer, "bridge".into());
-        let t = AmTuple::new(Timestamp::from_millis(10), 1, 0);
-        publish(Element::Batch(Batch::new(vec![t.clone()])));
-        publish(Element::Watermark(Timestamp::from_millis(11)));
-        publish(Element::End);
-
-        let consumer = RemoteConsumer::connect(&addr, "g", &["bridge"]).unwrap();
-        let mut qb = QueryBuilder::new("sub");
-        let src = qb.source(
-            "in",
-            RemoteTopicSource::new(consumer, Duration::from_millis(10)),
-        );
-        let out = qb.collect_sink("out", &src);
-        qb.build().unwrap().run().join().unwrap();
-        let got = out.take();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].metadata(), t.metadata());
-        server.shutdown();
     }
 }

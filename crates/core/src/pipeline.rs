@@ -16,18 +16,17 @@
 //! the last `L + 1` layers.
 
 use std::collections::{BTreeMap, HashMap};
+use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver};
-use strata_pubsub::{Broker, LogKind, TopicConfig};
+use strata_net::{NetError, RemoteConsumer, RemoteProducer};
+use strata_pubsub::{Broker, LogKind, RetentionPolicy, TopicConfig};
 use strata_spe::operator::UnaryOperator;
 use strata_spe::operators::{FlatMap, RoutePolicy};
 use strata_spe::{QueryBuilder, QueryMetrics, RunningQuery, Source, Stream, Timestamp};
 
-use strata_net::{NetError, RemoteConsumer, RemoteProducer};
-use strata_spe::Element;
-
 use crate::config::{ConnectorMode, StrataConfig};
-use crate::connector::{publisher, remote_publisher, RemoteTopicSource, TopicSource};
+use crate::connector::{publisher, TopicConsumer, TopicProducer, TopicSource};
 use crate::error::{Error, Result};
 use crate::report::ExpertReport;
 use crate::tuple::AmTuple;
@@ -184,6 +183,22 @@ where
     }
 }
 
+/// Per-input buffer of every pipeline query node, in elements.
+const CHANNEL_CAPACITY: usize = 64;
+
+/// Raw topics carry whole OT images, so they are bounded by bytes.
+const RAW_TOPIC_MAX_BYTES: u64 = 512 * 1024 * 1024;
+
+/// Event topics carry small records, so they are bounded by count.
+const EVENT_TOPIC_MAX_RECORDS: u64 = 1_000_000;
+
+/// How long a connector subscriber blocks per poll. Only affects how
+/// promptly it notices a stop request, not latency.
+const POLL_TIMEOUT: Duration = Duration::from_millis(20);
+
+/// The two ends of one connector topic.
+type ConnectorEnds = (Box<dyn TopicProducer>, Box<dyn TopicConsumer>);
+
 /// Builder for one expert pipeline. Created by
 /// [`Strata::pipeline`](crate::Strata::pipeline); see the
 /// [crate documentation](crate) for a complete example.
@@ -217,21 +232,14 @@ impl PipelineBuilder {
         let mut monitor = QueryBuilder::new(format!("{name}.monitor"));
         let mut aggregator = QueryBuilder::new(format!("{name}.aggregator"));
         for qb in [&mut collector, &mut monitor, &mut aggregator] {
-            qb.channel_capacity(config.channel_capacity_value());
+            qb.channel_capacity(CHANNEL_CAPACITY);
             qb.batch_size(config.batch_size_value());
-            qb.batch_timeout(config.batch_timeout_value());
         }
-        // With a remote broker the topic namespace is shared by every
-        // process pointed at the same server, so the per-instance
-        // prefix also carries the process id.
-        let topic_prefix = match config.connector_mode_value() {
-            ConnectorMode::Remote { .. } => {
-                format!("strata.{name}.p{}.{instance}", std::process::id())
-            }
-            _ => format!("strata.{name}.{instance}"),
-        };
+        // The process id keeps prefixes apart on a remote broker,
+        // whose topic namespace every process pointed at the same
+        // server shares.
         PipelineBuilder {
-            topic_prefix,
+            topic_prefix: format!("strata.{name}.p{}.{instance}", std::process::id()),
             name,
             config,
             broker,
@@ -289,8 +297,7 @@ impl PipelineBuilder {
 
     /// Publishes `upstream` into a connector topic and subscribes the
     /// target module to it. `from_collector` picks the upstream query
-    /// and retention policy. In [`ConnectorMode::Remote`] the topic
-    /// lives on the broker server and both ends cross the wire.
+    /// and the topic's retention bound.
     fn bridge(
         &mut self,
         upstream: Stream<AmTuple>,
@@ -300,116 +307,77 @@ impl PipelineBuilder {
     ) -> Stream<AmTuple> {
         let topic = format!("{}.{label}", self.topic_prefix);
         let retention = if from_collector {
-            self.config.raw_retention_value()
+            RetentionPolicy::default().with_max_bytes(RAW_TOPIC_MAX_BYTES)
         } else {
-            self.config.event_retention_value()
+            RetentionPolicy::default().with_max_records(EVENT_TOPIC_MAX_RECORDS)
         };
-        let mode = self.config.connector_mode_value();
-
-        // Create the topic where it lives and build the publishing
-        // half of the bridge.
-        let publish: Box<dyn FnMut(Element<AmTuple>) + Send> = match &mode {
-            ConnectorMode::Remote { addr } => match self.remote_producer(addr, &topic) {
-                Ok(producer) => Box::new(remote_publisher(producer, topic.clone())),
-                Err(err) => {
-                    self.errors.push(err);
-                    // Sink to nowhere; deploy fails with the error.
-                    Box::new(|_| {})
-                }
-            },
-            _ => {
-                if let Err(err) = self.broker.create_topic(
-                    &topic,
-                    TopicConfig::new(1)
-                        .with_log(LogKind::Memory)
-                        .with_retention(retention),
-                ) {
-                    self.errors.push(err.into());
-                }
-                Box::new(publisher(self.broker.producer(), topic.clone()))
+        let (producer, consumer): ConnectorEnds = match self.connect(&topic, retention) {
+            Ok(ends) => ends,
+            Err(err) => {
+                self.errors.push(err);
+                // Placeholder ends on a fresh local topic so building
+                // can continue; deploy fails with the error.
+                let fallback = format!("{topic}.invalid");
+                let _ = self.broker.create_topic(&fallback, TopicConfig::new(1));
+                let consumer = self
+                    .broker
+                    .consumer(format!("{fallback}.g"), &[&fallback])
+                    .expect("fresh fallback topic exists");
+                (Box::new(self.broker.producer()), Box::new(consumer))
             }
         };
+
+        let name = format!("publish.{label}");
+        let publish = publisher(producer, topic);
         if from_collector {
-            self.collector
-                .element_sink(format!("publish.{label}"), &upstream, publish);
+            self.collector.element_sink(name, &upstream, publish);
             self.collector_nodes += 1;
         } else {
-            self.monitor
-                .element_sink(format!("publish.{label}"), &upstream, publish);
+            self.monitor.element_sink(name, &upstream, publish);
             self.monitor_nodes += 1;
             self.monitor_sinks += 1;
         }
 
-        // Subscribe the target module.
-        let group = format!("{}.{label}.sub", self.topic_prefix);
-        match &mode {
-            ConnectorMode::Remote { addr } => {
-                match RemoteConsumer::connect(addr.clone(), group, &[&topic]) {
-                    Ok(consumer) => {
-                        let source =
-                            RemoteTopicSource::new(consumer, self.config.poll_timeout_value());
-                        self.attach_bridge_source(label, target, source)
-                    }
-                    Err(err) => {
-                        self.errors.push(err.into());
-                        let source = self.fallback_source(&topic);
-                        self.attach_bridge_source(label, target, source)
-                    }
-                }
-            }
-            _ => {
-                let source = match self.broker.consumer(group, &[&topic]) {
-                    Ok(consumer) => TopicSource::new(consumer, self.config.poll_timeout_value()),
-                    Err(err) => {
-                        self.errors.push(err.into());
-                        self.fallback_source(&topic)
-                    }
-                };
-                self.attach_bridge_source(label, target, source)
-            }
-        }
-    }
-
-    /// Connects a producer to the remote broker and ensures `topic`
-    /// exists there. `TopicExists` is fine: with several machine
-    /// processes sharing one broker server, whoever binds first wins.
-    /// (Remote topics keep the server's retention defaults — the
-    /// per-pipeline retention config only governs in-process topics.)
-    fn remote_producer(&self, addr: &str, topic: &str) -> Result<RemoteProducer> {
-        let mut producer = RemoteProducer::connect(addr.to_string())?;
-        match producer.client_mut().create_topic(topic, 1) {
-            Ok(()) | Err(NetError::Broker(strata_pubsub::Error::TopicExists(_))) => Ok(producer),
-            Err(err) => Err(err.into()),
-        }
-    }
-
-    /// Placeholder consumer on a fresh local topic so building can
-    /// continue after a connector error; deploy fails with the error
-    /// recorded alongside.
-    fn fallback_source(&mut self, topic: &str) -> TopicSource {
-        let fallback = format!("{topic}.invalid");
-        let _ = self.broker.create_topic(&fallback, TopicConfig::new(1));
-        let consumer = self
-            .broker
-            .consumer(format!("{topic}.invalid.g"), &[&fallback])
-            .expect("fresh fallback topic exists");
-        TopicSource::new(consumer, self.config.poll_timeout_value())
-    }
-
-    fn attach_bridge_source<S>(&mut self, label: &str, target: Module, source: S) -> Stream<AmTuple>
-    where
-        S: Source<Out = AmTuple> + 'static,
-    {
+        let name = format!("subscribe.{label}");
+        let source = TopicSource::new(consumer, POLL_TIMEOUT);
         match target {
             Module::Monitor => {
-                let s = self.monitor.source(format!("subscribe.{label}"), source);
                 self.monitor_nodes += 1;
-                s
+                self.monitor.source(name, source)
             }
             Module::Aggregator => {
-                let s = self.aggregator.source(format!("subscribe.{label}"), source);
                 self.aggregator_nodes += 1;
-                s
+                self.aggregator.source(name, source)
+            }
+        }
+    }
+
+    /// Creates `topic` on the connector mode's broker and connects
+    /// both ends to it, the subscriber in group `<topic>.sub`. This is
+    /// all that differs between the transports.
+    ///
+    /// On a remote broker `TopicExists` is fine: with several machine
+    /// processes sharing one broker server, whoever binds first wins.
+    /// Remote topics keep the server's retention defaults.
+    fn connect(&self, topic: &str, retention: RetentionPolicy) -> Result<ConnectorEnds> {
+        let group = format!("{topic}.sub");
+        match self.config.connector_mode_value() {
+            ConnectorMode::Remote { addr } => {
+                let mut producer = RemoteProducer::connect(addr.clone())?;
+                match producer.client_mut().create_topic(topic, 1) {
+                    Ok(()) | Err(NetError::Broker(strata_pubsub::Error::TopicExists(_))) => {}
+                    Err(err) => return Err(err.into()),
+                }
+                let consumer = RemoteConsumer::connect(addr, group, &[topic])?;
+                Ok((Box::new(producer), Box::new(consumer)))
+            }
+            _ => {
+                let config = TopicConfig::new(1)
+                    .with_log(LogKind::Memory)
+                    .with_retention(retention);
+                self.broker.create_topic(topic, config)?;
+                let consumer = self.broker.consumer(group, &[topic])?;
+                Ok((Box::new(self.broker.producer()), Box::new(consumer)))
             }
         }
     }

@@ -134,9 +134,9 @@ impl Strata {
     /// connector topics are disambiguated per instance.
     ///
     /// The pipeline's queries run on the instance's micro-batched
-    /// data plane, sized by [`StrataConfig::batch_size`] and
-    /// [`StrataConfig::batch_timeout`]; batching changes throughput
-    /// and latency only, never results (DESIGN.md §4e).
+    /// data plane, sized by [`StrataConfig::batch_size`]; batching
+    /// changes throughput and latency only, never results (DESIGN.md
+    /// §4e).
     pub fn pipeline(&self, name: impl Into<String>) -> PipelineBuilder {
         let instance = self.pipeline_seq.fetch_add(1, Ordering::Relaxed);
         PipelineBuilder::new(

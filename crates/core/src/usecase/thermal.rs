@@ -663,21 +663,11 @@ pub fn deploy_pipeline(
 
     // Alg. 1 lines 4–6.
     let spec = pipeline.partition("spec", &fused, isolate_specimen(plate_mm));
-    let cells = if options.parallelism > 1 {
-        pipeline.partition_parallel(
-            "cell",
-            &spec,
-            options.parallelism,
-            isolate_cell(strata, options.cell_px),
-        )
-    } else {
-        pipeline.partition("cell", &spec, isolate_cell(strata, options.cell_px))
-    };
-    let events = if options.parallelism > 1 {
-        pipeline.detect_event_parallel("cellLabel", &cells, options.parallelism, label_cell(strata))
-    } else {
-        pipeline.detect_event("cellLabel", &cells, label_cell(strata))
-    };
+    let parallelism = options.parallelism.max(1);
+    let cell = isolate_cell(strata, options.cell_px);
+    let cells = pipeline.partition_parallel("cell", &spec, parallelism, cell);
+    let label = label_cell(strata);
+    let events = pipeline.detect_event_parallel("cellLabel", &cells, parallelism, label);
 
     // Alg. 1 line 7. Recover mm/px from the machine's layout to size ε.
     let mm_per_px = {

@@ -466,7 +466,9 @@ impl QueryBuilder {
     /// Runs `parallelism` instances of a unary operator side by side:
     /// items are routed by `policy`, each instance is produced by
     /// `op_factory(instance_index)`, and the instance outputs are
-    /// merged back into a single stream.
+    /// merged back into a single stream. A single instance needs no
+    /// routing: it is one node called `name`, like
+    /// [`operator`](Self::operator).
     ///
     /// For stateful operators use [`RoutePolicy::by_key`] with the
     /// operator's group-by key so each instance sees complete groups.
@@ -491,6 +493,9 @@ impl QueryBuilder {
         } else {
             parallelism
         };
+        if parallelism == 1 {
+            return self.operator(name, input, op_factory(0));
+        }
         let routed = self.route(format!("{name}.route"), input, parallelism, policy);
         let instances: Vec<Stream<O>> = routed
             .iter()

@@ -100,17 +100,45 @@ fn union_merges_streams_and_watermarks() {
 #[test]
 fn parallel_operator_preserves_all_items() {
     let n = 10_000u64;
-    let mut qb = QueryBuilder::new("parallel");
-    let src = qb.source("src", IteratorSource::new(0..n));
-    let doubled = qb.parallel_operator("double", &src, 4, RoutePolicy::RoundRobin, |_instance| {
-        strata_spe::operators::Map::new(|x: u64| x * 2)
-    });
-    let out = qb.collect_sink("out", &doubled);
-    qb.build().unwrap().run().join().unwrap();
-    let mut got = out.take();
-    got.sort_unstable();
-    let expected: Vec<u64> = (0..n).map(|x| x * 2).collect();
-    assert_eq!(got, expected);
+    // One instance is a single node with no route or merge relay.
+    let graphs: [(usize, &[&str]); 2] = [
+        (1, &["src", "double", "out"]),
+        (
+            4,
+            &[
+                "src",
+                "double.route",
+                "double.0",
+                "double.1",
+                "double.2",
+                "double.3",
+                "double.merge",
+                "out",
+            ],
+        ),
+    ];
+    for (parallelism, nodes) in graphs {
+        let mut qb = QueryBuilder::new("parallel");
+        let src = qb.source("src", IteratorSource::new(0..n));
+        let doubled = qb.parallel_operator(
+            "double",
+            &src,
+            parallelism,
+            RoutePolicy::RoundRobin,
+            |_instance| strata_spe::operators::Map::new(|x: u64| x * 2),
+        );
+        let out = qb.collect_sink("out", &doubled);
+        let metrics = qb.build().unwrap().run().join().unwrap();
+        let mut names: Vec<&str> = metrics.nodes().iter().map(|m| m.name()).collect();
+        names.sort_unstable();
+        let mut expected_names = nodes.to_vec();
+        expected_names.sort_unstable();
+        assert_eq!(names, expected_names, "parallelism {parallelism}");
+        let mut got = out.take();
+        got.sort_unstable();
+        let expected: Vec<u64> = (0..n).map(|x| x * 2).collect();
+        assert_eq!(got, expected);
+    }
 }
 
 #[test]
