@@ -307,14 +307,18 @@ pub fn fig7(scale: BenchScale, effort: Effort) -> Vec<Fig7Point> {
             let elapsed = started.elapsed();
 
             // Cells processed: the output count of the cell-splitting
-            // stage (or its merge node when parallel).
+            // stage, summed over its instances `cell.<i>` when parallel.
             let cells: u64 = metrics
                 .iter()
                 .flat_map(|qm| qm.nodes())
-                .filter(|n| n.name() == "cell" || n.name() == "cell.merge")
+                .filter(|n| {
+                    n.name() == "cell"
+                        || n.name()
+                            .strip_prefix("cell.")
+                            .is_some_and(|i| !i.is_empty() && i.bytes().all(|b| b.is_ascii_digit()))
+                })
                 .map(|n| n.items_out())
-                .max()
-                .unwrap_or(0);
+                .sum();
             let latencies: Vec<Duration> = collected.iter().map(|r| r.latency).collect();
             let mean_ms = if latencies.is_empty() {
                 0.0

@@ -86,6 +86,13 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
+    /// Bytes left to read. A length read from the message bounds a
+    /// preallocation only up to what these bytes can hold, so a corrupt
+    /// length fails as truncation instead of exhausting memory.
+    fn remaining(&self) -> usize {
+        self.data.len() - self.pos
+    }
+
     fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
@@ -182,7 +189,7 @@ fn decode_value(r: &mut Reader<'_>) -> Result<Value> {
         }
         6 => {
             let len = r.u32()? as usize;
-            let mut rects = Vec::with_capacity(len);
+            let mut rects = Vec::with_capacity(len.min(r.remaining() / 20));
             for _ in 0..len {
                 rects.push((r.u32()?, r.u32()?, r.u32()?, r.u32()?, r.u32()?));
             }
@@ -190,7 +197,7 @@ fn decode_value(r: &mut Reader<'_>) -> Result<Value> {
         }
         7 => {
             let len = r.u32()? as usize;
-            let mut points = Vec::with_capacity(len);
+            let mut points = Vec::with_capacity(len.min(r.remaining() / 16));
             for _ in 0..len {
                 points.push((r.f64()?, r.f64()?));
             }
@@ -340,6 +347,27 @@ mod tests {
                 matches!(decode(&data[..cut]), Err(Error::Codec(_))),
                 "cut at {cut}"
             );
+        }
+    }
+
+    /// A 43-byte tuple record whose one `Rects` value claims
+    /// `u32::MAX` elements: decoding must fail as truncated, not try
+    /// to preallocate 80 GiB and abort the process.
+    #[test]
+    fn huge_element_counts_fail_as_truncation() {
+        for tag in [6u8, 7] {
+            let mut record = vec![0u8];
+            record.extend_from_slice(&[0; 8 + 4 + 4]);
+            record.extend_from_slice(&NONE_U32.to_le_bytes());
+            record.extend_from_slice(&NONE_U32.to_le_bytes());
+            record.extend_from_slice(&[0; 8]);
+            record.extend_from_slice(&1u16.to_le_bytes());
+            record.extend_from_slice(&1u16.to_le_bytes());
+            record.push(b'r');
+            record.push(tag);
+            record.extend_from_slice(&u32::MAX.to_le_bytes());
+            assert_eq!(record.len(), 43);
+            assert!(matches!(decode(&record), Err(Error::Codec(_))), "tag {tag}");
         }
     }
 

@@ -429,7 +429,10 @@ pub fn dbscan_correlator(
 /// as [`dbscan_correlator`] plus a persistent `"tracked_id"`.
 ///
 /// `depth_l` must equal the `L` passed to `correlateEvents` so the
-/// tracker's sliding window matches the correlation window.
+/// tracker's sliding window matches the correlation window. Pass it to
+/// [`PipelineBuilder::correlate_events`](crate::PipelineBuilder::correlate_events)
+/// in place of [`dbscan_correlator`]; [`deploy_pipeline`] always uses
+/// the latter.
 pub fn tracked_correlator(
     options: CorrelatorOptions,
     depth_l: u32,
@@ -587,10 +590,6 @@ pub struct ThermalPipelineOptions {
     /// layer tuples at this offered rate (images/s; 0 = as fast as
     /// possible) — the Figure 7 workload.
     pub offered_rate: Option<f64>,
-    /// Use [`tracked_correlator`] instead of [`dbscan_correlator`]:
-    /// cluster reports keep a persistent `"tracked_id"` across
-    /// layers, at the cost of no rendered cluster image.
-    pub stable_ids: bool,
 }
 
 impl Default for ThermalPipelineOptions {
@@ -603,7 +602,6 @@ impl Default for ThermalPipelineOptions {
             parallelism: 1,
             render_images: false,
             offered_rate: None,
-            stable_ids: false,
         }
     }
 }
@@ -685,21 +683,12 @@ pub fn deploy_pipeline(
     let mut correlator_options = CorrelatorOptions::for_cell_mm(cell_mm);
     correlator_options.layer_pitch_mm = machine.plan().layer_thickness_mm();
     correlator_options.render_image = options.render_images;
-    let out = if options.stable_ids {
-        pipeline.correlate_events(
-            "out",
-            &events,
-            options.depth_l,
-            tracked_correlator(correlator_options, options.depth_l),
-        )
-    } else {
-        pipeline.correlate_events(
-            "out",
-            &events,
-            options.depth_l,
-            dbscan_correlator(correlator_options),
-        )
-    };
+    let out = pipeline.correlate_events(
+        "out",
+        &events,
+        options.depth_l,
+        dbscan_correlator(correlator_options),
+    );
     let reports = pipeline.deliver("expert", &out);
     let deployed = pipeline.deploy()?;
     Ok((deployed, reports))

@@ -84,6 +84,27 @@ proptest! {
         prop_assert_eq!(decode(&encode(&msg)).unwrap(), msg);
     }
 
+    /// Decoding arbitrary bytes returns, `Ok` or `Err`: it never panics
+    /// or aborts. Most inputs start with a tuple header and a value
+    /// tag, so the bytes after it act as a corrupt value length.
+    #[test]
+    fn arbitrary_bytes_decode_without_aborting(
+        value_tag in proptest::option::of(0u8..8),
+        bytes in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let mut data = Vec::new();
+        if let Some(tag) = value_tag {
+            data.push(0); // a tuple
+            data.extend_from_slice(&[0; 32]); // its metadata
+            data.extend_from_slice(&1u16.to_le_bytes()); // one entry
+            data.extend_from_slice(&1u16.to_le_bytes()); // key length
+            data.push(b'k');
+            data.push(tag);
+        }
+        data.extend_from_slice(&bytes);
+        let _ = decode(&data);
+    }
+
     /// Any truncation of a valid encoding is rejected, never
     /// mis-decoded (no panics, no silent corruption).
     #[test]

@@ -26,34 +26,19 @@ use crate::error::{broker_error_from_wire, NetError, NetResult};
 use crate::protocol::{Request, Response, TopicInfo};
 use crate::retry::RetryPolicy;
 
-/// Tuning knobs shared by the remote clients.
-#[derive(Debug, Clone)]
-pub struct ClientConfig {
-    /// Cap on one request/response exchange (socket read timeout).
-    /// Must exceed the longest `Fetch` wait the client will request.
-    pub request_timeout: Duration,
-    /// Retry schedule for transient transport failures.
-    pub retry: RetryPolicy,
-    /// Batch-size cap per poll of a [`RemoteConsumer`].
-    pub max_poll_records: usize,
-}
+/// Cap on one request/response exchange (socket read timeout). Must
+/// exceed the longest `Fetch` wait a client requests.
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(60);
 
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig {
-            request_timeout: Duration::from_secs(60),
-            retry: RetryPolicy::default(),
-            max_poll_records: 500,
-        }
-    }
-}
+/// Batch-size cap per poll of a new [`RemoteConsumer`]; see
+/// [`RemoteConsumer::set_max_poll_records`].
+const MAX_POLL_RECORDS: usize = 500;
 
 /// A single logical connection to a [`BrokerServer`]
 /// (crate::server::BrokerServer): serialized request/response with
 /// reconnect-on-failure underneath.
 pub struct BrokerClient {
     addr: String,
-    config: ClientConfig,
     stream: Option<TcpStream>,
     /// Bumped whenever the connection is torn down; lets consumers
     /// detect that a transparent reconnect happened mid-stream.
@@ -73,23 +58,13 @@ impl std::fmt::Debug for BrokerClient {
 }
 
 impl BrokerClient {
-    /// Connects to a broker server with default tuning.
+    /// Connects to a broker server.
     ///
     /// # Errors
     ///
     /// Transport errors if no connection can be established within
     /// the retry budget.
     pub fn connect(addr: impl Into<String>) -> NetResult<Self> {
-        Self::connect_with_config(addr, ClientConfig::default())
-    }
-
-    /// [`connect`](Self::connect) with explicit tuning.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors if no connection can be established within
-    /// the retry budget.
-    pub fn connect_with_config(addr: impl Into<String>, config: ClientConfig) -> NetResult<Self> {
         let addr = addr.into();
         let salt = {
             use std::hash::{Hash, Hasher};
@@ -100,7 +75,6 @@ impl BrokerClient {
         };
         let mut client = BrokerClient {
             addr,
-            config,
             stream: None,
             epoch: 0,
             salt,
@@ -125,7 +99,7 @@ impl BrokerClient {
             return Ok(());
         }
         let stream = TcpStream::connect(&self.addr)?;
-        stream.set_read_timeout(Some(self.config.request_timeout))?;
+        stream.set_read_timeout(Some(REQUEST_TIMEOUT))?;
         stream.set_nodelay(true)?;
         self.stream = Some(stream);
         Ok(())
@@ -155,7 +129,7 @@ impl BrokerClient {
     }
 
     /// Sends `request` and returns the response, retrying transient
-    /// transport failures per the configured [`RetryPolicy`]. A
+    /// transport failures with capped, jittered exponential backoff. A
     /// server-reported error response becomes [`NetError::Broker`].
     ///
     /// # Errors
@@ -164,9 +138,8 @@ impl BrokerClient {
     /// errors (possibly wrapped in [`NetError::RetriesExhausted`])
     /// otherwise.
     pub fn request(&mut self, request: &Request) -> NetResult<Response> {
-        let retry = self.config.retry.clone();
         let salt = self.salt;
-        let response = retry.run(salt, |_| self.exchange(request))?;
+        let response = RetryPolicy::DEFAULT.run(salt, |_| self.exchange(request))?;
         match response {
             Response::Error {
                 code,
@@ -271,17 +244,6 @@ impl RemoteProducer {
     pub fn connect(addr: impl Into<String>) -> NetResult<Self> {
         Ok(RemoteProducer {
             client: BrokerClient::connect(addr)?,
-        })
-    }
-
-    /// [`connect`](Self::connect) with explicit tuning.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors.
-    pub fn connect_with_config(addr: impl Into<String>, config: ClientConfig) -> NetResult<Self> {
-        Ok(RemoteProducer {
-            client: BrokerClient::connect_with_config(addr, config)?,
         })
     }
 
@@ -393,29 +355,14 @@ impl RemoteConsumer {
         group: impl Into<String>,
         topics: &[&str],
     ) -> NetResult<Self> {
-        Self::connect_with_config(addr, group, topics, ClientConfig::default())
-    }
-
-    /// [`connect`](Self::connect) with explicit tuning.
-    ///
-    /// # Errors
-    ///
-    /// Broker or transport errors.
-    pub fn connect_with_config(
-        addr: impl Into<String>,
-        group: impl Into<String>,
-        topics: &[&str],
-        config: ClientConfig,
-    ) -> NetResult<Self> {
-        let max_poll_records = config.max_poll_records;
         let mut consumer = RemoteConsumer {
-            client: BrokerClient::connect_with_config(addr, config)?,
+            client: BrokerClient::connect(addr)?,
             group: group.into(),
             topics: topics.iter().map(|t| t.to_string()).collect(),
             positions: HashMap::new(),
             assignment: Vec::new(),
             synced_epoch: 0,
-            max_poll_records,
+            max_poll_records: MAX_POLL_RECORDS,
         };
         consumer.sync_positions()?;
         Ok(consumer)

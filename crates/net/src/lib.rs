@@ -12,8 +12,8 @@
 //!   TCP front end over an `Arc<Broker>` with graceful shutdown.
 //! - [`client`] — [`client::RemoteProducer`] / [`client::RemoteConsumer`],
 //!   mirroring the in-process `Producer` / `Consumer` APIs.
-//! - [`retry`] — bounded exponential backoff with jitter, shared by
-//!   the client reliability layer.
+//! - `retry` — bounded exponential backoff with jitter, the client
+//!   reliability layer's schedule.
 //! - [`error`] — transport error type, convertible from and into the
 //!   broker's [`strata_pubsub::Error`].
 
@@ -21,11 +21,10 @@ pub mod client;
 pub mod codec;
 pub mod error;
 pub mod protocol;
-pub mod retry;
+mod retry;
 pub mod server;
 
-pub use client::{BrokerClient, ClientConfig, RemoteConsumer, RemoteProducer};
+pub use client::{BrokerClient, RemoteConsumer, RemoteProducer};
 pub use error::{NetError, NetResult};
 pub use protocol::{ErrorCode, Request, Response};
-pub use retry::RetryPolicy;
-pub use server::{BrokerServer, ServerConfig};
+pub use server::BrokerServer;

@@ -13,7 +13,7 @@ use crate::error::{NetError, NetResult};
 /// server from the same binary still spread out (different salts),
 /// while a given client's schedule is reproducible in tests.
 #[derive(Debug, Clone)]
-pub struct RetryPolicy {
+pub(crate) struct RetryPolicy {
     max_attempts: u32,
     base_delay: Duration,
     max_delay: Duration,
@@ -22,48 +22,20 @@ pub struct RetryPolicy {
     jitter: f64,
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 5,
-            base_delay: Duration::from_millis(20),
-            max_delay: Duration::from_secs(2),
-            jitter: 0.25,
-        }
-    }
-}
-
 impl RetryPolicy {
-    /// A policy with the given attempt budget (≥ 1) and delays.
-    pub fn new(max_attempts: u32, base_delay: Duration, max_delay: Duration) -> Self {
-        RetryPolicy {
-            max_attempts: max_attempts.max(1),
-            base_delay,
-            max_delay: max_delay.max(base_delay),
-            jitter: 0.25,
-        }
-    }
-
-    /// A policy that never retries.
-    pub fn no_retries() -> Self {
-        RetryPolicy::new(1, Duration::ZERO, Duration::ZERO)
-    }
-
-    /// Sets the relative jitter amplitude (clamped to `[0, 1]`).
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
-        self.jitter = jitter.clamp(0.0, 1.0);
-        self
-    }
-
-    /// The attempt budget.
-    pub fn max_attempts(&self) -> u32 {
-        self.max_attempts
-    }
+    /// The schedule of every remote client: 5 attempts, delays from
+    /// 20 ms doubling up to 2 s, ±25 % jitter.
+    pub(crate) const DEFAULT: RetryPolicy = RetryPolicy {
+        max_attempts: 5,
+        base_delay: Duration::from_millis(20),
+        max_delay: Duration::from_secs(2),
+        jitter: 0.25,
+    };
 
     /// The backoff before retry number `attempt` (1-based: the delay
     /// after the first failure is `delay_for(1, _)`), jittered by a
     /// hash of `(salt, attempt)`.
-    pub fn delay_for(&self, attempt: u32, salt: u64) -> Duration {
+    fn delay_for(&self, attempt: u32, salt: u64) -> Duration {
         let exponent = attempt.saturating_sub(1).min(20);
         let raw = self
             .base_delay
@@ -89,7 +61,11 @@ impl RetryPolicy {
     /// The operation's own error when non-transient, or
     /// [`NetError::RetriesExhausted`] wrapping the last transient
     /// error once the budget is spent.
-    pub fn run<T>(&self, salt: u64, mut op: impl FnMut(u32) -> NetResult<T>) -> NetResult<T> {
+    pub(crate) fn run<T>(
+        &self,
+        salt: u64,
+        mut op: impl FnMut(u32) -> NetResult<T>,
+    ) -> NetResult<T> {
         let mut attempt = 0;
         loop {
             match op(attempt) {
@@ -114,10 +90,28 @@ impl RetryPolicy {
 mod tests {
     use super::*;
 
+    fn policy(
+        max_attempts: u32,
+        base_delay: Duration,
+        max_delay: Duration,
+        jitter: f64,
+    ) -> RetryPolicy {
+        RetryPolicy {
+            max_attempts,
+            base_delay,
+            max_delay,
+            jitter,
+        }
+    }
+
     #[test]
     fn delays_grow_and_cap() {
-        let policy = RetryPolicy::new(8, Duration::from_millis(10), Duration::from_millis(100))
-            .with_jitter(0.0);
+        let policy = policy(
+            8,
+            Duration::from_millis(10),
+            Duration::from_millis(100),
+            0.0,
+        );
         assert_eq!(policy.delay_for(1, 0), Duration::from_millis(10));
         assert_eq!(policy.delay_for(2, 0), Duration::from_millis(20));
         assert_eq!(policy.delay_for(3, 0), Duration::from_millis(40));
@@ -126,8 +120,7 @@ mod tests {
 
     #[test]
     fn jitter_stays_within_amplitude_and_varies_by_salt() {
-        let policy = RetryPolicy::new(4, Duration::from_millis(100), Duration::from_secs(1))
-            .with_jitter(0.5);
+        let policy = policy(4, Duration::from_millis(100), Duration::from_secs(1), 0.5);
         let base = Duration::from_millis(100);
         let mut distinct = std::collections::HashSet::new();
         for salt in 0..16u64 {
@@ -140,7 +133,7 @@ mod tests {
 
     #[test]
     fn run_retries_transient_until_success() {
-        let policy = RetryPolicy::new(5, Duration::ZERO, Duration::ZERO);
+        let policy = policy(5, Duration::ZERO, Duration::ZERO, 0.25);
         let mut calls = 0;
         let result = policy.run(0, |_| {
             calls += 1;
@@ -156,7 +149,7 @@ mod tests {
 
     #[test]
     fn run_stops_on_permanent_errors() {
-        let policy = RetryPolicy::new(5, Duration::ZERO, Duration::ZERO);
+        let policy = policy(5, Duration::ZERO, Duration::ZERO, 0.25);
         let mut calls = 0;
         let result: NetResult<()> = policy.run(0, |_| {
             calls += 1;
@@ -168,7 +161,7 @@ mod tests {
 
     #[test]
     fn run_exhausts_budget() {
-        let policy = RetryPolicy::new(3, Duration::ZERO, Duration::ZERO);
+        let policy = policy(3, Duration::ZERO, Duration::ZERO, 0.25);
         let result: NetResult<()> = policy.run(0, |_| Err(NetError::Disconnected));
         match result {
             Err(NetError::RetriesExhausted { attempts, last }) => {

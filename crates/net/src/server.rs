@@ -27,29 +27,17 @@ use crate::codec;
 use crate::error::{NetError, NetResult};
 use crate::protocol::{self, PartitionInfo, Request, Response, TopicInfo};
 
-/// Tuning knobs for a [`BrokerServer`].
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// How often idle handler threads wake to check the shutdown
-    /// flag. Bounds both shutdown latency and long-poll granularity.
-    pub idle_poll: Duration,
-    /// Server-side cap on a single fetch batch, applied on top of the
-    /// client's `max_records`. A batch is also cut short where its
-    /// response would pass [`codec::MAX_FRAME_BYTES`].
-    pub max_fetch_records: usize,
-    /// Server-side cap on a fetch's long-poll budget.
-    pub max_fetch_wait: Duration,
-}
+/// How often idle handler threads wake to check the shutdown flag.
+/// Bounds both shutdown latency and long-poll granularity.
+const IDLE_POLL: Duration = Duration::from_millis(100);
 
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            idle_poll: Duration::from_millis(100),
-            max_fetch_records: 10_000,
-            max_fetch_wait: Duration::from_secs(30),
-        }
-    }
-}
+/// Server-side cap on a single fetch batch, applied on top of the
+/// client's `max_records`. A batch is also cut short where its
+/// response would pass [`codec::MAX_FRAME_BYTES`].
+const MAX_FETCH_RECORDS: usize = 10_000;
+
+/// Server-side cap on a fetch's long-poll budget.
+const MAX_FETCH_WAIT: Duration = Duration::from_secs(30);
 
 /// A TCP front-end for a [`Broker`].
 ///
@@ -71,7 +59,6 @@ pub struct BrokerServer {
 
 struct Shared {
     broker: Broker,
-    config: ServerConfig,
     stop: AtomicBool,
     connections: AtomicU64,
     handlers: Mutex<Vec<JoinHandle<()>>>,
@@ -141,31 +128,17 @@ impl ServerMetrics {
 
 impl BrokerServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts
-    /// serving `broker` with default tuning.
+    /// serving `broker`.
     ///
     /// # Errors
     ///
     /// [`NetError::Io`] if the bind fails.
     pub fn bind(addr: impl ToSocketAddrs, broker: Broker) -> NetResult<Self> {
-        Self::bind_with_config(addr, broker, ServerConfig::default())
-    }
-
-    /// [`bind`](Self::bind) with explicit tuning.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Io`] if the bind fails.
-    pub fn bind_with_config(
-        addr: impl ToSocketAddrs,
-        broker: Broker,
-        config: ServerConfig,
-    ) -> NetResult<Self> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let metrics = ServerMetrics::new(broker.registry());
         let shared = Arc::new(Shared {
             broker,
-            config,
             stop: AtomicBool::new(false),
             connections: AtomicU64::new(0),
             handlers: Mutex::new(Vec::new()),
@@ -249,7 +222,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 
 fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
     // The read timeout doubles as the shutdown poll interval.
-    let _ = stream.set_read_timeout(Some(shared.config.idle_poll));
+    let _ = stream.set_read_timeout(Some(IDLE_POLL));
     let _ = stream.set_nodelay(true);
     // Failpoints `net.server.recv` / `net.server.send` can sever or
     // delay the connection at an exact byte boundary; transparent
@@ -345,7 +318,7 @@ fn serve(shared: &Shared, producer: &Producer, request: Request) -> Response {
 }
 
 /// A fetch with a long-poll budget: empty reads wait on the broker's
-/// append signal in `idle_poll` slices until data arrives, the budget
+/// append signal in [`IDLE_POLL`] slices until data arrives, the budget
 /// runs out, or the server stops.
 fn serve_fetch(
     shared: &Shared,
@@ -356,8 +329,8 @@ fn serve_fetch(
     max_wait_ms: u32,
 ) -> Result<Response, strata_pubsub::Error> {
     let broker = &shared.broker;
-    let max_records = (max_records as usize).min(shared.config.max_fetch_records);
-    let budget = Duration::from_millis(max_wait_ms as u64).min(shared.config.max_fetch_wait);
+    let max_records = (max_records as usize).min(MAX_FETCH_RECORDS);
+    let budget = Duration::from_millis(max_wait_ms as u64).min(MAX_FETCH_WAIT);
     let deadline = Instant::now() + budget;
     let mut seen = 0u64;
     loop {
@@ -372,7 +345,7 @@ fn serve_fetch(
         if now >= deadline || shared.stop.load(Ordering::SeqCst) {
             return Ok(Response::Records(vec![]));
         }
-        let wait = (deadline - now).min(shared.config.idle_poll);
+        let wait = (deadline - now).min(IDLE_POLL);
         broker.wait_for_appends(&mut seen, wait);
     }
 }

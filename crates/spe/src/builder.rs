@@ -18,7 +18,7 @@ use crate::operators::join::{Join, JoinInput};
 use crate::operators::router::{RoutePolicy, Router};
 use crate::operators::{Filter, FlatMap, Identity, Map};
 use crate::query::Query;
-use crate::runtime::{self, Inbound, Outlet, Ports};
+use crate::runtime::{self, Inbound, Outlet};
 use crate::sink::{CollectHandle, ElementSink, Sink};
 use crate::source::Source;
 use crate::time::Timestamped;
@@ -26,15 +26,17 @@ use crate::window::WindowSpec;
 
 static BUILDER_IDS: AtomicU64 = AtomicU64::new(1);
 
-/// A typed handle to the output stream of a node under construction.
+/// A typed handle to the output stream of a node under construction,
+/// or of the instances of a parallel stage: a run of `count` nodes
+/// starting at `first`, which a consumer reads as one stream.
 ///
 /// `Stream` is a lightweight copyable token; it is only valid with
 /// the [`QueryBuilder`] that created it (using it with another builder
 /// is reported as [`Error::InvalidQuery`] at
 /// [`build`](QueryBuilder::build) time).
 pub struct Stream<T> {
-    node: usize,
-    port: usize,
+    first: usize,
+    count: usize,
     builder: u64,
     _marker: PhantomData<fn() -> T>,
 }
@@ -42,8 +44,8 @@ pub struct Stream<T> {
 impl<T> std::fmt::Debug for Stream<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Stream")
-            .field("node", &self.node)
-            .field("port", &self.port)
+            .field("first", &self.first)
+            .field("count", &self.count)
             .finish()
     }
 }
@@ -63,7 +65,8 @@ type Factory = Box<
 
 struct NodeSpec {
     name: String,
-    senders: Box<dyn Any + Send>,
+    /// The node's `Vec<Outlet<T>>`, one outlet per consumer.
+    outlets: Box<dyn Any + Send>,
     factory: Factory,
     metrics: Arc<NodeMetrics>,
 }
@@ -163,14 +166,17 @@ impl QueryBuilder {
         }
     }
 
-    /// Attaches to stream `s` an outlet that feeds input `input` of
-    /// the inbox behind `inbox`, converting elements with `wrap`.
+    /// Gives each node of stream `s` one outlet feeding `inboxes`, the
+    /// `k`-th node on input `first_input + k`, converting elements with
+    /// `wrap`. Over several inboxes — the instances of a parallel stage
+    /// — each outlet routes items by its own copy of `policy`.
     fn connect<T, X>(
         &mut self,
         s: &Stream<T>,
-        inbox: &Sender<Inbound<X>>,
-        input: usize,
+        inboxes: &[Sender<Inbound<X>>],
+        first_input: usize,
         wrap: fn(Element<T>) -> Element<X>,
+        policy: Option<&RoutePolicy<T>>,
     ) where
         T: Clone + Send + Sync + 'static,
         X: Send + Sync + 'static,
@@ -181,12 +187,17 @@ impl QueryBuilder {
             ));
             return;
         }
-        match self.nodes[s.node].senders.downcast_mut::<Ports<T>>() {
-            Some(ports) => ports[s.port].push(Outlet::new(inbox.clone(), input, wrap)),
-            None => self.errors.push(Error::InvalidQuery(format!(
-                "stream type mismatch on node `{}`",
-                self.nodes[s.node].name
-            ))),
+        for (k, node) in self.nodes[s.first..s.first + s.count]
+            .iter_mut()
+            .enumerate()
+        {
+            let Some(outlets) = node.outlets.downcast_mut::<Vec<Outlet<T>>>() else {
+                let error = format!("stream type mismatch on node `{}`", node.name);
+                self.errors.push(Error::InvalidQuery(error));
+                return;
+            };
+            let router = policy.map(|p| Router::new(p.clone(), inboxes.len()));
+            outlets.push(Outlet::new(inboxes, first_input + k, wrap, router));
         }
     }
 
@@ -196,18 +207,13 @@ impl QueryBuilder {
         bounded(self.capacity * inputs)
     }
 
-    fn stream<T>(&self, node: usize, port: usize) -> Stream<T> {
+    fn stream<T>(&self, first: usize, count: usize) -> Stream<T> {
         Stream {
-            node,
-            port,
+            first,
+            count,
             builder: self.id,
             _marker: PhantomData,
         }
-    }
-
-    fn empty_ports<T: Clone + Send + Sync + 'static>(ports: usize) -> Box<dyn Any + Send> {
-        let p: Ports<T> = (0..ports).map(|_| Vec::new()).collect();
-        Box::new(p)
     }
 
     /// Adds a [`Source`] node; its stream carries whatever the source
@@ -222,15 +228,13 @@ impl QueryBuilder {
         let m = Arc::clone(&metrics);
         let node_name = name.clone();
         let (max_batch, batch_timeout) = (self.batch_size, self.batch_timeout);
-        let factory: Factory = Box::new(move |senders, stop, errors| {
-            let ports = *senders
-                .downcast::<Ports<S::Out>>()
-                .expect("source port type");
+        let factory: Factory = Box::new(move |outlets, stop, errors| {
+            let outlets = *outlets.downcast().expect("source outlet type");
             Box::new(move || {
                 runtime::run_source(
                     source,
                     node_name,
-                    ports,
+                    outlets,
                     stop,
                     m,
                     errors,
@@ -241,12 +245,12 @@ impl QueryBuilder {
         });
         self.nodes.push(NodeSpec {
             name,
-            senders: Self::empty_ports::<S::Out>(1),
+            outlets: Box::new(Vec::<Outlet<S::Out>>::new()),
             factory,
             metrics,
         });
         self.source_count += 1;
-        self.stream(self.nodes.len() - 1, 0)
+        self.stream(self.nodes.len() - 1, 1)
     }
 
     /// Adds a custom [`UnaryOperator`] node — the escape hatch behind
@@ -264,44 +268,35 @@ impl QueryBuilder {
         O: Clone + Send + Sync + 'static,
         Op: UnaryOperator<I, O> + 'static,
     {
-        let node = self.node(name.into(), std::slice::from_ref(input), op, None, 1);
-        self.stream(node, 0)
+        self.node(name.into(), std::slice::from_ref(input), op)
     }
 
-    /// Adds a node running `op` whose inputs are `inputs`, in order,
-    /// with `ports` output ports (a router picks among them); returns
-    /// the node's index.
-    fn node<I, O, Op>(
-        &mut self,
-        name: String,
-        inputs: &[Stream<I>],
-        op: Op,
-        router: Option<Router<O>>,
-        ports: usize,
-    ) -> usize
+    /// Adds a node running `op` whose inputs are `inputs`, in order:
+    /// one input per node of each stream.
+    fn node<I, O, Op>(&mut self, name: String, inputs: &[Stream<I>], op: Op) -> Stream<O>
     where
         I: Clone + Send + Sync + 'static,
         O: Clone + Send + Sync + 'static,
         Op: UnaryOperator<I, O> + 'static,
     {
-        let (tx, inbox) = self.inbox(inputs.len());
-        for (input, s) in inputs.iter().enumerate() {
-            self.connect(s, &tx, input, |e| e);
+        let (tx, inbox) = self.inbox(inputs.iter().map(|s| s.count).sum());
+        let mut first_input = 0;
+        for s in inputs {
+            self.connect(s, std::slice::from_ref(&tx), first_input, |e| e, None);
+            first_input += s.count;
         }
-        self.add_node(name, inbox, inputs.len(), op, router, ports)
+        self.add_node(name, inbox, first_input, op)
     }
 
     /// Registers a node that runs `op` over `inbox`, fed by `inputs`
-    /// upstream outlets; returns the node's index.
+    /// upstream outlets.
     fn add_node<I, O, Op>(
         &mut self,
         name: String,
         inbox: Receiver<Inbound<I>>,
         inputs: usize,
         op: Op,
-        router: Option<Router<O>>,
-        ports: usize,
-    ) -> usize
+    ) -> Stream<O>
     where
         I: Clone + Send + Sync + 'static,
         O: Clone + Send + Sync + 'static,
@@ -311,17 +306,17 @@ impl QueryBuilder {
         let metrics = Arc::new(NodeMetrics::new(name.clone()));
         let m = Arc::clone(&metrics);
         let max_batch = self.batch_size;
-        let factory: Factory = Box::new(move |senders, _stop, _errors| {
-            let ports = *senders.downcast::<Ports<O>>().expect("node port type");
-            Box::new(move || runtime::run_node(op, inbox, inputs, router, ports, m, max_batch))
+        let factory: Factory = Box::new(move |outlets, _stop, _errors| {
+            let outlets = *outlets.downcast().expect("node outlet type");
+            Box::new(move || runtime::run_node(op, inbox, inputs, outlets, m, max_batch))
         });
         self.nodes.push(NodeSpec {
             name,
-            senders: Self::empty_ports::<O>(ports),
+            outlets: Box::new(Vec::<Outlet<O>>::new()),
             factory,
             metrics,
         });
-        self.nodes.len() - 1
+        self.stream(self.nodes.len() - 1, 1)
     }
 
     /// Adds a `Map` node: exactly one output per input.
@@ -406,12 +401,13 @@ impl QueryBuilder {
         K: std::hash::Hash + Eq + Clone + Send + 'static,
         O: Clone + Send + Sync + 'static,
     {
-        let (tx, inbox) = self.inbox(2);
-        self.connect(left, &tx, 0, |e| e.map(JoinInput::Left));
-        self.connect(right, &tx, 1, |e| e.map(JoinInput::Right));
+        let inputs = left.count + right.count;
+        let (tx, inbox) = self.inbox(inputs);
+        let tx = std::slice::from_ref(&tx);
+        self.connect(left, tx, 0, |e| e.map(JoinInput::Left), None);
+        self.connect(right, tx, left.count, |e| e.map(JoinInput::Right), None);
         let op = Join::new(ws_millis, key_left, key_right, join_fn);
-        let node = self.add_node(name.into(), inbox, 2, op, None, 1);
-        self.stream(node, 0)
+        self.add_node(name.into(), inbox, inputs, op)
     }
 
     /// Adds a `Union` node merging homogeneous streams; watermarks
@@ -425,49 +421,16 @@ impl QueryBuilder {
                 "union requires at least one input stream".into(),
             ));
         }
-        let node = self.node(name.into(), inputs, Identity::new(), None, 1);
-        self.stream(node, 0)
+        self.node(name.into(), inputs, Identity::new())
     }
 
-    /// Adds a router node distributing items over `ports` output
-    /// streams according to `policy`; watermarks and end-of-stream
-    /// reach every port. Used to build parallel operator instances —
-    /// see [`parallel_operator`](Self::parallel_operator).
-    pub fn route<T>(
-        &mut self,
-        name: impl Into<String>,
-        input: &Stream<T>,
-        ports: usize,
-        policy: RoutePolicy<T>,
-    ) -> Vec<Stream<T>>
-    where
-        T: Clone + Send + Sync + 'static,
-    {
-        let name = name.into();
-        let ports = if ports == 0 {
-            self.errors.push(Error::InvalidConfig(
-                "route requires at least one output port".into(),
-            ));
-            1
-        } else {
-            ports
-        };
-        let router = Router::new(policy, ports);
-        let node = self.node(
-            name,
-            std::slice::from_ref(input),
-            Identity::new(),
-            Some(router),
-            ports,
-        );
-        (0..ports).map(|p| self.stream(node, p)).collect()
-    }
-
-    /// Runs `parallelism` instances of a unary operator side by side:
-    /// items are routed by `policy`, each instance is produced by
-    /// `op_factory(instance_index)`, and the instance outputs are
-    /// merged back into a single stream. A single instance needs no
-    /// routing: it is one node called `name`, like
+    /// Runs `parallelism` instances of a unary operator side by side,
+    /// as the nodes `name.0` … `name.{parallelism-1}`, each produced by
+    /// `op_factory(instance_index)`. Every upstream node routes its
+    /// items over the instances by its own copy of `policy`, and the
+    /// returned stream names all the instances: a consumer reads them
+    /// as one stream, merging their watermarks. A single instance needs
+    /// no routing: it is one node called `name`, like
     /// [`operator`](Self::operator).
     ///
     /// For stateful operators use [`RoutePolicy::by_key`] with the
@@ -496,13 +459,14 @@ impl QueryBuilder {
         if parallelism == 1 {
             return self.operator(name, input, op_factory(0));
         }
-        let routed = self.route(format!("{name}.route"), input, parallelism, policy);
-        let instances: Vec<Stream<O>> = routed
-            .iter()
-            .enumerate()
-            .map(|(i, s)| self.operator(format!("{name}.{i}"), s, op_factory(i)))
-            .collect();
-        self.union(format!("{name}.merge"), &instances)
+        let (senders, inboxes): (Vec<_>, Vec<_>) =
+            (0..parallelism).map(|_| self.inbox(input.count)).unzip();
+        self.connect(input, &senders, 0, |e| e, Some(&policy));
+        let first = self.nodes.len();
+        for (i, inbox) in inboxes.into_iter().enumerate() {
+            self.add_node::<I, O, Op>(format!("{name}.{i}"), inbox, input.count, op_factory(i));
+        }
+        self.stream(first, parallelism)
     }
 
     /// Adds a sink node invoking `f` on every item it receives.
@@ -514,7 +478,7 @@ impl QueryBuilder {
     ) where
         T: Clone + Send + Sync + 'static,
     {
-        self.node(name.into(), std::slice::from_ref(input), Sink(f), None, 0);
+        self.node::<T, (), _>(name.into(), std::slice::from_ref(input), Sink(f));
         self.sink_count += 1;
     }
 
@@ -530,13 +494,7 @@ impl QueryBuilder {
     ) where
         T: Clone + Send + Sync + 'static,
     {
-        self.node(
-            name.into(),
-            std::slice::from_ref(input),
-            ElementSink(f),
-            None,
-            0,
-        );
+        self.node::<T, (), _>(name.into(), std::slice::from_ref(input), ElementSink(f));
         self.sink_count += 1;
     }
 
@@ -581,7 +539,7 @@ impl QueryBuilder {
         let mut metrics = Vec::with_capacity(self.nodes.len());
         for node in self.nodes {
             metrics.push(Arc::clone(&node.metrics));
-            let worker = (node.factory)(node.senders, Arc::clone(&stop), Arc::clone(&errors));
+            let worker = (node.factory)(node.outlets, Arc::clone(&stop), Arc::clone(&errors));
             workers.push((node.name, worker));
         }
         Ok(Query::new(self.name, workers, stop, metrics, errors))
@@ -636,12 +594,12 @@ mod tests {
     }
 
     #[test]
-    fn rejects_zero_parallelism_and_ports() {
+    fn rejects_zero_parallelism() {
         let mut qb = QueryBuilder::new("zero");
         let s = qb.source("s", IteratorSource::new(0..3));
-        let streams = qb.route("r", &s, 0, RoutePolicy::RoundRobin);
-        assert_eq!(streams.len(), 1, "clamped to one port");
-        let _ = qb.collect_sink("out", &streams[0]);
+        let instances = qb.parallel_operator("p", &s, 0, RoutePolicy::RoundRobin, |_| Identity);
+        assert_eq!(instances.count, 1, "clamped to one instance");
+        let _ = qb.collect_sink("out", &instances);
         assert!(matches!(qb.build(), Err(Error::InvalidConfig(_))));
     }
 

@@ -7,7 +7,7 @@ use crate::operator::UnaryOperator;
 /// A `Union` node is an `Identity` operator with several inputs: the
 /// node's inbox already merges items and the worker tracks the minimum
 /// watermark across inputs, so merging requires no operator logic at
-/// all. A router node is an `Identity` too; only its flush differs.
+/// all.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Identity;
 

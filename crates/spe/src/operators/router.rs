@@ -1,24 +1,36 @@
-//! Routing policies for building parallel operator instances.
+//! Routing policies for parallel operator instances.
 //!
 //! STRATA exploits the disjointness of specimen/portion analysis to
-//! run event detection in parallel (§4 of the paper). The engine
-//! supports this with *router* nodes: a router forwards each item to
-//! exactly one of its output ports (watermarks and end-of-stream go
-//! to every port), and a downstream merge node re-unifies the
-//! parallel outputs while tracking per-input watermarks.
+//! run event detection in parallel (§4 of the paper). A parallel stage
+//! is just its instances: each upstream node sends every item to the
+//! one instance its router picks, and watermarks and end-of-stream to
+//! all of them.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
-/// Decides which output port an item is routed to.
+/// Decides which instance of a parallel stage an item is routed to.
+///
+/// Cloning a policy shares its key function, so every upstream node
+/// of a stage routes a key to the same instance.
 pub enum RoutePolicy<T> {
-    /// Cycle through the ports: item `k` goes to port `k mod n`.
-    /// Only safe for stateless downstream operators.
+    /// Cycle through the instances: item `k` of each upstream node goes
+    /// to instance `k mod n`. Only safe for stateless operators.
     RoundRobin,
     /// Route by a key extracted from the item, so that all items with
-    /// the same key share a port — required for keyed stateful
-    /// downstream operators.
-    ByKey(Box<dyn FnMut(&T) -> u64 + Send>),
+    /// the same key share an instance — required for keyed stateful
+    /// operators.
+    ByKey(Arc<dyn Fn(&T) -> u64 + Send + Sync>),
+}
+
+impl<T> Clone for RoutePolicy<T> {
+    fn clone(&self) -> Self {
+        match self {
+            RoutePolicy::RoundRobin => RoutePolicy::RoundRobin,
+            RoutePolicy::ByKey(f) => RoutePolicy::ByKey(Arc::clone(f)),
+        }
+    }
 }
 
 impl<T> std::fmt::Debug for RoutePolicy<T> {
@@ -37,8 +49,8 @@ impl<T> RoutePolicy<T> {
     /// use strata_spe::operators::RoutePolicy;
     /// let policy = RoutePolicy::by_key(|s: &String| s.len());
     /// ```
-    pub fn by_key<K: Hash>(mut key_fn: impl FnMut(&T) -> K + Send + 'static) -> Self {
-        RoutePolicy::ByKey(Box::new(move |item| {
+    pub fn by_key<K: Hash>(key_fn: impl Fn(&T) -> K + Send + Sync + 'static) -> Self {
+        RoutePolicy::ByKey(Arc::new(move |item| {
             let mut hasher = DefaultHasher::new();
             key_fn(item).hash(&mut hasher);
             hasher.finish()
@@ -46,7 +58,8 @@ impl<T> RoutePolicy<T> {
     }
 }
 
-/// Runtime state of a router node: applies the policy to pick ports.
+/// Runtime state of a routed outlet: applies the policy to pick an
+/// instance.
 #[derive(Debug)]
 pub(crate) struct Router<T> {
     policy: RoutePolicy<T>,
@@ -64,9 +77,9 @@ impl<T> Router<T> {
         }
     }
 
-    /// The output port for `item`.
+    /// The instance for `item`.
     pub(crate) fn route(&mut self, item: &T) -> usize {
-        match &mut self.policy {
+        match &self.policy {
             RoutePolicy::RoundRobin => {
                 let port = self.next;
                 self.next = (self.next + 1) % self.ports;

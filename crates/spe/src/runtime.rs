@@ -5,11 +5,13 @@
 //! # One inbox, one loop
 //!
 //! Every non-source node owns a single bounded inbox of
-//! `(input, Element)` pairs. Each upstream port holds an [`Outlet`]: the
-//! inbox's sender plus the index of the input it feeds. One generic
-//! loop, [`run_node`], drives every node kind: unary operators, unions,
-//! joins (a unary operator over left/right-tagged items), routers (whose
-//! flush picks a port per item) and sinks (operators without ports).
+//! `(input, Element)` pairs. Each upstream node holds one [`Outlet`] per
+//! consumer: the consumer's inbox sender plus the index of the input it
+//! feeds — or, for a parallel stage, one sender per instance and a
+//! router that picks an instance per item. One generic loop,
+//! [`run_node`], drives every node kind: unary operators, unions, joins
+//! (a unary operator over left/right-tagged items), parallel instances
+//! and sinks (operators without outlets).
 //!
 //! Data is always a [`Batch`]; a single item is a batch of one. Each
 //! wakeup drains up to `max_batch` buffered items, invokes the operator
@@ -43,40 +45,77 @@ use crate::time::Timestamp;
 /// arrived on, and the element.
 pub(crate) type Inbound<T> = (usize, Element<T>);
 
-/// The sending end of one input of a downstream node: the node's inbox
-/// plus the input index, and the conversion into the inbox's element
-/// type (the identity everywhere except on the two sides of a join).
+/// The sending end of one input of a downstream stage: the inbox of
+/// each of its instances (one, unless the stage is parallel) plus the
+/// input index, and the conversion into the inbox's element type (the
+/// identity everywhere except on the two sides of a join). Into a
+/// parallel stage a [`Router`] picks each item's instance, in arrival
+/// order, so routing is the same at every batch size; watermarks and
+/// end-of-stream reach every instance.
 ///
 /// Dropping an outlet sends `End` on its input. A node therefore closes
 /// its outputs by returning — whether it finished, lost its consumers
 /// or panicked — and every input of a downstream node closes exactly
 /// once, just as a disconnected channel would.
 pub(crate) struct Outlet<T> {
-    send: Box<dyn Fn(Element<T>) -> bool + Send>,
+    inboxes: Vec<Box<dyn Fn(Element<T>) -> bool + Send>>,
+    router: Option<Router<T>>,
 }
 
 impl<T: 'static> Outlet<T> {
+    /// An outlet feeding input `input` of every inbox in `inboxes`;
+    /// `router` picks among them, and is `None` for a single inbox.
     pub(crate) fn new<X: Send + Sync + 'static>(
-        inbox: Sender<Inbound<X>>,
+        inboxes: &[Sender<Inbound<X>>],
         input: usize,
         wrap: fn(Element<T>) -> Element<X>,
+        router: Option<Router<T>>,
     ) -> Self {
-        Outlet {
-            send: Box::new(move |element| inbox.send((input, wrap(element))).is_ok()),
-        }
+        let inboxes = inboxes
+            .iter()
+            .map(|inbox| {
+                let inbox = inbox.clone();
+                Box::new(move |element| inbox.send((input, wrap(element))).is_ok()) as Box<_>
+            })
+            .collect();
+        Outlet { inboxes, router }
     }
 }
 
-impl<T> Outlet<T> {
-    /// Sends `element`; `false` once the downstream node is gone.
-    fn send(&self, element: Element<T>) -> bool {
-        (self.send)(element)
+impl<T: Clone> Outlet<T> {
+    /// Sends `element`; `false` once an inbox it sent to is gone. A
+    /// gone instance does not stop the others from getting their share.
+    fn send(&mut self, element: Element<T>) -> bool {
+        let mut ok = true;
+        match (&mut self.router, element) {
+            (Some(router), Element::Batch(batch)) => {
+                let mut split: Vec<Vec<T>> = self.inboxes.iter().map(|_| Vec::new()).collect();
+                for item in batch.into_vec() {
+                    split[router.route(&item)].push(item);
+                }
+                for (items, send) in split.into_iter().zip(&self.inboxes) {
+                    if !items.is_empty() {
+                        ok &= send(Element::Batch(Batch::new(items)));
+                    }
+                }
+            }
+            (_, element) => {
+                let (last, rest) = self.inboxes.split_last().expect("an outlet feeds an inbox");
+                for send in rest {
+                    ok &= send(element.clone());
+                }
+                ok &= last(element);
+            }
+        }
+        ok
     }
 }
 
 impl<T> Drop for Outlet<T> {
     fn drop(&mut self) {
-        self.send(Element::End);
+        for send in &self.inboxes {
+            send(Element::End);
+        }
     }
 }
 
@@ -86,19 +125,13 @@ impl<T> std::fmt::Debug for Outlet<T> {
     }
 }
 
-/// Output ports of a node: `ports[p]` holds the outlets attached to
-/// port `p`. Ordinary nodes have one port and broadcast to every outlet
-/// on it; a router sends each item to exactly one port; sinks have no
-/// ports.
-pub(crate) type Ports<T> = Vec<Vec<Outlet<T>>>;
-
-/// Sends `element` to every outlet of a port: a clone to the first N−1,
-/// the original — by move — into the last, so the sole consumer of a
-/// stream never pays for a clone. Returns `false` when the port has
-/// outlets and none accepted (its consumers are gone); a port nobody
-/// consumes never fails.
-pub(crate) fn broadcast<T: Clone>(port: &[Outlet<T>], element: Element<T>) -> bool {
-    let Some((last, rest)) = port.split_last() else {
+/// Sends `element` to every outlet of a node: a clone to the first
+/// N−1, the original — by move — into the last, so the sole consumer
+/// of a stream never pays for a clone. Returns `false` when the node
+/// has outlets and none accepted (its consumers are gone); a stream
+/// nobody consumes never fails.
+pub(crate) fn broadcast<T: Clone>(outlets: &mut [Outlet<T>], element: Element<T>) -> bool {
+    let Some((last, rest)) = outlets.split_last_mut() else {
         return true;
     };
     let mut alive = false;
@@ -108,34 +141,13 @@ pub(crate) fn broadcast<T: Clone>(port: &[Outlet<T>], element: Element<T>) -> bo
     last.send(element) || alive
 }
 
-/// Sends `items` to one port as shared batches of at most `max_batch`
-/// items. The items are moved into their chunks, so a flush costs
-/// O(items) whatever the number of chunks.
-fn send_chunked<T: Clone>(port: &[Outlet<T>], items: Vec<T>, max_batch: usize) -> bool {
-    if items.len() <= max_batch {
-        return broadcast(port, Element::Batch(Batch::new(items)));
-    }
-    let mut items = items.into_iter();
-    loop {
-        let chunk: Vec<T> = items.by_ref().take(max_batch).collect();
-        if chunk.is_empty() {
-            return true;
-        }
-        if !broadcast(port, Element::Batch(Batch::new(chunk))) {
-            return false;
-        }
-    }
-}
-
-/// Sends a wakeup's outputs downstream and records them. A router
-/// picks each item's port, in arrival order, so routing decisions are
-/// the same at every batch size; every other node sends everything to
-/// its single port. Returns `false` when a port that was sent data has
-/// lost all its consumers.
+/// Sends a wakeup's outputs downstream as shared batches of at most
+/// `max_batch` items, and records them. The items are moved into their
+/// chunks, so a flush costs O(items) whatever the number of chunks.
+/// Returns `false` when the node's consumers are gone.
 fn flush<O: Clone>(
     out: &mut Vec<O>,
-    ports: &Ports<O>,
-    router: &mut Option<Router<O>>,
+    outlets: &mut [Outlet<O>],
     metrics: &NodeMetrics,
     max_batch: usize,
 ) -> bool {
@@ -144,17 +156,19 @@ fn flush<O: Clone>(
     }
     metrics.record_out(out.len() as u64);
     let items = std::mem::take(out);
-    let Some(router) = router else {
-        return send_chunked(&ports[0], items, max_batch);
-    };
-    let mut by_port: Vec<Vec<O>> = ports.iter().map(|_| Vec::new()).collect();
-    for item in items {
-        by_port[router.route(&item)].push(item);
+    if items.len() <= max_batch {
+        return broadcast(outlets, Element::Batch(Batch::new(items)));
     }
-    by_port
-        .into_iter()
-        .zip(ports)
-        .all(|(items, port)| items.is_empty() || send_chunked(port, items, max_batch))
+    let mut items = items.into_iter();
+    loop {
+        let chunk: Vec<O> = items.by_ref().take(max_batch).collect();
+        if chunk.is_empty() {
+            return true;
+        }
+        if !broadcast(outlets, Element::Batch(Batch::new(chunk))) {
+            return false;
+        }
+    }
 }
 
 /// Tracks the watermark of each input and exposes the combined
@@ -237,15 +251,14 @@ fn drain<T: Clone>(
 
 /// The worker loop of every non-source node. `inputs` is the number of
 /// upstream outlets feeding `inbox`; the node ends once each of them
-/// has sent `End`, and returns early when a send finds a port's
-/// consumers gone. Returning drops `ports`, which ends every
-/// downstream input this node feeds.
+/// has sent `End`, and returns early when a send finds its consumers
+/// gone. Returning drops `outlets`, which ends every downstream input
+/// this node feeds.
 pub(crate) fn run_node<I, O, Op>(
     mut op: Op,
     inbox: Receiver<Inbound<I>>,
     inputs: usize,
-    mut router: Option<Router<O>>,
-    ports: Ports<O>,
+    mut outlets: Vec<Outlet<O>>,
     metrics: Arc<NodeMetrics>,
     max_batch: usize,
 ) where
@@ -296,18 +309,14 @@ pub(crate) fn run_node<I, O, Op>(
         if let Some(wm) = watermark {
             op.on_watermark(wm, &mut out);
         }
-        let alive = flush(&mut out, &ports, &mut router, &metrics, max_batch)
-            && watermark.is_none_or(|wm| {
-                ports
-                    .iter()
-                    .all(|port| broadcast(port, Element::Watermark(wm)))
-            });
+        let alive = flush(&mut out, &mut outlets, &metrics, max_batch)
+            && watermark.is_none_or(|wm| broadcast(&mut outlets, Element::Watermark(wm)));
         if !alive {
             return;
         }
     }
     op.on_end(&mut out);
-    flush(&mut out, &ports, &mut router, &metrics, max_batch);
+    flush(&mut out, &mut outlets, &metrics, max_batch);
 }
 
 /// The worker loop for source nodes: runs the user source, then
@@ -316,7 +325,7 @@ pub(crate) fn run_node<I, O, Op>(
 pub(crate) fn run_source<S>(
     mut source: S,
     name: String,
-    ports: Ports<S::Out>,
+    outlets: Vec<Outlet<S::Out>>,
     stop: Arc<AtomicBool>,
     metrics: Arc<NodeMetrics>,
     errors: Arc<Mutex<Vec<Error>>>,
@@ -325,8 +334,7 @@ pub(crate) fn run_source<S>(
 ) where
     S: Source,
 {
-    let outputs: Vec<Outlet<S::Out>> = ports.into_iter().flatten().collect();
-    let mut ctx = SourceContext::new(outputs, stop, metrics, max_batch, batch_timeout);
+    let mut ctx = SourceContext::new(outlets, stop, metrics, max_batch, batch_timeout);
     if let Err(reason) = source.run(&mut ctx) {
         errors
             .lock()
@@ -344,7 +352,7 @@ mod tests {
     /// An outlet feeding input 0 of a fresh inbox, and that inbox.
     fn outlet<T: Send + Sync + 'static>(capacity: usize) -> (Outlet<T>, Receiver<Inbound<T>>) {
         let (tx, rx) = bounded(capacity);
-        (Outlet::new(tx, 0, |e| e), rx)
+        (Outlet::new(&[tx], 0, |e| e, None), rx)
     }
 
     fn batch<T>(items: Vec<T>) -> Element<T> {
@@ -405,9 +413,10 @@ mod tests {
         let clones = Arc::new(AtomicUsize::new(0));
         for consumers in 1..=4usize {
             clones.store(0, Ordering::Relaxed);
-            let (port, inboxes): (Vec<_>, Vec<_>) = (0..consumers).map(|_| outlet(4)).unzip();
+            let (mut outlets, inboxes): (Vec<_>, Vec<_>) =
+                (0..consumers).map(|_| outlet(4)).unzip();
             assert!(broadcast(
-                &port,
+                &mut outlets,
                 batch(vec![CloneCounter(Arc::clone(&clones))])
             ));
             // The consumers share one `Arc`'d batch; each one that
@@ -435,7 +444,7 @@ mod tests {
             CloneCounter(Arc::clone(&clones)),
             CloneCounter(Arc::clone(&clones)),
         ];
-        assert!(broadcast(&[a, b], batch(items)));
+        assert!(broadcast(&mut [a, b], batch(items)));
         // Two outlets share one Arc'd batch: zero item clones on the
         // way out...
         assert_eq!(clones.load(Ordering::Relaxed), 0);
@@ -453,17 +462,44 @@ mod tests {
     #[test]
     fn dropping_an_outlet_ends_its_input() {
         let (tx, rx) = bounded::<Inbound<u8>>(4);
-        let outlet = Outlet::new(tx, 3, |e| e);
+        let mut outlet = Outlet::new(&[tx], 3, |e| e, None);
         assert!(outlet.send(batch(vec![1])));
         drop(outlet);
         let got: Vec<Inbound<u8>> = rx.iter().collect();
         assert_eq!(got, vec![(3, batch(vec![1])), (3, Element::End)]);
     }
 
+    /// Into a parallel stage an outlet splits each batch over the
+    /// instances, broadcasts control markers, reports a gone instance,
+    /// and still hands the live instances their share.
+    #[test]
+    fn a_routed_outlet_splits_batches_and_broadcasts_markers() {
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..2).map(|_| bounded(8)).unzip();
+        let router = Router::new(crate::operators::RoutePolicy::RoundRobin, 2);
+        let mut outlet = Outlet::new(&txs, 1, |e| e, Some(router));
+        assert!(outlet.send(batch(vec![0, 1, 2])));
+        assert!(outlet.send(Element::Watermark(Timestamp::from_millis(7))));
+        let [rx0, rx1] = <[Receiver<Inbound<u8>>; 2]>::try_from(rxs).unwrap();
+        drop(rx1);
+        assert!(!outlet.send(batch(vec![3, 4])), "instance 1 is gone");
+        drop(outlet);
+        let got: Vec<Inbound<u8>> = rx0.try_iter().collect();
+        assert_eq!(
+            got,
+            vec![
+                (1, batch(vec![0, 2])),
+                (1, Element::Watermark(Timestamp::from_millis(7))),
+                (1, batch(vec![4])),
+                (1, Element::End),
+            ]
+        );
+    }
+
     #[test]
     fn chunking_moves_items_into_batches_of_at_most_max_batch() {
         let (port, inbox) = outlet(16);
-        assert!(send_chunked(&[port], (0..10).collect(), 4));
+        let metrics = NodeMetrics::new("chunks");
+        assert!(flush(&mut (0..10).collect(), &mut [port], &metrics, 4));
         let got: Vec<Element<u32>> = inbox.iter().map(|(_, e)| e).collect();
         assert_eq!(
             got,
@@ -600,8 +636,7 @@ mod tests {
                 crate::operators::Identity::new(),
                 inbox,
                 2,
-                None,
-                vec![vec![out]],
+                vec![out],
                 metrics,
                 1,
             );

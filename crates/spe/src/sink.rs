@@ -1,5 +1,5 @@
 //! Sinks: the exit points of a continuous query. A sink node is an
-//! operator with no output ports.
+//! operator with no outlets.
 
 use std::sync::Arc;
 

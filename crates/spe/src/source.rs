@@ -127,7 +127,7 @@ impl<T: Clone> SourceContext<T> {
     }
 
     fn broadcast(&mut self, element: Element<T>) -> bool {
-        let alive = !self.outputs.is_empty() && runtime::broadcast(&self.outputs, element);
+        let alive = !self.outputs.is_empty() && runtime::broadcast(&mut self.outputs, element);
         if !alive {
             self.disconnected = true;
         }
@@ -317,7 +317,7 @@ mod tests {
     ) -> (SourceContext<T>, Receiver<Inbound<T>>) {
         let (tx, rx) = bounded(cap);
         let ctx = SourceContext::new(
-            vec![Outlet::new(tx, 0, |e| e)],
+            vec![Outlet::new(&[tx], 0, |e| e, None)],
             Arc::new(AtomicBool::new(false)),
             Arc::new(NodeMetrics::new("test")),
             max_batch,
@@ -425,7 +425,7 @@ mod tests {
         let (tx, rx) = bounded(1024);
         let stop = Arc::new(AtomicBool::new(true));
         let mut ctx = SourceContext::new(
-            vec![Outlet::new(tx, 0, |e| e)],
+            vec![Outlet::new(&[tx], 0, |e| e, None)],
             stop,
             Arc::new(NodeMetrics::new("s")),
             1,

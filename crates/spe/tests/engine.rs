@@ -100,21 +100,13 @@ fn union_merges_streams_and_watermarks() {
 #[test]
 fn parallel_operator_preserves_all_items() {
     let n = 10_000u64;
-    // One instance is a single node with no route or merge relay.
+    // A parallel stage is just its instances: one node at parallelism
+    // 1, and no route or merge relay at any parallelism.
     let graphs: [(usize, &[&str]); 2] = [
         (1, &["src", "double", "out"]),
         (
             4,
-            &[
-                "src",
-                "double.route",
-                "double.0",
-                "double.1",
-                "double.2",
-                "double.3",
-                "double.merge",
-                "out",
-            ],
+            &["src", "double.0", "double.1", "double.2", "double.3", "out"],
         ),
     ];
     for (parallelism, nodes) in graphs {
@@ -176,6 +168,119 @@ fn keyed_routing_keeps_groups_together() {
         .map(|k| (k, (0..1_000u64).filter(|i| i % 7 == k as u64).count()))
         .collect();
     assert_eq!(got, expected);
+}
+
+/// A round-robin parallel stage feeding a keyed parallel aggregate is
+/// just the instances of both stages. Every upstream instance routes by
+/// its own copy of the key policy, so key groups stay whole, and every
+/// consumer merges the watermarks of the instances it reads, so each
+/// window closes while the source is still open.
+#[test]
+fn parallel_stages_chain_without_relay_nodes() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    const ITEMS: u64 = 1_000;
+    const KEYS: u64 = 7;
+    const WINDOW_MS: u64 = 100;
+
+    struct HeldOpen {
+        release: Arc<AtomicBool>,
+    }
+    impl strata_spe::Source for HeldOpen {
+        type Out = Event;
+        fn run(&mut self, ctx: &mut SourceContext<Event>) -> std::result::Result<(), String> {
+            for i in 0..ITEMS {
+                ctx.emit(Event {
+                    ts: i,
+                    key: (i % KEYS) as u32,
+                    value: i as i64,
+                });
+                ctx.emit_watermark(Timestamp::from_millis(i));
+            }
+            ctx.emit_watermark(Timestamp::from_millis(ITEMS + WINDOW_MS));
+            while !self.release.load(Ordering::Relaxed) && !ctx.should_stop() {
+                std::thread::yield_now();
+            }
+            Ok(())
+        }
+    }
+
+    let release = Arc::new(AtomicBool::new(false));
+    let mut qb = QueryBuilder::new("chained");
+    let src = qb.source(
+        "src",
+        HeldOpen {
+            release: Arc::clone(&release),
+        },
+    );
+    let passed = qb.parallel_operator("pass", &src, 3, RoutePolicy::RoundRobin, |_| {
+        strata_spe::operators::Map::new(|e: Event| e)
+    });
+    let windows = qb.parallel_operator(
+        "count",
+        &passed,
+        2,
+        RoutePolicy::by_key(|e: &Event| e.key),
+        |_| {
+            strata_spe::operators::Aggregate::new(
+                WindowSpec::tumbling(WINDOW_MS).unwrap(),
+                |e: &Event| e.key,
+                |key: &u32, bounds, items: &[Event]| {
+                    let values: Vec<i64> = items.iter().map(|e| e.value).collect();
+                    vec![(*key, bounds.index, values)]
+                },
+            )
+        },
+    );
+    let out = qb.collect_sink("out", &windows);
+    let running = qb.build().unwrap().run();
+
+    // Every (key, window) pair closes on watermarks alone: the source
+    // is still open until the test releases it.
+    let expected_windows = (KEYS * ITEMS / WINDOW_MS) as usize;
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while out.len() < expected_windows {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "only {} of {expected_windows} windows closed before end-of-stream",
+            out.len()
+        );
+        std::thread::yield_now();
+    }
+    release.store(true, Ordering::Relaxed);
+    let metrics = running.join().unwrap();
+
+    let results = out.take();
+    // A split key group would close the same (key, window) twice.
+    assert_eq!(results.len(), expected_windows);
+    let mut groups: Vec<(u32, u64)> = results.iter().map(|(k, w, _)| (*k, *w)).collect();
+    groups.sort_unstable();
+    groups.dedup();
+    assert_eq!(
+        groups.len(),
+        expected_windows,
+        "every key group stays whole"
+    );
+    for (key, window, values) in &results {
+        assert!(values
+            .iter()
+            .all(|&v| v as u64 % KEYS == u64::from(*key) && v as u64 / WINDOW_MS == *window));
+    }
+    let mut values: Vec<i64> = results.into_iter().flat_map(|(_, _, v)| v).collect();
+    values.sort_unstable();
+    assert_eq!(
+        values,
+        (0..ITEMS as i64).collect::<Vec<_>>(),
+        "every item exactly once"
+    );
+
+    let mut names: Vec<&str> = metrics.nodes().iter().map(|m| m.name()).collect();
+    names.sort_unstable();
+    assert_eq!(
+        names,
+        ["count.0", "count.1", "out", "pass.0", "pass.1", "pass.2", "src"]
+    );
 }
 
 #[test]
@@ -298,8 +403,9 @@ fn join_within_deadline(running: RunningQuery) -> Result<strata_spe::QueryMetric
 }
 
 /// A panicking upstream closes exactly the one input it fed: the
-/// router loses one port, the merge sees that instance's input end,
-/// and the whole query still drains and reports the panic.
+/// source's routed outlet loses one instance, the sink sees that
+/// instance's input end, and the whole query still drains and reports
+/// the panic.
 #[test]
 fn a_panicking_parallel_instance_ends_the_query() {
     let mut qb = QueryBuilder::new("parallel-panic");

@@ -1,5 +1,5 @@
-//! Engine tests for element-level sinks and router nodes — the
-//! primitives STRATA's connectors are built from.
+//! Engine tests for element-level sinks and routed parallel stages —
+//! the primitives STRATA's connectors are built from.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -73,41 +73,35 @@ fn element_sink_merges_watermarks_across_inputs() {
 }
 
 #[test]
-fn router_broadcasts_watermarks_to_every_port() {
-    // Each port's consumer is an aggregate; all must close their
-    // windows even though items are split between them.
+fn routed_outlets_broadcast_watermarks_to_every_instance() {
+    // Each instance is an aggregate; all must close their windows even
+    // though items are split between them.
     let mut qb = QueryBuilder::new("router-wm");
     let items: Vec<Timestamp> = (0..100).map(|i| Timestamp::from_millis(i * 10)).collect();
     let src = qb.source("src", IteratorSource::with_watermarks(items));
-    let ports = qb.route(
-        "route",
+    let windows = qb.parallel_operator(
+        "agg",
         &src,
         2,
         strata_spe::operators::RoutePolicy::RoundRobin,
-    );
-    let counters: Vec<_> = ports
-        .iter()
-        .enumerate()
-        .map(|(i, port)| {
-            let agg = qb.aggregate(
-                format!("agg{i}"),
-                port,
+        |i| {
+            strata_spe::operators::Aggregate::new(
                 WindowSpec::tumbling(250).unwrap(),
                 |_| 0u8,
-                |_, bounds, items: &[Timestamp]| vec![(bounds.index, items.len())],
-            );
-            qb.collect_sink(format!("out{i}"), &agg)
-        })
-        .collect();
+                move |_, bounds, items: &[Timestamp]| vec![(i, bounds.index, items.len())],
+            )
+        },
+    );
+    let out = qb.collect_sink("out", &windows);
     qb.build().unwrap().run().join().unwrap();
-    let (a, b) = (counters[0].take(), counters[1].take());
+    let (a, b): (Vec<_>, Vec<_>) = out.take().into_iter().partition(|(i, _, _)| *i == 0);
     // Items 0..1000ms in windows of 250ms → 4 windows, 25 items each,
-    // split 13/12 between the ports (round robin by arrival).
-    let total: usize = a.iter().chain(&b).map(|(_, n)| n).sum();
+    // split 13/12 between the instances (round robin by arrival).
+    let total: usize = a.iter().chain(&b).map(|(_, _, n)| n).sum();
     assert_eq!(total, 100);
     assert!(
         a.len() >= 4 && b.len() >= 4,
-        "every port saw every window close"
+        "every instance saw every window close"
     );
 }
 

@@ -61,7 +61,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             parallelism: 2,
             render_images: false,
             offered_rate: Some(0.0), // replay mode, as fast as possible
-            stable_ids: false,
         },
     )?;
 

@@ -92,7 +92,6 @@ fn run_machine(job: u32, addr: &str) -> Result<(), Box<dyn std::error::Error>> {
             parallelism: 1,
             render_images: false,
             offered_rate: None,
-            stable_ids: false,
         },
     )?;
 

@@ -44,7 +44,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             parallelism: 2,
             render_images: true,
             offered_rate: None,
-            stable_ids: false,
         },
     )?;
 

@@ -5,9 +5,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use strata::usecase::thermal::{self, ThermalPipelineOptions};
-use strata::{ExpertReport, Strata, StrataConfig};
-use strata_amsim::{DefectKind, MachineConfig, PbfLbMachine};
+use crossbeam::channel::Receiver;
+use strata::collector::{OtImageCollector, PrintingParameterCollector};
+use strata::usecase::thermal::{self, CorrelatorOptions, ThermalPipelineOptions};
+use strata::{DeployedPipeline, ExpertReport, Strata, StrataConfig};
+use strata_amsim::{DefectKind, MachineConfig, PbfLbMachine, ThermalModel};
 
 fn run_pipeline(
     machine: Arc<PbfLbMachine>,
@@ -16,6 +18,16 @@ fn run_pipeline(
 ) -> Vec<ExpertReport> {
     let strata = Strata::new(StrataConfig::default()).unwrap();
     let (running, reports) = thermal::deploy_pipeline(&strata, machine, options).unwrap();
+    collect_reports(running, &reports, expected_summaries)
+}
+
+/// Reads reports until `expected_summaries` summaries arrived (or the
+/// stream stalls), then shuts the pipeline down.
+fn collect_reports(
+    running: DeployedPipeline,
+    reports: &Receiver<ExpertReport>,
+    expected_summaries: usize,
+) -> Vec<ExpertReport> {
     let mut collected = Vec::new();
     let mut summaries = 0;
     while summaries < expected_summaries {
@@ -208,15 +220,40 @@ fn stable_ids_pipeline_reports_persistent_clusters() {
         )
         .unwrap(),
     );
-    let reports = run_pipeline(
-        Arc::clone(&machine),
-        ThermalPipelineOptions {
-            cell_px: 8,
-            depth_l: 10,
-            layers: 0..8,
-            stable_ids: true,
-            ..ThermalPipelineOptions::default()
-        },
+    // Algorithm 1 as `deploy_pipeline` builds it, with
+    // `tracked_correlator` in place of `dbscan_correlator`.
+    let (cell_px, depth_l) = (8, 10);
+    let strata = Strata::new(StrataConfig::default()).unwrap();
+    thermal::seed_thresholds(
+        &strata,
+        thermal::reference_thresholds(&ThermalModel::default()),
+    )
+    .unwrap();
+    let mut pipeline = strata.pipeline("thermal");
+    let pp = pipeline.add_source(
+        "pp",
+        PrintingParameterCollector::new(Arc::clone(&machine)).layers(0..8),
+    );
+    let ot = pipeline.add_source(
+        "OT",
+        OtImageCollector::new(Arc::clone(&machine)).layers(0..8),
+    );
+    let fused = pipeline.fuse("OT&pp", &ot, &pp);
+    let plate_mm = machine.plan().plate_mm();
+    let spec = pipeline.partition("spec", &fused, thermal::isolate_specimen(plate_mm));
+    let cells = pipeline.partition("cell", &spec, thermal::isolate_cell(&strata, cell_px));
+    let events = pipeline.detect_event("cellLabel", &cells, thermal::label_cell(&strata));
+    let params = machine.printing_parameters(0);
+    let widest_px = params.specimen_px.iter().map(|s| s.3).max().unwrap();
+    let mm_per_px = machine.plan().specimens()[0].rect.w / widest_px as f64;
+    let mut options = CorrelatorOptions::for_cell_mm(cell_px as f64 * mm_per_px);
+    options.layer_pitch_mm = machine.plan().layer_thickness_mm();
+    let tracked = thermal::tracked_correlator(options, depth_l);
+    let out = pipeline.correlate_events("out", &events, depth_l, tracked);
+    let reports = pipeline.deliver("expert", &out);
+    let reports = collect_reports(
+        pipeline.deploy().unwrap(),
+        &reports,
         // Several specimens report per layer: budget enough summaries
         // to cover at least four full layers.
         24,
@@ -246,5 +283,43 @@ fn stable_ids_pipeline_reports_persistent_clusters() {
     assert!(
         persistent,
         "some cluster identity persists across ≥3 layers"
+    );
+}
+
+/// At parallelism 2 the monitor query of the replayed (Figure 7)
+/// pipeline is seven nodes: the raw connector's subscriber, the
+/// specimen split, the two instances of each parallel stage and the
+/// event connector's publisher. No relay node sits between the stages.
+#[test]
+fn parallel_monitor_query_is_just_its_instances() {
+    let machine = Arc::new(
+        PbfLbMachine::new(MachineConfig::paper_build(16).image_px(400).timing(40, 5)).unwrap(),
+    );
+    let strata = Strata::new(StrataConfig::default()).unwrap();
+    let options = ThermalPipelineOptions {
+        layers: 0..2,
+        parallelism: 2,
+        offered_rate: Some(0.0),
+        ..ThermalPipelineOptions::default()
+    };
+    let (running, _reports) = thermal::deploy_pipeline(&strata, machine, options).unwrap();
+    let metrics = running.shutdown().unwrap();
+    let monitor = metrics
+        .iter()
+        .find(|q| q.query() == "thermal.monitor")
+        .expect("a monitor query");
+    let mut names: Vec<&str> = monitor.nodes().iter().map(|n| n.name()).collect();
+    names.sort_unstable();
+    assert_eq!(
+        names,
+        [
+            "cell.0",
+            "cell.1",
+            "cellLabel.0",
+            "cellLabel.1",
+            "publish.events.out",
+            "spec",
+            "subscribe.raw.replay",
+        ]
     );
 }
