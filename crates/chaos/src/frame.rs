@@ -1,6 +1,13 @@
-//! One frame layout, one torn-tail rule and one sync policy for every
-//! durable log (the kv WAL, pub/sub segments, the committed-offset
-//! store) and the `strata-net` stream codec.
+//! One frame layout, one torn-tail rule, one sync policy and one byte
+//! reader and writer for every binary format: the kv WAL and
+//! SSTables, pub/sub segments, the committed-offset store, the
+//! `strata-net` stream codec and the tuple codec.
+//!
+//! Fields are little-endian. They are written with the `put_*`
+//! functions and read back with a [`Reader`], whose running out of
+//! bytes inside a body is [`FrameError::Corrupt`]. Strings are
+//! `u16 len · utf-8` ([`put_str16`]) or `u32 len · utf-8`
+//! ([`put_str32`]).
 //!
 //! Segment records, offset commits and net messages share one
 //! envelope, whose CRC-32 ([`crc32`]) covers the body only:
@@ -11,8 +18,9 @@
 //! └──────────────┴───────────────┴──────────────┘
 //! ```
 //!
-//! The kv WAL keeps its own tag-led layout but shares the checksum
-//! check, the recovery scan and the [`Appender`]. Every log recovers by
+//! The kv WAL and the SSTable blocks keep their own layouts but share
+//! the `body · crc32` trailer ([`seal`], [`unseal`]); the WAL also
+//! shares the recovery scan and the [`Appender`]. Every log recovers by
 //! one rule ([`recover`]): a final frame that ends early
 //! ([`FrameError::Incomplete`]) is a crash mid-append and is cut away;
 //! any other bad frame is [`FrameError::Corrupt`], because silently
@@ -50,6 +58,171 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// Appends a `u8`.
+#[inline]
+pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
+    buf.push(v);
+}
+
+/// Appends a little-endian `u16`.
+#[inline]
+pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `u32`.
+#[inline]
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `u64`.
+#[inline]
+pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `f64`.
+#[inline]
+pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends `s` as `u16 len · utf-8`.
+#[inline]
+pub fn put_str16(buf: &mut Vec<u8>, s: &str) {
+    debug_assert!(s.len() <= usize::from(u16::MAX), "string too long");
+    put_u16(buf, s.len() as u16);
+    buf.extend_from_slice(s.as_bytes());
+}
+
+/// Appends `s` as `u32 len · utf-8`, for strings that can outgrow
+/// [`put_str16`], such as metrics dumps.
+#[inline]
+pub fn put_str32(buf: &mut Vec<u8>, s: &str) {
+    put_u32(buf, s.len() as u32);
+    buf.extend_from_slice(s.as_bytes());
+}
+
+/// A bounds-checked little-endian reader over a frame body. Running
+/// out of bytes is [`FrameError::Corrupt`]: the body's length is
+/// already known, so a short field is damage, not a torn write.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    data: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    /// Creates a reader over `data`.
+    #[inline]
+    pub fn new(data: &'a [u8]) -> Self {
+        Reader { data }
+    }
+
+    /// The bytes not yet read. Read past some of them with
+    /// [`bytes`](Reader::bytes).
+    #[inline]
+    pub fn rest(&self) -> &'a [u8] {
+        self.data
+    }
+
+    /// Reads `n` raw bytes, borrowed from the body.
+    #[inline]
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
+        if self.data.len() < n {
+            return Err(FrameError::Corrupt(format!(
+                "truncated body: wanted {n} bytes, have {}",
+                self.data.len()
+            )));
+        }
+        let (head, rest) = self.data.split_at(n);
+        self.data = rest;
+        Ok(head)
+    }
+
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], FrameError> {
+        Ok(self.bytes(N)?.try_into().expect("N bytes"))
+    }
+
+    /// Reads a `u8`.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, FrameError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    /// Reads a little-endian `u16`.
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16, FrameError> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, FrameError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, FrameError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// Reads a little-endian `f64`.
+    #[inline]
+    pub fn f64(&mut self) -> Result<f64, FrameError> {
+        self.array().map(f64::from_le_bytes)
+    }
+
+    /// Reads a string written by [`put_str16`].
+    #[inline]
+    pub fn str16(&mut self) -> Result<&'a str, FrameError> {
+        let len = self.u16()?;
+        utf8(self.bytes(len.into())?)
+    }
+
+    /// Reads a string written by [`put_str32`].
+    #[inline]
+    pub fn str32(&mut self) -> Result<&'a str, FrameError> {
+        let len = self.u32()?;
+        utf8(self.bytes(len as usize)?)
+    }
+
+    /// Ends the read: bytes left over are [`FrameError::Corrupt`].
+    #[inline]
+    pub fn finish(self) -> Result<(), FrameError> {
+        match self.data.len() {
+            0 => Ok(()),
+            n => Err(FrameError::Corrupt(format!("{n} trailing bytes in body"))),
+        }
+    }
+}
+
+#[inline]
+fn utf8(bytes: &[u8]) -> Result<&str, FrameError> {
+    std::str::from_utf8(bytes).map_err(|_| FrameError::Corrupt("string is not utf-8".into()))
+}
+
+/// Appends the CRC-32 of `buf[from..]` to `buf`, making those bytes a
+/// `body · crc32` block.
+pub fn seal(buf: &mut Vec<u8>, from: usize) {
+    let crc = crc32(&buf[from..]);
+    put_u32(buf, crc);
+}
+
+/// The body of a `body · crc32` block written by [`seal`], once its
+/// CRC checks out.
+pub fn unseal(block: &[u8]) -> Result<&[u8], FrameError> {
+    let body_len = block
+        .len()
+        .checked_sub(4)
+        .ok_or_else(|| FrameError::Corrupt("block shorter than its crc".into()))?;
+    let body = &block[..body_len];
+    verify(body, u32_at(block, body_len)?)?;
+    Ok(body)
+}
+
 /// Appends one envelope to `buf`, its body written by `body`. Returns
 /// the frame's length.
 pub fn encode(buf: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) -> usize {
@@ -58,8 +231,7 @@ pub fn encode(buf: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) -> usize {
     body(buf);
     let body_len = (buf.len() - start - 4) as u32;
     buf[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
-    let crc = crc32(&buf[start + 4..]);
-    buf.extend_from_slice(&crc.to_le_bytes());
+    seal(buf, start + 4);
     buf.len() - start
 }
 
@@ -288,6 +460,46 @@ mod tests {
         assert_eq!(&buf[1..5], &4u32.to_le_bytes());
         let (body, used) = split(&buf[1..]).unwrap();
         assert_eq!((body, used), (&b"body"[..], written));
+    }
+
+    #[test]
+    fn reader_reads_back_what_put_writes() {
+        let mut buf = Vec::new();
+        put_u8(&mut buf, 7);
+        put_u16(&mut buf, 0xBEEF);
+        put_u32(&mut buf, 0xDEAD_BEEF);
+        put_u64(&mut buf, u64::MAX - 1);
+        put_f64(&mut buf, -2.5);
+        put_str16(&mut buf, "layer");
+        put_str32(&mut buf, "über");
+        buf.extend_from_slice(b"raw");
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.u8(), Ok(7));
+        assert_eq!(r.u16(), Ok(0xBEEF));
+        assert_eq!(r.u32(), Ok(0xDEAD_BEEF));
+        assert_eq!(r.u64(), Ok(u64::MAX - 1));
+        assert_eq!(r.f64(), Ok(-2.5));
+        assert_eq!(r.str16(), Ok("layer"));
+        assert_eq!(r.str32(), Ok("über"));
+        assert_eq!(r.rest(), b"raw");
+        assert_eq!(r.bytes(3), Ok(&b"raw"[..]));
+        assert_eq!(r.finish(), Ok(()));
+    }
+
+    #[test]
+    fn reader_rejects_short_trailing_and_non_utf8_bodies() {
+        let corrupt = |result: Result<(), FrameError>| {
+            assert!(matches!(result, Err(FrameError::Corrupt(_))), "{result:?}");
+        };
+        corrupt(Reader::new(&[1, 2, 3]).u32().map(drop));
+        corrupt(Reader::new(&[1]).finish());
+        corrupt(Reader::new(&[2, 0, 0xFF, 0xFE]).str16().map(drop));
+        let mut block = b"body".to_vec();
+        seal(&mut block, 0);
+        assert_eq!(unseal(&block), Ok(&b"body"[..]));
+        block[1] ^= 0x01;
+        corrupt(unseal(&block).map(drop));
+        corrupt(unseal(&block[..3]).map(drop));
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //!   disk and on the wire carries so readers can detect those faults;
 //! * one **frame** layer ([`frame`]) that every durable log and the
 //!   net codec share: the envelope, the torn-tail recovery rule, its
-//!   counter, and the `SyncPolicy` appender.
+//!   counter, and the `SyncPolicy` appender; and the one byte
+//!   `Reader`, `put_*` writer and `body · crc32` trailer through which
+//!   every binary format (tuple codec, segments, offsets, net
+//!   messages, WAL, SSTables) reads and writes its fields.
 //!
 //! Point names are dotted paths owned by the instrumented crate
 //! (`kv.wal.write`, `pubsub.segment.sync`, `net.server.send`, …); the

@@ -4,11 +4,16 @@
 //! The paper's prototype moves raw OT images (8 Mb each) through
 //! Kafka between modules; this codec plays the same role for the
 //! in-process broker. Everything is little-endian and
-//! length-prefixed; images serialize as raw pixel buffers.
+//! length-prefixed, written and read through the `put_*` functions and
+//! the `Reader` of `strata_chaos::frame` (reached via
+//! [`strata_pubsub::wire`]); images serialize as raw pixel buffers.
 
 use std::sync::Arc;
 
 use strata_amsim::OtImage;
+use strata_pubsub::wire::{
+    put_f64, put_str16, put_str32, put_u16, put_u32, put_u64, put_u8, Reader,
+};
 use strata_spe::Timestamp;
 
 use crate::error::{Error, Result};
@@ -29,167 +34,77 @@ pub enum ConnectorMessage {
     End,
 }
 
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn new() -> Self {
-        Writer { buf: Vec::new() }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
-}
-
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Reader { data, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.data.len() - self.pos < n {
-            return Err(Error::Codec(format!(
-                "truncated message: wanted {n} bytes at {}, have {}",
-                self.pos,
-                self.data.len() - self.pos
-            )));
-        }
-        let slice = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    /// Bytes left to read. A length read from the message bounds a
-    /// preallocation only up to what these bytes can hold, so a corrupt
-    /// length fails as truncation instead of exhausting memory.
-    fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-}
-
-fn encode_value(w: &mut Writer, value: &Value) {
+fn encode_value(buf: &mut Vec<u8>, value: &Value) {
     match value {
         Value::Int(v) => {
-            w.u8(0);
-            w.u64(*v as u64);
+            put_u8(buf, 0);
+            put_u64(buf, *v as u64);
         }
         Value::Float(v) => {
-            w.u8(1);
-            w.f64(*v);
+            put_u8(buf, 1);
+            put_f64(buf, *v);
         }
         Value::Bool(v) => {
-            w.u8(2);
-            w.u8(u8::from(*v));
+            put_u8(buf, 2);
+            put_u8(buf, u8::from(*v));
         }
         Value::Str(v) => {
-            w.u8(3);
-            w.u32(v.len() as u32);
-            w.bytes(v.as_bytes());
+            put_u8(buf, 3);
+            put_str32(buf, v);
         }
         Value::Bytes(v) => {
-            w.u8(4);
-            w.u32(v.len() as u32);
-            w.bytes(v);
+            put_u8(buf, 4);
+            put_u32(buf, v.len() as u32);
+            buf.extend_from_slice(v);
         }
         Value::Image(v) => {
-            w.u8(5);
-            w.u32(v.width());
-            w.u32(v.height());
-            w.bytes(v.pixels());
+            put_u8(buf, 5);
+            put_u32(buf, v.width());
+            put_u32(buf, v.height());
+            buf.extend_from_slice(v.pixels());
         }
         Value::Rects(v) => {
-            w.u8(6);
-            w.u32(v.len() as u32);
+            put_u8(buf, 6);
+            put_u32(buf, v.len() as u32);
             for &(id, x, y, rw, rh) in v.iter() {
-                w.u32(id);
-                w.u32(x);
-                w.u32(y);
-                w.u32(rw);
-                w.u32(rh);
+                for field in [id, x, y, rw, rh] {
+                    put_u32(buf, field);
+                }
             }
         }
         Value::Points(v) => {
-            w.u8(7);
-            w.u32(v.len() as u32);
+            put_u8(buf, 7);
+            put_u32(buf, v.len() as u32);
             for &(x, y) in v.iter() {
-                w.f64(x);
-                w.f64(y);
+                put_f64(buf, x);
+                put_f64(buf, y);
             }
         }
     }
 }
 
+/// Decodes one value. A length read from the message bounds a
+/// preallocation only up to what the unread bytes can hold, so a
+/// corrupt length fails as truncation instead of exhausting memory.
 fn decode_value(r: &mut Reader<'_>) -> Result<Value> {
     Ok(match r.u8()? {
         0 => Value::Int(r.u64()? as i64),
         1 => Value::Float(r.f64()?),
         2 => Value::Bool(r.u8()? != 0),
-        3 => {
-            let len = r.u32()? as usize;
-            let s = std::str::from_utf8(r.take(len)?)
-                .map_err(|_| Error::Codec("string value is not utf-8".into()))?;
-            Value::Str(Arc::from(s))
-        }
+        3 => Value::Str(Arc::from(r.str32()?)),
         4 => {
             let len = r.u32()? as usize;
-            Value::Bytes(Arc::from(r.take(len)?))
+            Value::Bytes(Arc::from(r.bytes(len)?))
         }
         5 => {
             let w = r.u32()?;
             let h = r.u32()?;
-            let pixels = r.take(w as usize * h as usize)?;
+            let pixels = r.bytes(w as usize * h as usize)?;
             Value::Image(Arc::new(OtImage::from_pixels(w, h, pixels.to_vec())))
         }
         6 => {
             let len = r.u32()? as usize;
-            let mut rects = Vec::with_capacity(len.min(r.remaining() / 20));
+            let mut rects = Vec::with_capacity(len.min(r.rest().len() / 20));
             for _ in 0..len {
                 rects.push((r.u32()?, r.u32()?, r.u32()?, r.u32()?, r.u32()?));
             }
@@ -197,7 +112,7 @@ fn decode_value(r: &mut Reader<'_>) -> Result<Value> {
         }
         7 => {
             let len = r.u32()? as usize;
-            let mut points = Vec::with_capacity(len.min(r.remaining() / 16));
+            let mut points = Vec::with_capacity(len.min(r.rest().len() / 16));
             for _ in 0..len {
                 points.push((r.f64()?, r.f64()?));
             }
@@ -209,31 +124,30 @@ fn decode_value(r: &mut Reader<'_>) -> Result<Value> {
 
 /// Serializes a connector message.
 pub fn encode(message: &ConnectorMessage) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut buf = Vec::new();
     match message {
         ConnectorMessage::Watermark(ts) => {
-            w.u8(1);
-            w.u64(ts.as_millis());
+            put_u8(&mut buf, 1);
+            put_u64(&mut buf, ts.as_millis());
         }
-        ConnectorMessage::End => w.u8(2),
+        ConnectorMessage::End => put_u8(&mut buf, 2),
         ConnectorMessage::Tuple(tuple) => {
-            w.u8(0);
+            put_u8(&mut buf, 0);
             let m = tuple.metadata();
-            w.u64(m.timestamp.as_millis());
-            w.u32(m.job);
-            w.u32(m.layer);
-            w.u32(m.specimen.unwrap_or(NONE_U32));
-            w.u32(m.portion.unwrap_or(NONE_U32));
-            w.u64(m.ingest_ns);
-            w.u16(tuple.payload().len() as u16);
+            put_u64(&mut buf, m.timestamp.as_millis());
+            put_u32(&mut buf, m.job);
+            put_u32(&mut buf, m.layer);
+            put_u32(&mut buf, m.specimen.unwrap_or(NONE_U32));
+            put_u32(&mut buf, m.portion.unwrap_or(NONE_U32));
+            put_u64(&mut buf, m.ingest_ns);
+            put_u16(&mut buf, tuple.payload().len() as u16);
             for (key, value) in tuple.payload().iter() {
-                w.u16(key.len() as u16);
-                w.bytes(key.as_bytes());
-                encode_value(&mut w, value);
+                put_str16(&mut buf, key);
+                encode_value(&mut buf, value);
             }
         }
     }
-    w.buf
+    buf
 }
 
 /// Deserializes a connector message.
@@ -264,10 +178,7 @@ pub fn decode(data: &[u8]) -> Result<ConnectorMessage> {
             let count = r.u16()?;
             let mut payload = Payload::new();
             for _ in 0..count {
-                let key_len = r.u16()? as usize;
-                let key = std::str::from_utf8(r.take(key_len)?)
-                    .map_err(|_| Error::Codec("payload key is not utf-8".into()))?
-                    .to_string();
+                let key = r.str16()?.to_string();
                 let value = decode_value(&mut r)?;
                 payload.set(key, value);
             }
@@ -375,5 +286,73 @@ mod tests {
     fn unknown_tags_are_rejected() {
         assert!(matches!(decode(&[9]), Err(Error::Codec(_))));
         assert!(matches!(decode(&[]), Err(Error::Codec(_))));
+    }
+
+    /// The exact bytes this codec has always written for
+    /// [`golden_messages`]: a tuple carrying every `Value` tag, a
+    /// watermark and the end marker, back to back. Decoding and
+    /// re-encoding them must be bit identical, which pins every tag
+    /// and field layout.
+    const GOLDEN_MESSAGES: &[u8] = &[
+        0x00, 0x7b, 0xf4, 0xa9, 0x2b, 0x80, 0x01, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x11, 0x00,
+        0x00, 0x00, 0x2a, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0xb1, 0x68, 0xde, 0x3a, 0x00,
+        0x00, 0x00, 0x00, 0x08, 0x00, 0x04, 0x00, 0x62, 0x6c, 0x6f, 0x62, 0x04, 0x03, 0x00, 0x00,
+        0x00, 0x00, 0x01, 0x02, 0x05, 0x00, 0x63, 0x6f, 0x75, 0x6e, 0x74, 0x00, 0xfb, 0xff, 0xff,
+        0xff, 0xff, 0xff, 0xff, 0xff, 0x06, 0x00, 0x65, 0x76, 0x65, 0x6e, 0x74, 0x73, 0x07, 0x02,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x04, 0xc0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x09, 0x40, 0x03, 0x00, 0x68, 0x6f, 0x74, 0x02, 0x01, 0x05, 0x00, 0x69,
+        0x6d, 0x61, 0x67, 0x65, 0x05, 0x04, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x10,
+        0x20, 0x30, 0x01, 0x11, 0x21, 0x31, 0x02, 0x12, 0x22, 0x32, 0x04, 0x00, 0x6b, 0x69, 0x6e,
+        0x64, 0x03, 0x09, 0x00, 0x00, 0x00, 0x76, 0x65, 0x72, 0x79, 0x5f, 0x77, 0x61, 0x72, 0x6d,
+        0x06, 0x00, 0x6c, 0x61, 0x79, 0x6f, 0x75, 0x74, 0x06, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x04,
+        0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00,
+        0x07, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x04, 0x00, 0x6d, 0x65, 0x61, 0x6e, 0x01,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0xa8, 0x60, 0x40, 0x01, 0xf4, 0xf5, 0xa9, 0x2b, 0x80, 0x01,
+        0x00, 0x00, 0x02,
+    ];
+
+    fn golden_messages() -> [ConnectorMessage; 3] {
+        let mut payload = Payload::new();
+        payload
+            .set_int("count", -5)
+            .set_float("mean", 133.25)
+            .set_bool("hot", true)
+            .set_str("kind", "very_warm")
+            .set("blob", Value::Bytes(Arc::from(&b"\x00\x01\x02"[..])))
+            .set_image(
+                "image",
+                Arc::new(OtImage::from_fn(4, 3, |x, y| (x * 16 + y) as u8)),
+            )
+            .set_rects("layout", Arc::new(vec![(0, 1, 2, 3, 4), (1, 5, 6, 7, 8)]))
+            .set_points("events", Arc::new(vec![(1.5, -2.5), (0.0, 3.125)]));
+        let metadata = Metadata {
+            timestamp: Timestamp::from_millis(1_650_000_000_123),
+            job: 7,
+            layer: 17,
+            specimen: Some(42),
+            portion: None,
+            ingest_ns: 987_654_321,
+        };
+        [
+            ConnectorMessage::Tuple(AmTuple::from_parts(metadata, payload)),
+            ConnectorMessage::Watermark(Timestamp::from_millis(1_650_000_000_500)),
+            ConnectorMessage::End,
+        ]
+    }
+
+    #[test]
+    fn golden_messages_decode_and_reencode_bit_identically() {
+        let mut rest = GOLDEN_MESSAGES;
+        let mut reencoded = Vec::new();
+        for (expected, len) in golden_messages().into_iter().zip([233, 9, 1]) {
+            let decoded = decode(&rest[..len]).unwrap();
+            assert_eq!(decoded, expected);
+            reencoded.extend(encode(&decoded));
+            rest = &rest[len..];
+        }
+        assert!(rest.is_empty());
+        assert_eq!(reencoded, GOLDEN_MESSAGES);
     }
 }

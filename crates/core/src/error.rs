@@ -81,6 +81,12 @@ impl From<strata_net::NetError> for Error {
     }
 }
 
+impl From<strata_pubsub::wire::FrameError> for Error {
+    fn from(err: strata_pubsub::wire::FrameError) -> Self {
+        Error::Codec(err.to_string())
+    }
+}
+
 impl From<strata_kv::Error> for Error {
     fn from(err: strata_kv::Error) -> Self {
         Error::Kv(err)

@@ -6,6 +6,8 @@
 //! happen. Hashing is double hashing over two independent 64-bit
 //! FNV-1a variants, the standard Kirsch–Mitzenmacher construction.
 
+use strata_chaos::frame::{put_u32, put_u64, FrameError, Reader};
+
 /// A fixed-size bloom filter over byte-string keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BloomFilter {
@@ -68,10 +70,10 @@ impl BloomFilter {
     /// Serializes the filter for an SSTable's bloom block.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(12 + self.bits.len() * 8);
-        out.extend_from_slice(&self.num_bits.to_le_bytes());
-        out.extend_from_slice(&self.num_hashes.to_le_bytes());
-        for word in &self.bits {
-            out.extend_from_slice(&word.to_le_bytes());
+        put_u64(&mut out, self.num_bits);
+        put_u32(&mut out, self.num_hashes);
+        for &word in &self.bits {
+            put_u64(&mut out, word);
         }
         out
     }
@@ -81,24 +83,22 @@ impl BloomFilter {
     ///
     /// # Errors
     ///
-    /// [`crate::Error::Corrupt`] on truncated or inconsistent data.
-    pub fn from_bytes(data: &[u8]) -> crate::Result<Self> {
-        if data.len() < 12 {
-            return Err(crate::Error::Corrupt("bloom block too short".into()));
-        }
-        let num_bits = u64::from_le_bytes(data[0..8].try_into().expect("len 8"));
-        let num_hashes = u32::from_le_bytes(data[8..12].try_into().expect("len 4"));
-        let words = num_bits.div_ceil(64) as usize;
-        if data.len() != 12 + words * 8 {
-            return Err(crate::Error::Corrupt(format!(
-                "bloom block length {} inconsistent with {num_bits} bits",
-                data.len()
+    /// [`FrameError::Corrupt`] on truncated or inconsistent data, or a
+    /// header [`new`](BloomFilter::new) never writes: no bits, or a
+    /// hash count outside `1..=30`.
+    pub fn from_bytes(data: &[u8]) -> Result<Self, FrameError> {
+        let mut r = Reader::new(data);
+        let num_bits = r.u64()?;
+        let num_hashes = r.u32()?;
+        if num_bits == 0 || !(1..=30).contains(&num_hashes) {
+            return Err(FrameError::Corrupt(format!(
+                "bloom header: {num_bits} bits, {num_hashes} hashes"
             )));
         }
-        let bits = data[12..]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("len 8")))
-            .collect();
+        let bits = (0..num_bits.div_ceil(64))
+            .map(|_| r.u64())
+            .collect::<Result<_, _>>()?;
+        r.finish()?;
         Ok(BloomFilter {
             bits,
             num_bits,
@@ -156,6 +156,21 @@ mod tests {
         let mut good = BloomFilter::new(10, 8).to_bytes();
         good.pop();
         assert!(BloomFilter::from_bytes(&good).is_err());
+    }
+
+    /// A header without bits would make every lookup divide by zero,
+    /// and a hash count `new` never writes is damage too.
+    #[test]
+    fn rejects_impossible_headers() {
+        let mut bytes = BloomFilter::new(10, 8).to_bytes();
+        bytes[..8].fill(0);
+        bytes.truncate(12);
+        assert!(BloomFilter::from_bytes(&bytes).is_err(), "num_bits 0");
+        for num_hashes in [0u32, 31] {
+            let mut bytes = BloomFilter::new(10, 8).to_bytes();
+            bytes[8..12].copy_from_slice(&num_hashes.to_le_bytes());
+            assert!(BloomFilter::from_bytes(&bytes).is_err(), "{num_hashes}");
+        }
     }
 
     #[test]

@@ -11,26 +11,33 @@
 //!                · [value_len u32 · value]
 //! index block := count u32 · (first_key_len u32 · first_key
 //!                · offset u64 · len u32 · entries u32)* · crc32
+//! bloom block := bloom · crc32           (absent without a filter)
 //! footer      := index_off u64 · index_len u64
 //!                · bloom_off u64 · bloom_len u64
 //!                · entry_count u64 · magic u64
 //! ```
 //!
-//! Entries must be added in strictly increasing key order; blocks are
-//! CRC-protected; point lookups go through the bloom filter, a binary
-//! search over the sparse index, and a scan of one block.
+//! Entries must be added in strictly increasing key order. Every block
+//! is a [`frame::seal`]ed `body · crc32`, and every field is written
+//! and read through [`strata_chaos::frame`]. The index, bloom block and
+//! footer lie back to back at the end of the file, which `open` checks
+//! before it reads them. Point lookups go through the bloom filter, a
+//! binary search over the sparse index, and a scan of one block.
 
 use std::fs;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
-use strata_chaos::{crc32, ChaosFile};
+use strata_chaos::frame::{self, put_u32, put_u64, put_u8, FrameError, Reader};
+use strata_chaos::ChaosFile;
 
 use crate::bloom::BloomFilter;
 use crate::error::{Error, Result};
 
-const MAGIC: u64 = 0x5354_5241_5441_4B56; // "STRATAKV"
+/// "STRATAK2". Version 2 added the bloom block's CRC, so an older
+/// table fails to open as bad magic.
+const MAGIC: u64 = 0x5354_5241_5441_4B32;
 const FOOTER_LEN: usize = 48;
 
 /// One sparse-index entry describing a data block.
@@ -113,17 +120,15 @@ impl SsTableWriter {
         if self.block_first_key.is_none() {
             self.block_first_key = Some(key.to_vec());
         }
-        self.block
-            .extend_from_slice(&(key.len() as u32).to_le_bytes());
+        put_u32(&mut self.block, key.len() as u32);
         self.block.extend_from_slice(key);
         match value {
             Some(value) => {
-                self.block.push(1);
-                self.block
-                    .extend_from_slice(&(value.len() as u32).to_le_bytes());
+                put_u8(&mut self.block, 1);
+                put_u32(&mut self.block, value.len() as u32);
                 self.block.extend_from_slice(value);
             }
-            None => self.block.push(0),
+            None => put_u8(&mut self.block, 0),
         }
         self.block_entries += 1;
         self.entry_count += 1;
@@ -140,8 +145,7 @@ impl SsTableWriter {
         if self.block.is_empty() {
             return Ok(());
         }
-        let crc = crc32(&self.block);
-        self.block.extend_from_slice(&crc.to_le_bytes());
+        frame::seal(&mut self.block, 0);
         self.file.write_all(&self.block)?;
         self.index.push(BlockMeta {
             first_key: self.block_first_key.take().expect("non-empty block"),
@@ -163,38 +167,29 @@ impl SsTableWriter {
     /// I/O failures.
     pub fn finish(mut self) -> Result<SsTable> {
         self.finish_block()?;
-        // Index block.
-        let mut index_block = Vec::new();
-        index_block.extend_from_slice(&(self.index.len() as u32).to_le_bytes());
+        let mut tail = Vec::new();
+        put_u32(&mut tail, self.index.len() as u32);
         for meta in &self.index {
-            index_block.extend_from_slice(&(meta.first_key.len() as u32).to_le_bytes());
-            index_block.extend_from_slice(&meta.first_key);
-            index_block.extend_from_slice(&meta.offset.to_le_bytes());
-            index_block.extend_from_slice(&meta.len.to_le_bytes());
-            index_block.extend_from_slice(&meta.entries.to_le_bytes());
+            put_u32(&mut tail, meta.first_key.len() as u32);
+            tail.extend_from_slice(&meta.first_key);
+            put_u64(&mut tail, meta.offset);
+            put_u32(&mut tail, meta.len);
+            put_u32(&mut tail, meta.entries);
         }
-        let crc = crc32(&index_block);
-        index_block.extend_from_slice(&crc.to_le_bytes());
-        let index_off = self.offset;
-        self.file.write_all(&index_block)?;
-
-        // Bloom block.
-        let bloom_bytes = self.bloom.as_ref().map(BloomFilter::to_bytes);
-        let bloom_off = index_off + index_block.len() as u64;
-        let bloom_len = bloom_bytes.as_ref().map_or(0, Vec::len) as u64;
-        if let Some(bytes) = &bloom_bytes {
-            self.file.write_all(bytes)?;
+        frame::seal(&mut tail, 0);
+        let index_len = tail.len();
+        if let Some(bloom) = &self.bloom {
+            tail.extend_from_slice(&bloom.to_bytes());
+            frame::seal(&mut tail, index_len);
         }
-
-        // Footer.
-        let mut footer = Vec::with_capacity(FOOTER_LEN);
-        footer.extend_from_slice(&index_off.to_le_bytes());
-        footer.extend_from_slice(&(index_block.len() as u64).to_le_bytes());
-        footer.extend_from_slice(&bloom_off.to_le_bytes());
-        footer.extend_from_slice(&bloom_len.to_le_bytes());
-        footer.extend_from_slice(&self.entry_count.to_le_bytes());
-        footer.extend_from_slice(&MAGIC.to_le_bytes());
-        self.file.write_all(&footer)?;
+        let (index_len, bloom_len) = (index_len as u64, (tail.len() - index_len) as u64);
+        put_u64(&mut tail, self.offset);
+        put_u64(&mut tail, index_len);
+        put_u64(&mut tail, self.offset + index_len);
+        put_u64(&mut tail, bloom_len);
+        put_u64(&mut tail, self.entry_count);
+        put_u64(&mut tail, MAGIC);
+        self.file.write_all(&tail)?;
         self.file.sync_all()?;
         drop(self.file);
         SsTable::open(&self.path)
@@ -231,75 +226,36 @@ impl SsTable {
     pub fn open(path: impl Into<PathBuf>) -> Result<Self> {
         let path = path.into();
         let mut file = fs::File::open(&path)?;
-        let file_len = file.metadata()?.len();
-        if file_len < FOOTER_LEN as u64 {
-            return Err(Error::Corrupt(format!("{path:?}: too short")));
-        }
-        file.seek(SeekFrom::End(-(FOOTER_LEN as i64)))?;
+        let corrupt = |err: FrameError| Error::Corrupt(format!("{path:?}: {err}"));
+        let footer_off = file
+            .metadata()?
+            .len()
+            .checked_sub(FOOTER_LEN as u64)
+            .ok_or_else(|| corrupt(FrameError::Corrupt("too short".into())))?;
+        file.seek(SeekFrom::Start(footer_off))?;
         let mut footer = [0u8; FOOTER_LEN];
         file.read_exact(&mut footer)?;
-        let u64_at = |i: usize| u64::from_le_bytes(footer[i..i + 8].try_into().expect("len 8"));
-        if u64_at(40) != MAGIC {
-            return Err(Error::Corrupt(format!("{path:?}: bad magic")));
+        let mut r = Reader::new(&footer);
+        let mut field = || r.u64().expect("the footer holds six u64 fields");
+        let (index_off, index_len) = (field(), field());
+        let (bloom_off, bloom_len) = (field(), field());
+        let (entry_count, magic) = (field(), field());
+        if magic != MAGIC {
+            return Err(corrupt(FrameError::Corrupt("bad magic".into())));
         }
-        let (index_off, index_len) = (u64_at(0), u64_at(8));
-        let (bloom_off, bloom_len) = (u64_at(16), u64_at(24));
-        let entry_count = u64_at(32);
-
-        // Index block.
+        // The writer lays the index, the bloom block and the footer out
+        // back to back; any other layout is a damaged footer, checked
+        // before it sizes a read.
+        if index_off.checked_add(index_len) != Some(bloom_off)
+            || bloom_off.checked_add(bloom_len) != Some(footer_off)
+        {
+            return Err(corrupt(FrameError::Corrupt("bad block offsets".into())));
+        }
         file.seek(SeekFrom::Start(index_off))?;
-        let mut index_block = vec![0u8; index_len as usize];
-        file.read_exact(&mut index_block)?;
-        if index_block.len() < 8 {
-            return Err(Error::Corrupt(format!("{path:?}: index too short")));
-        }
-        let (body, crc_bytes) = index_block.split_at(index_block.len() - 4);
-        let stored_crc = u32::from_le_bytes(crc_bytes.try_into().expect("len 4"));
-        if stored_crc != crc32(body) {
-            return Err(Error::Corrupt(format!("{path:?}: index crc mismatch")));
-        }
-        let mut index = Vec::new();
-        let count = u32::from_le_bytes(body[0..4].try_into().expect("len 4")) as usize;
-        let mut pos = 4usize;
-        for _ in 0..count {
-            let need = |pos: usize, n: usize| -> Result<()> {
-                if body.len() < pos + n {
-                    Err(Error::Corrupt(format!("{path:?}: truncated index")))
-                } else {
-                    Ok(())
-                }
-            };
-            need(pos, 4)?;
-            let key_len =
-                u32::from_le_bytes(body[pos..pos + 4].try_into().expect("len 4")) as usize;
-            pos += 4;
-            need(pos, key_len + 16)?;
-            let first_key = body[pos..pos + key_len].to_vec();
-            pos += key_len;
-            let offset = u64::from_le_bytes(body[pos..pos + 8].try_into().expect("len 8"));
-            pos += 8;
-            let len = u32::from_le_bytes(body[pos..pos + 4].try_into().expect("len 4"));
-            pos += 4;
-            let entries = u32::from_le_bytes(body[pos..pos + 4].try_into().expect("len 4"));
-            pos += 4;
-            index.push(BlockMeta {
-                first_key,
-                offset,
-                len,
-                entries,
-            });
-        }
-
-        // Bloom block.
-        let bloom = if bloom_len > 0 {
-            file.seek(SeekFrom::Start(bloom_off))?;
-            let mut bloom_bytes = vec![0u8; bloom_len as usize];
-            file.read_exact(&mut bloom_bytes)?;
-            Some(BloomFilter::from_bytes(&bloom_bytes)?)
-        } else {
-            None
-        };
-
+        let mut tail = vec![0u8; (index_len + bloom_len) as usize];
+        file.read_exact(&mut tail)?;
+        let (index_block, bloom_block) = tail.split_at(index_len as usize);
+        let (index, bloom) = Self::decode_tail(index_block, bloom_block).map_err(corrupt)?;
         Ok(SsTable {
             path,
             file: Mutex::new(file),
@@ -307,6 +263,30 @@ impl SsTable {
             bloom,
             entry_count,
         })
+    }
+
+    /// Decodes the index block and the (possibly absent) bloom block.
+    fn decode_tail(
+        index_block: &[u8],
+        bloom_block: &[u8],
+    ) -> std::result::Result<(Vec<BlockMeta>, Option<BloomFilter>), FrameError> {
+        let mut r = Reader::new(frame::unseal(index_block)?);
+        let mut index = Vec::new();
+        for _ in 0..r.u32()? {
+            let key_len = r.u32()? as usize;
+            index.push(BlockMeta {
+                first_key: r.bytes(key_len)?.to_vec(),
+                offset: r.u64()?,
+                len: r.u32()?,
+                entries: r.u32()?,
+            });
+        }
+        r.finish()?;
+        let bloom = match bloom_block {
+            [] => None,
+            block => Some(BloomFilter::from_bytes(frame::unseal(block)?)?),
+        };
+        Ok((index, bloom))
     }
 
     /// The file backing this table.
@@ -324,70 +304,34 @@ impl SsTable {
         self.bloom.is_some()
     }
 
-    fn read_block(&self, meta: &BlockMeta) -> Result<Vec<u8>> {
-        let mut data = vec![0u8; meta.len as usize];
+    /// Reads, checks and decodes the entries of one data block.
+    #[allow(clippy::type_complexity)]
+    fn read_block(&self, meta: &BlockMeta) -> Result<Vec<(Vec<u8>, Option<Vec<u8>>)>> {
+        let mut block = vec![0u8; meta.len as usize];
         {
             let mut file = self.file.lock();
             file.seek(SeekFrom::Start(meta.offset))?;
-            file.read_exact(&mut data)?;
+            file.read_exact(&mut block)?;
         }
-        if data.len() < 4 {
-            return Err(Error::Corrupt(format!("{:?}: block too short", self.path)));
-        }
-        let (body, crc_bytes) = data.split_at(data.len() - 4);
-        let stored_crc = u32::from_le_bytes(crc_bytes.try_into().expect("len 4"));
-        if stored_crc != crc32(body) {
-            return Err(Error::Corrupt(format!(
-                "{:?}: block crc mismatch",
-                self.path
-            )));
-        }
-        data.truncate(data.len() - 4);
-        Ok(data)
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn decode_block(block: &[u8], entries: u32) -> Result<Vec<(Vec<u8>, Option<Vec<u8>>)>> {
-        let mut out = Vec::with_capacity(entries as usize);
-        let mut pos = 0usize;
-        let corrupt = || Error::Corrupt("truncated block entry".into());
-        while pos < block.len() {
-            if block.len() < pos + 4 {
-                return Err(corrupt());
-            }
-            let key_len =
-                u32::from_le_bytes(block[pos..pos + 4].try_into().expect("len 4")) as usize;
-            pos += 4;
-            if block.len() < pos + key_len + 1 {
-                return Err(corrupt());
-            }
-            let key = block[pos..pos + key_len].to_vec();
-            pos += key_len;
-            let tag = block[pos];
-            pos += 1;
-            let value = match tag {
-                0 => None,
-                1 => {
-                    if block.len() < pos + 4 {
-                        return Err(corrupt());
+        let decode = || {
+            let mut r = Reader::new(frame::unseal(&block)?);
+            let mut entries = Vec::with_capacity(meta.entries as usize);
+            while !r.rest().is_empty() {
+                let key_len = r.u32()? as usize;
+                let key = r.bytes(key_len)?.to_vec();
+                let value = match r.u8()? {
+                    0 => None,
+                    1 => {
+                        let value_len = r.u32()? as usize;
+                        Some(r.bytes(value_len)?.to_vec())
                     }
-                    let value_len =
-                        u32::from_le_bytes(block[pos..pos + 4].try_into().expect("len 4")) as usize;
-                    pos += 4;
-                    if block.len() < pos + value_len {
-                        return Err(corrupt());
-                    }
-                    let value = block[pos..pos + value_len].to_vec();
-                    pos += value_len;
-                    Some(value)
-                }
-                other => {
-                    return Err(Error::Corrupt(format!("unknown entry tag {other}")));
-                }
-            };
-            out.push((key, value));
-        }
-        Ok(out)
+                    other => return Err(FrameError::Corrupt(format!("unknown entry tag {other}"))),
+                };
+                entries.push((key, value));
+            }
+            Ok(entries)
+        };
+        decode().map_err(|err| Error::Corrupt(format!("{:?}: {err}", self.path)))
     }
 
     /// Index of the block that may contain `key`, if any.
@@ -420,9 +364,7 @@ impl SsTable {
         let Some(block_idx) = self.candidate_block(key) else {
             return Ok(None);
         };
-        let meta = &self.index[block_idx];
-        let block = self.read_block(meta)?;
-        let entries = Self::decode_block(&block, meta.entries)?;
+        let entries = self.read_block(&self.index[block_idx])?;
         match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
             Ok(i) => Ok(Some(entries[i].1.clone())),
             Err(_) => Ok(None),
@@ -443,8 +385,7 @@ impl SsTable {
             if !end.is_empty() && meta.first_key.as_slice() >= end {
                 break;
             }
-            let block = self.read_block(meta)?;
-            for (key, value) in Self::decode_block(&block, meta.entries)? {
+            for (key, value) in self.read_block(meta)? {
                 if key.as_slice() < start {
                     continue;
                 }
@@ -551,21 +492,36 @@ mod tests {
         fs::remove_file(&path).unwrap();
     }
 
+    /// Flips every byte of a small multi-block table with a bloom
+    /// filter in turn. Each flip must either fail `open`, `get` or
+    /// `scan_all` as [`Error::Corrupt`], or leave every key reading back
+    /// its original value: never a crash, a lost key or a stale value.
     #[test]
     fn detects_corruption() {
-        let table = build_table("corrupt", 100, 128, 10);
+        let table = build_table("corrupt", 30, 64, 10);
         let path = table.path().to_path_buf();
+        let original = table.scan_all().unwrap();
         drop(table);
-        let mut data = fs::read(&path).unwrap();
-        data[10] ^= 0xFF; // inside the first data block
-        fs::write(&path, &data).unwrap();
-        let table = SsTable::open(&path).unwrap(); // index/footer intact
-        assert!(matches!(table.get(b"key-000001"), Err(Error::Corrupt(_))));
-        // Now break the magic.
-        let len = data.len();
-        data[len - 1] ^= 0xFF;
-        fs::write(&path, &data).unwrap();
-        assert!(matches!(SsTable::open(&path), Err(Error::Corrupt(_))));
+        let clean = fs::read(&path).unwrap();
+        let reads_back = |data: &[u8]| -> Result<bool> {
+            fs::write(&path, data)?;
+            let table = SsTable::open(&path)?;
+            let mut same = table.scan_all()? == original;
+            for (key, value) in &original {
+                same &= table.get(key)? == Some(value.clone());
+            }
+            Ok(same)
+        };
+        assert!(reads_back(&clean).unwrap());
+        for at in 0..clean.len() {
+            let mut data = clean.clone();
+            data[at] ^= 0xFF;
+            let result = reads_back(&data);
+            assert!(
+                matches!(result, Ok(true) | Err(Error::Corrupt(_))),
+                "flip at {at}: {result:?}"
+            );
+        }
         fs::remove_file(&path).unwrap();
     }
 
@@ -578,5 +534,51 @@ mod tests {
         assert_eq!(table.get(b"anything").unwrap(), None);
         assert!(table.scan_all().unwrap().is_empty());
         fs::remove_file(&path).unwrap();
+    }
+
+    /// The exact bytes this format has always written for the data
+    /// blocks and the index block of [`golden_table`]. Everything
+    /// before the bloom block is pinned; the bloom block and the
+    /// footer are checked by reading the table back.
+    const GOLDEN_PREFIX: &[u8] = &[
+        0x08, 0x00, 0x00, 0x00, 0x6c, 0x61, 0x79, 0x65, 0x72, 0x2f, 0x30, 0x30, 0x01, 0x05, 0x00,
+        0x00, 0x00, 0x68, 0x6f, 0x74, 0x20, 0x30, 0x08, 0x00, 0x00, 0x00, 0x6c, 0x61, 0x79, 0x65,
+        0x72, 0x2f, 0x30, 0x31, 0x01, 0x05, 0x00, 0x00, 0x00, 0x68, 0x6f, 0x74, 0x20, 0x37, 0x08,
+        0x00, 0x00, 0x00, 0x6c, 0x61, 0x79, 0x65, 0x72, 0x2f, 0x30, 0x32, 0x00, 0x08, 0x00, 0x00,
+        0x00, 0x6c, 0x61, 0x79, 0x65, 0x72, 0x2f, 0x30, 0x33, 0x01, 0x06, 0x00, 0x00, 0x00, 0x68,
+        0x6f, 0x74, 0x20, 0x32, 0x31, 0x0e, 0x5e, 0x80, 0xcd, 0x08, 0x00, 0x00, 0x00, 0x6c, 0x61,
+        0x79, 0x65, 0x72, 0x2f, 0x30, 0x34, 0x01, 0x06, 0x00, 0x00, 0x00, 0x68, 0x6f, 0x74, 0x20,
+        0x32, 0x38, 0x08, 0x00, 0x00, 0x00, 0x6c, 0x61, 0x79, 0x65, 0x72, 0x2f, 0x30, 0x35, 0x01,
+        0x06, 0x00, 0x00, 0x00, 0x68, 0x6f, 0x74, 0x20, 0x33, 0x35, 0xeb, 0xdc, 0xdc, 0xd3, 0x02,
+        0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x6c, 0x61, 0x79, 0x65, 0x72, 0x2f, 0x30, 0x30,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x54, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00,
+        0x00, 0x08, 0x00, 0x00, 0x00, 0x6c, 0x61, 0x79, 0x65, 0x72, 0x2f, 0x30, 0x34, 0x54, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x32, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0xbf,
+        0xf6, 0x33, 0xf4,
+    ];
+
+    fn golden_table(tag: &str) -> SsTable {
+        let mut writer = SsTableWriter::create(temp_path(tag), 64, 6, 10).unwrap();
+        for i in 0..6u32 {
+            let key = format!("layer/{i:02}");
+            let value = format!("hot {}", i * 7);
+            let value = (i != 2).then_some(value.as_bytes());
+            writer.add(key.as_bytes(), value).unwrap();
+        }
+        writer.finish().unwrap()
+    }
+
+    #[test]
+    fn golden_blocks_are_bit_identical() {
+        let table = golden_table("golden");
+        let data = fs::read(table.path()).unwrap();
+        assert_eq!(&data[..GOLDEN_PREFIX.len()], GOLDEN_PREFIX);
+        assert_eq!(
+            table.get(b"layer/01").unwrap(),
+            Some(Some(b"hot 7".to_vec()))
+        );
+        assert_eq!(table.get(b"layer/02").unwrap(), Some(None));
+        assert_eq!(table.scan_all().unwrap().len(), 6);
+        fs::remove_file(table.path()).unwrap();
     }
 }

@@ -13,14 +13,16 @@
 //!                              · crc32 u32 over all previous frame bytes
 //! ```
 //!
-//! Appends, syncs and torn-tail recovery go through
-//! [`strata_chaos::frame`].
+//! Fields are written with the `put_*` functions of
+//! [`strata_chaos::frame`], the CRC by [`frame::seal`], and appends,
+//! syncs and torn-tail recovery go through the same module. Replay
+//! reads the lengths with [`frame::u32_at`], because a frame that ends
+//! early is a torn tail ([`FrameError::Incomplete`]), not damage.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use strata_chaos::crc32;
-use strata_chaos::frame::{self, Appender, FrameError};
+use strata_chaos::frame::{self, put_u32, put_u8, Appender, FrameError};
 
 use crate::error::{Error, Result};
 use crate::options::SyncPolicy;
@@ -82,15 +84,7 @@ impl Wal {
     ///
     /// I/O failures.
     pub fn log_put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.frame.clear();
-        self.frame.push(TAG_PUT);
-        self.frame
-            .extend_from_slice(&(key.len() as u32).to_le_bytes());
-        self.frame.extend_from_slice(key);
-        self.frame
-            .extend_from_slice(&(value.len() as u32).to_le_bytes());
-        self.frame.extend_from_slice(value);
-        self.finish_frame()
+        self.append(TAG_PUT, key, Some(value))
     }
 
     /// Appends a deletion and flushes it to the OS.
@@ -99,17 +93,19 @@ impl Wal {
     ///
     /// I/O failures.
     pub fn log_delete(&mut self, key: &[u8]) -> Result<()> {
-        self.frame.clear();
-        self.frame.push(TAG_DELETE);
-        self.frame
-            .extend_from_slice(&(key.len() as u32).to_le_bytes());
-        self.frame.extend_from_slice(key);
-        self.finish_frame()
+        self.append(TAG_DELETE, key, None)
     }
 
-    fn finish_frame(&mut self) -> Result<()> {
-        let crc = crc32(&self.frame);
-        self.frame.extend_from_slice(&crc.to_le_bytes());
+    fn append(&mut self, tag: u8, key: &[u8], value: Option<&[u8]>) -> Result<()> {
+        self.frame.clear();
+        put_u8(&mut self.frame, tag);
+        put_u32(&mut self.frame, key.len() as u32);
+        self.frame.extend_from_slice(key);
+        if let Some(value) = value {
+            put_u32(&mut self.frame, value.len() as u32);
+            self.frame.extend_from_slice(value);
+        }
+        frame::seal(&mut self.frame, 0);
         Ok(self.log.append(&self.frame)?)
     }
 

@@ -34,9 +34,9 @@ const REQUEST_TIMEOUT: Duration = Duration::from_secs(60);
 /// [`RemoteConsumer::set_max_poll_records`].
 const MAX_POLL_RECORDS: usize = 500;
 
-/// A single logical connection to a [`BrokerServer`]
-/// (crate::server::BrokerServer): serialized request/response with
-/// reconnect-on-failure underneath.
+/// A single logical connection to a
+/// [`BrokerServer`](crate::server::BrokerServer): serialized
+/// request/response with reconnect-on-failure underneath.
 pub struct BrokerClient {
     addr: String,
     stream: Option<TcpStream>,

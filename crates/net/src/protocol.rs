@@ -1,5 +1,5 @@
-//! The request/response protocol spoken between [`BrokerServer`]
-//! (crate::server::BrokerServer) and the remote clients.
+//! The request/response protocol spoken between
+//! [`BrokerServer`](crate::server::BrokerServer) and the remote clients.
 //!
 //! Messages travel inside the CRC frame of [`codec`](crate::codec);
 //! this module defines what the frame bodies mean:
@@ -8,8 +8,10 @@
 //! body := version u8 · message_type u8 · payload
 //! ```
 //!
-//! Payload scalars are little-endian, strings are `u16 len · utf-8`,
-//! and records reuse the `strata-pubsub` segment framing
+//! Payload scalars are little-endian, strings are `u16 len · utf-8`
+//! (metrics dumps `u32 len · utf-8`), all written and read through
+//! [`strata_chaos::frame`]'s `put_*` functions and [`Reader`], and
+//! records reuse the `strata-pubsub` segment framing
 //! ([`wire::encode_frame`]) verbatim — a record's bytes are identical
 //! at rest and in flight, covered by the same CRC-32.
 //!
@@ -18,7 +20,7 @@
 //! correlation id; pipelining is achieved with multiple connections.
 
 use strata_pubsub::record::{Record, StoredRecord};
-use strata_pubsub::wire::{self, Reader};
+use strata_pubsub::wire::{self, put_str16, put_str32, put_u16, put_u32, put_u64, Reader};
 use strata_pubsub::Error as BrokerError;
 
 use crate::error::{NetError, NetResult};
@@ -230,45 +232,6 @@ impl ErrorCode {
 
 // ───────────────────────── encoding helpers ─────────────────────────
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_string(buf: &mut Vec<u8>, s: &str) {
-    debug_assert!(s.len() <= u16::MAX as usize, "string field too long");
-    put_u16(buf, s.len() as u16);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn read_string(r: &mut Reader<'_>) -> NetResult<String> {
-    let len = r.u16()? as usize;
-    let bytes = r.bytes(len)?;
-    String::from_utf8(bytes.to_vec())
-        .map_err(|_| NetError::Corrupt("string field is not utf-8".into()))
-}
-
-/// Long-string encoding (`u32 len · utf-8`) for payloads that can
-/// exceed the `u16` cap of [`put_string`], such as metrics dumps.
-fn put_long_string(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn read_long_string(r: &mut Reader<'_>) -> NetResult<String> {
-    let len = r.u32()? as usize;
-    let bytes = r.bytes(len)?;
-    String::from_utf8(bytes.to_vec())
-        .map_err(|_| NetError::Corrupt("string field is not utf-8".into()))
-}
-
 /// Encodes a record without an offset (the `Produce` payload) by
 /// reusing the stored-record framing with a zero placeholder offset.
 fn put_record(buf: &mut Vec<u8>, record: &Record) {
@@ -280,12 +243,10 @@ fn put_record(buf: &mut Vec<u8>, record: &Record) {
 }
 
 fn read_stored_record(r: &mut Reader<'_>) -> NetResult<StoredRecord> {
-    // Frames are self-delimiting: peek the body length to know the
-    // total frame size, then hand that slice to the wire decoder.
-    let remaining = r.bytes(r.remaining())?;
-    let (stored, consumed) = wire::decode_frame(remaining)?;
-    // Rewind past what decode actually used.
-    *r = Reader::new(&remaining[consumed..]);
+    // Frames are self-delimiting: decode one from the unread rest,
+    // then read past it.
+    let (stored, used) = wire::decode_frame(r.rest())?;
+    r.bytes(used)?;
     Ok(stored)
 }
 
@@ -320,7 +281,7 @@ impl Request {
         match self {
             Request::CreateTopic { topic, partitions } => {
                 buf.push(REQ_CREATE_TOPIC);
-                put_string(&mut buf, topic);
+                put_str16(&mut buf, topic);
                 put_u32(&mut buf, *partitions);
             }
             Request::Produce {
@@ -329,7 +290,7 @@ impl Request {
                 record,
             } => {
                 buf.push(REQ_PRODUCE);
-                put_string(&mut buf, topic);
+                put_str16(&mut buf, topic);
                 match partition {
                     Some(p) => {
                         buf.push(PARTITION_EXPLICIT);
@@ -350,7 +311,7 @@ impl Request {
                 max_wait_ms,
             } => {
                 buf.push(REQ_FETCH);
-                put_string(&mut buf, topic);
+                put_str16(&mut buf, topic);
                 put_u32(&mut buf, *partition);
                 put_u64(&mut buf, *offset);
                 put_u32(&mut buf, *max_records);
@@ -363,8 +324,8 @@ impl Request {
                 offset,
             } => {
                 buf.push(REQ_COMMIT_OFFSET);
-                put_string(&mut buf, group);
-                put_string(&mut buf, topic);
+                put_str16(&mut buf, group);
+                put_str16(&mut buf, topic);
                 put_u32(&mut buf, *partition);
                 put_u64(&mut buf, *offset);
             }
@@ -374,21 +335,21 @@ impl Request {
                 partition,
             } => {
                 buf.push(REQ_FETCH_OFFSET);
-                put_string(&mut buf, group);
-                put_string(&mut buf, topic);
+                put_str16(&mut buf, group);
+                put_str16(&mut buf, topic);
                 put_u32(&mut buf, *partition);
             }
             Request::Metadata { topics } => {
                 buf.push(REQ_METADATA);
                 put_u16(&mut buf, topics.len() as u16);
                 for topic in topics {
-                    put_string(&mut buf, topic);
+                    put_str16(&mut buf, topic);
                 }
             }
             Request::ConsumerLag { group, topic } => {
                 buf.push(REQ_CONSUMER_LAG);
-                put_string(&mut buf, group);
-                put_string(&mut buf, topic);
+                put_str16(&mut buf, group);
+                put_str16(&mut buf, topic);
             }
             Request::Metrics => buf.push(REQ_METRICS),
         }
@@ -403,7 +364,7 @@ impl Request {
     /// [`NetError::Corrupt`] on truncated payloads.
     pub fn decode(body: &[u8]) -> NetResult<Self> {
         let mut r = Reader::new(body);
-        let (version, kind) = header(&mut r)?;
+        let (version, kind) = (r.u8()?, r.u8()?);
         if version != PROTOCOL_VERSION {
             return Err(NetError::Protocol(format!(
                 "unsupported protocol version {version}"
@@ -411,12 +372,12 @@ impl Request {
         }
         let request = match kind {
             REQ_CREATE_TOPIC => Request::CreateTopic {
-                topic: read_string(&mut r)?,
+                topic: r.str16()?.to_string(),
                 partitions: r.u32()?,
             },
             REQ_PRODUCE => {
-                let topic = read_string(&mut r)?;
-                let explicit = r.bytes(1)?[0] == PARTITION_EXPLICIT;
+                let topic = r.str16()?.to_string();
+                let explicit = r.u8()? == PARTITION_EXPLICIT;
                 let partition = r.u32()?;
                 let stored = read_stored_record(&mut r)?;
                 Request::Produce {
@@ -426,39 +387,39 @@ impl Request {
                 }
             }
             REQ_FETCH => Request::Fetch {
-                topic: read_string(&mut r)?,
+                topic: r.str16()?.to_string(),
                 partition: r.u32()?,
                 offset: r.u64()?,
                 max_records: r.u32()?,
                 max_wait_ms: r.u32()?,
             },
             REQ_COMMIT_OFFSET => Request::CommitOffset {
-                group: read_string(&mut r)?,
-                topic: read_string(&mut r)?,
+                group: r.str16()?.to_string(),
+                topic: r.str16()?.to_string(),
                 partition: r.u32()?,
                 offset: r.u64()?,
             },
             REQ_FETCH_OFFSET => Request::FetchOffset {
-                group: read_string(&mut r)?,
-                topic: read_string(&mut r)?,
+                group: r.str16()?.to_string(),
+                topic: r.str16()?.to_string(),
                 partition: r.u32()?,
             },
             REQ_METADATA => {
                 let count = r.u16()? as usize;
                 let mut topics = Vec::with_capacity(count);
                 for _ in 0..count {
-                    topics.push(read_string(&mut r)?);
+                    topics.push(r.str16()?.to_string());
                 }
                 Request::Metadata { topics }
             }
             REQ_CONSUMER_LAG => Request::ConsumerLag {
-                group: read_string(&mut r)?,
-                topic: read_string(&mut r)?,
+                group: r.str16()?.to_string(),
+                topic: r.str16()?.to_string(),
             },
             REQ_METRICS => Request::Metrics,
             other => return Err(NetError::Protocol(format!("unknown request type {other}"))),
         };
-        expect_consumed(&r)?;
+        r.finish()?;
         Ok(request)
     }
 }
@@ -506,7 +467,7 @@ impl Response {
                 buf.push(RESP_METADATA);
                 put_u16(&mut buf, topics.len() as u16);
                 for topic in topics {
-                    put_string(&mut buf, &topic.name);
+                    put_str16(&mut buf, &topic.name);
                     put_u32(&mut buf, topic.partitions.len() as u32);
                     for p in &topic.partitions {
                         put_u32(&mut buf, p.partition);
@@ -521,7 +482,7 @@ impl Response {
             }
             Response::MetricsText(text) => {
                 buf.push(RESP_METRICS_TEXT);
-                put_long_string(&mut buf, text);
+                put_str32(&mut buf, text);
             }
             Response::Error {
                 code,
@@ -530,7 +491,7 @@ impl Response {
             } => {
                 buf.push(RESP_ERROR);
                 put_u16(&mut buf, *code as u16);
-                put_string(&mut buf, message);
+                put_str16(&mut buf, message);
                 buf.push(context.len() as u8);
                 for value in context {
                     put_u64(&mut buf, *value);
@@ -548,7 +509,7 @@ impl Response {
     /// [`NetError::Corrupt`] on truncated payloads.
     pub fn decode(body: &[u8]) -> NetResult<Self> {
         let mut r = Reader::new(body);
-        let (version, kind) = header(&mut r)?;
+        let (version, kind) = (r.u8()?, r.u8()?);
         if version != PROTOCOL_VERSION {
             return Err(NetError::Protocol(format!(
                 "unsupported protocol version {version}"
@@ -570,7 +531,7 @@ impl Response {
             }
             RESP_COMMITTED => Response::Committed,
             RESP_COMMITTED_OFFSET => {
-                let present = r.bytes(1)?[0] != 0;
+                let present = r.u8()? != 0;
                 let offset = r.u64()?;
                 Response::CommittedOffset(present.then_some(offset))
             }
@@ -578,7 +539,7 @@ impl Response {
                 let count = r.u16()? as usize;
                 let mut topics = Vec::with_capacity(count);
                 for _ in 0..count {
-                    let name = read_string(&mut r)?;
+                    let name = r.str16()?.to_string();
                     let partition_count = r.u32()? as usize;
                     let mut partitions = Vec::with_capacity(partition_count.min(4096));
                     for _ in 0..partition_count {
@@ -593,13 +554,13 @@ impl Response {
                 Response::Metadata(topics)
             }
             RESP_LAG => Response::Lag(r.u64()?),
-            RESP_METRICS_TEXT => Response::MetricsText(read_long_string(&mut r)?),
+            RESP_METRICS_TEXT => Response::MetricsText(r.str32()?.to_string()),
             RESP_ERROR => {
                 let raw_code = r.u16()?;
                 let code = ErrorCode::from_u16(raw_code)
                     .ok_or_else(|| NetError::Protocol(format!("unknown error code {raw_code}")))?;
-                let message = read_string(&mut r)?;
-                let count = r.bytes(1)?[0] as usize;
+                let message = r.str16()?.to_string();
+                let count = r.u8()? as usize;
                 let mut context = Vec::with_capacity(count);
                 for _ in 0..count {
                     context.push(r.u64()?);
@@ -612,7 +573,7 @@ impl Response {
             }
             other => return Err(NetError::Protocol(format!("unknown response type {other}"))),
         };
-        expect_consumed(&r)?;
+        r.finish()?;
         Ok(response)
     }
 
@@ -625,21 +586,6 @@ impl Response {
             context,
         }
     }
-}
-
-fn header(r: &mut Reader<'_>) -> NetResult<(u8, u8)> {
-    let bytes = r.bytes(2)?;
-    Ok((bytes[0], bytes[1]))
-}
-
-fn expect_consumed(r: &Reader<'_>) -> NetResult<()> {
-    if r.remaining() != 0 {
-        return Err(NetError::Corrupt(format!(
-            "{} trailing bytes in message body",
-            r.remaining()
-        )));
-    }
-    Ok(())
 }
 
 #[cfg(test)]

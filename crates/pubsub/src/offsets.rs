@@ -22,11 +22,12 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
 
-use strata_chaos::frame::{self, Appender, FrameError, SyncPolicy};
+use strata_chaos::frame::{
+    self, put_str16, put_u32, put_u64, Appender, FrameError, Reader, SyncPolicy,
+};
 use strata_chaos::{fsync_dir, ChaosFile};
 
 use crate::error::{Error, Result};
-use crate::wire::Reader;
 
 /// Failpoint prefix for offset-store I/O (`pubsub.offsets.write`,
 /// `pubsub.offsets.sync`), and the key of its torn-tail count.
@@ -79,33 +80,20 @@ impl OffsetStore {
     fn decode_frame(data: &[u8]) -> std::result::Result<(Key, u64, usize), FrameError> {
         let (body, used) = frame::split(data)?;
         let mut r = Reader::new(body);
-        let group_len = r.u16()? as usize;
-        let group = std::str::from_utf8(r.bytes(group_len)?)
-            .map_err(|_| FrameError::Corrupt("offset store: group is not utf-8".into()))?
-            .to_string();
-        let topic_len = r.u16()? as usize;
-        let topic = std::str::from_utf8(r.bytes(topic_len)?)
-            .map_err(|_| FrameError::Corrupt("offset store: topic is not utf-8".into()))?
-            .to_string();
+        let group = r.str16()?.to_string();
+        let topic = r.str16()?.to_string();
         let partition = r.u32()?;
         let offset = r.u64()?;
-        if r.remaining() != 0 {
-            return Err(FrameError::Corrupt(format!(
-                "offset store: {} trailing bytes in frame body",
-                r.remaining()
-            )));
-        }
+        r.finish()?;
         Ok(((group, topic, partition), offset, used))
     }
 
     fn encode_frame(buf: &mut Vec<u8>, group: &str, topic: &str, partition: u32, offset: u64) {
         frame::encode(buf, |buf| {
-            buf.extend_from_slice(&(group.len() as u16).to_le_bytes());
-            buf.extend_from_slice(group.as_bytes());
-            buf.extend_from_slice(&(topic.len() as u16).to_le_bytes());
-            buf.extend_from_slice(topic.as_bytes());
-            buf.extend_from_slice(&partition.to_le_bytes());
-            buf.extend_from_slice(&offset.to_le_bytes());
+            put_str16(buf, group);
+            put_str16(buf, topic);
+            put_u32(buf, partition);
+            put_u64(buf, offset);
         });
     }
 

@@ -13,82 +13,22 @@
 //! The envelope's CRC-32 covers the body only; a frame failing the
 //! checksum or the framing invariants is reported as
 //! [`FrameError::Corrupt`], one that runs out of bytes as
-//! [`FrameError::Incomplete`].
+//! [`FrameError::Incomplete`]. Fields are written with the `put_*`
+//! functions of [`strata_chaos::frame`] and read back with its
+//! [`Reader`]; this module re-exports them, with [`FrameError`], for
+//! the crates above `strata-pubsub` (the tuple codec, `strata-net`).
 
 use bytes::Bytes;
 
-use strata_chaos::frame::{self, FrameError};
+use strata_chaos::frame;
+pub use strata_chaos::frame::{
+    put_f64, put_str16, put_str32, put_u16, put_u32, put_u64, put_u8, FrameError, Reader,
+};
 
 use crate::record::{Record, StoredRecord};
 
 /// Marker for "no key" in the key-length field.
 const NO_KEY: u32 = u32::MAX;
-
-/// The result of decoding a frame or one of its fields.
-type Result<T> = std::result::Result<T, FrameError>;
-
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// A bounds-checked little-endian reader over a byte slice.
-#[derive(Debug)]
-pub struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// Creates a reader over `data`.
-    pub fn new(data: &'a [u8]) -> Self {
-        Reader { data, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(FrameError::Corrupt(format!(
-                "truncated frame: wanted {n} bytes, have {}",
-                self.remaining()
-            )));
-        }
-        let slice = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-
-    /// Reads `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
-        self.take(n)
-    }
-}
 
 /// Encodes one stored record into a framed byte buffer (appended to
 /// `buf`). Returns the number of bytes written.
@@ -107,8 +47,7 @@ pub fn encode_frame(stored: &StoredRecord, buf: &mut Vec<u8>) -> usize {
         buf.extend_from_slice(&stored.record.value);
         put_u16(buf, stored.record.headers.len() as u16);
         for (name, value) in &stored.record.headers {
-            put_u16(buf, name.len() as u16);
-            buf.extend_from_slice(name.as_bytes());
+            put_str16(buf, name);
             put_u32(buf, value.len() as u32);
             buf.extend_from_slice(value);
         }
@@ -140,7 +79,7 @@ pub fn frame_len(stored: &StoredRecord) -> usize {
 /// [`FrameError::Incomplete`] when `data` ends inside the frame;
 /// [`FrameError::Corrupt`] on a checksum mismatch, a malformed body, or
 /// invalid UTF-8 in a header name.
-pub fn decode_frame(data: &[u8]) -> Result<(StoredRecord, usize)> {
+pub fn decode_frame(data: &[u8]) -> Result<(StoredRecord, usize), FrameError> {
     let (body, used) = frame::split(data)?;
     let mut r = Reader::new(body);
     let offset = r.u64()?;
@@ -156,20 +95,12 @@ pub fn decode_frame(data: &[u8]) -> Result<(StoredRecord, usize)> {
     let header_count = r.u16()?;
     let mut headers = Vec::with_capacity(header_count as usize);
     for _ in 0..header_count {
-        let name_len = r.u16()? as usize;
-        let name = std::str::from_utf8(r.bytes(name_len)?)
-            .map_err(|_| FrameError::Corrupt("header name is not utf-8".into()))?
-            .to_string();
+        let name = r.str16()?.to_string();
         let hval_len = r.u32()? as usize;
         let hval = Bytes::copy_from_slice(r.bytes(hval_len)?);
         headers.push((name, hval));
     }
-    if r.remaining() != 0 {
-        return Err(FrameError::Corrupt(format!(
-            "{} trailing bytes in frame body",
-            r.remaining()
-        )));
-    }
+    r.finish()?;
     Ok((
         StoredRecord {
             offset,

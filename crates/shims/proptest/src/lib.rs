@@ -70,7 +70,8 @@ impl TestRng {
     }
 }
 
-/// Test-runner types ([`ProptestConfig`], failure reporting).
+/// Test-runner types ([`ProptestConfig`](test_runner::ProptestConfig),
+/// failure reporting).
 pub mod test_runner {
     /// A failed property within a test case.
     #[derive(Debug, Clone)]
