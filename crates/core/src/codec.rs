@@ -176,9 +176,13 @@ pub fn decode(data: &[u8]) -> Result<ConnectorMessage> {
             };
             let ingest_ns = r.u64()?;
             let count = r.u16()?;
-            let mut payload = Payload::new();
+            // Room for `count` entries, bounded by what the unread
+            // bytes can hold (an entry takes at least 4: key length,
+            // tag, one value byte). `encode` writes keys in order, so
+            // each `set` appends.
+            let mut payload = Payload::with_capacity(usize::from(count).min(r.rest().len() / 4));
             for _ in 0..count {
-                let key = r.str16()?.to_string();
+                let key = Arc::<str>::from(r.str16()?);
                 let value = decode_value(&mut r)?;
                 payload.set(key, value);
             }
@@ -280,6 +284,41 @@ mod tests {
             assert_eq!(record.len(), 43);
             assert!(matches!(decode(&record), Err(Error::Codec(_))), "tag {tag}");
         }
+    }
+
+    /// `encode` writes keys sorted and unique, but `decode` also takes
+    /// a message that repeats a key or lists keys out of order: the
+    /// payload comes out sorted, the later value wins, and it
+    /// re-encodes canonically.
+    #[test]
+    fn unordered_and_repeated_keys_decode_to_a_sorted_payload() {
+        let message = |entries: &[(&str, i64)]| {
+            let mut buf = vec![0u8];
+            put_u64(&mut buf, 5);
+            for field in [1, 2, NONE_U32, NONE_U32] {
+                put_u32(&mut buf, field);
+            }
+            put_u64(&mut buf, 9);
+            put_u16(&mut buf, entries.len() as u16);
+            for &(key, v) in entries {
+                put_str16(&mut buf, key);
+                encode_value(&mut buf, &Value::Int(v));
+            }
+            buf
+        };
+        let unordered = message(&[("mean", 1), ("cell_mm", 2), ("mean", 3), ("frac", 4)]);
+        let canonical = message(&[("cell_mm", 2), ("frac", 4), ("mean", 3)]);
+
+        let ConnectorMessage::Tuple(decoded) = decode(&unordered).unwrap() else {
+            panic!("expected tuple");
+        };
+        let mut expected = Payload::new();
+        expected
+            .set_int("cell_mm", 2)
+            .set_int("frac", 4)
+            .set_int("mean", 3);
+        assert_eq!(decoded.payload(), &expected);
+        assert_eq!(encode(&ConnectorMessage::Tuple(decoded)), canonical);
     }
 
     #[test]

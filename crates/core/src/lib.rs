@@ -108,4 +108,4 @@ pub use error::{Error, Result};
 pub use pipeline::{AmStream, DeployedPipeline, PipelineBuilder};
 pub use report::{ExpertReport, LatencySummary};
 pub use strata::Strata;
-pub use tuple::{AmTuple, Metadata, Payload, Value};
+pub use tuple::{AmTuple, Key, Metadata, Payload, Value};

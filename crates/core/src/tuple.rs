@@ -6,7 +6,8 @@
 //! `job` and `layer` are set by every source; `specimen` and
 //! `portion` appear downstream of the `partition` method.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -50,16 +51,101 @@ pub enum Value {
     Points(Arc<Vec<(f64, f64)>>),
 }
 
-/// The key-value payload of a tuple.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// A payload key. Keys written in code are `&'static str` and cost no
+/// allocation; keys decoded from a message or computed at run time
+/// are shared [`Arc<str>`]s. Equality and order compare the text, so a
+/// static and a shared key with the same text are the same key.
+#[derive(Clone)]
+pub struct Key(KeyRepr);
+
+#[derive(Clone)]
+enum KeyRepr {
+    Static(&'static str),
+    Shared(Arc<str>),
+}
+
+impl Key {
+    /// The key's text.
+    #[inline]
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            KeyRepr::Static(s) => s,
+            KeyRepr::Shared(s) => s,
+        }
+    }
+}
+
+impl From<&'static str> for Key {
+    fn from(key: &'static str) -> Self {
+        Key(KeyRepr::Static(key))
+    }
+}
+
+impl From<String> for Key {
+    fn from(key: String) -> Self {
+        Key(KeyRepr::Shared(Arc::from(key)))
+    }
+}
+
+impl From<Arc<str>> for Key {
+    fn from(key: Arc<str>) -> Self {
+        Key(KeyRepr::Shared(key))
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Key {}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Key {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_str().cmp(other.as_str())
+    }
+}
+
+impl fmt::Debug for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+/// The key-value payload of a tuple: one vector of entries kept
+/// sorted by key, without duplicates. Setting keys in ascending order
+/// appends; any other order binary-searches and shifts the tail.
+#[derive(Clone, PartialEq, Default)]
 pub struct Payload {
-    entries: BTreeMap<String, Value>,
+    entries: Vec<(Key, Value)>,
+}
+
+impl fmt::Debug for Payload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
 }
 
 impl Payload {
     /// Creates an empty payload.
     pub fn new() -> Self {
         Payload::default()
+    }
+
+    /// Creates an empty payload with room for `capacity` entries, so
+    /// that setting that many allocates once.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Payload {
+            entries: Vec::with_capacity(capacity),
+        }
     }
 
     /// Number of key-value pairs.
@@ -73,52 +159,70 @@ impl Payload {
     }
 
     /// The raw value under `key`.
+    #[inline]
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.entries.get(key)
+        // Payloads hold a handful of entries, and most keys differ in
+        // length, which `==` checks first: a scan beats a binary
+        // search's hard-to-predict branches here.
+        self.entries
+            .iter()
+            .find(|(k, _)| k.as_str() == key)
+            .map(|(_, v)| v)
     }
 
-    /// Sets `key` to an arbitrary [`Value`].
-    pub fn set(&mut self, key: impl Into<String>, value: Value) -> &mut Self {
-        self.entries.insert(key.into(), value);
+    /// Sets `key` to an arbitrary [`Value`]; a key already present
+    /// takes the new value.
+    #[inline]
+    pub fn set(&mut self, key: impl Into<Key>, value: Value) -> &mut Self {
+        let key = key.into();
+        match self.entries.last() {
+            Some((last, _)) if *last >= key => self.insert(key, value),
+            _ => self.entries.push((key, value)),
+        }
         self
     }
 
+    /// `set` for a key that does not sort after every present key:
+    /// kept out of line so that the append path inlines.
+    fn insert(&mut self, key: Key, value: Value) {
+        match self.entries.binary_search_by(|(k, _)| k.cmp(&key)) {
+            Ok(i) => self.entries[i].1 = value,
+            Err(i) => self.entries.insert(i, (key, value)),
+        }
+    }
+
     /// Sets an integer.
-    pub fn set_int(&mut self, key: impl Into<String>, value: i64) -> &mut Self {
+    pub fn set_int(&mut self, key: impl Into<Key>, value: i64) -> &mut Self {
         self.set(key, Value::Int(value))
     }
 
     /// Sets a float.
-    pub fn set_float(&mut self, key: impl Into<String>, value: f64) -> &mut Self {
+    pub fn set_float(&mut self, key: impl Into<Key>, value: f64) -> &mut Self {
         self.set(key, Value::Float(value))
     }
 
     /// Sets a boolean.
-    pub fn set_bool(&mut self, key: impl Into<String>, value: bool) -> &mut Self {
+    pub fn set_bool(&mut self, key: impl Into<Key>, value: bool) -> &mut Self {
         self.set(key, Value::Bool(value))
     }
 
     /// Sets a string.
-    pub fn set_str(&mut self, key: impl Into<String>, value: impl AsRef<str>) -> &mut Self {
+    pub fn set_str(&mut self, key: impl Into<Key>, value: impl AsRef<str>) -> &mut Self {
         self.set(key, Value::Str(Arc::from(value.as_ref())))
     }
 
     /// Sets an image (shared, not copied).
-    pub fn set_image(&mut self, key: impl Into<String>, image: Arc<OtImage>) -> &mut Self {
+    pub fn set_image(&mut self, key: impl Into<Key>, image: Arc<OtImage>) -> &mut Self {
         self.set(key, Value::Image(image))
     }
 
     /// Sets a rectangle list.
-    pub fn set_rects(&mut self, key: impl Into<String>, rects: Arc<RectList>) -> &mut Self {
+    pub fn set_rects(&mut self, key: impl Into<Key>, rects: Arc<RectList>) -> &mut Self {
         self.set(key, Value::Rects(rects))
     }
 
     /// Sets a point list.
-    pub fn set_points(
-        &mut self,
-        key: impl Into<String>,
-        points: Arc<Vec<(f64, f64)>>,
-    ) -> &mut Self {
+    pub fn set_points(&mut self, key: impl Into<Key>, points: Arc<Vec<(f64, f64)>>) -> &mut Self {
         self.set(key, Value::Points(points))
     }
 
@@ -189,7 +293,7 @@ impl Payload {
     /// tuples, so collisions simply keep the later value).
     pub fn merge(&mut self, other: &Payload) {
         for (k, v) in &other.entries {
-            self.entries.insert(k.clone(), v.clone());
+            self.set(k.clone(), v.clone());
         }
     }
 }
@@ -239,7 +343,8 @@ impl AmTuple {
         }
     }
 
-    /// Creates a tuple from explicit metadata (codec and tests).
+    /// Creates a tuple from explicit metadata and a payload built
+    /// beforehand (codec, tests, and operators that size the payload).
     pub fn from_parts(metadata: Metadata, payload: Payload) -> Self {
         AmTuple { metadata, payload }
     }
@@ -356,6 +461,103 @@ mod tests {
         let t = AmTuple::new(Timestamp::MIN, 0, 0);
         std::thread::sleep(std::time::Duration::from_millis(2));
         assert!(t.latency() >= std::time::Duration::from_millis(2));
+    }
+
+    /// Seeded random `set`/`set_*`/`merge`/`get`/`float` sequences,
+    /// with static and shared keys mixed, against a `BTreeMap` model:
+    /// a later value wins (on `merge` too), `iter` runs in key order,
+    /// `len` matches, `float` widens integers, and payloads holding the
+    /// same entries are equal whichever kind of key they were set with.
+    #[test]
+    fn payload_matches_a_btreemap_model() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+
+        const KEYS: [&str; 10] = [
+            "",
+            "a",
+            "ab",
+            "b",
+            "cell_mm",
+            "frac_cold",
+            "frac_very_cold",
+            "x_mm",
+            "y_mm",
+            "z",
+        ];
+        fn key(rng: &mut StdRng) -> (Key, String) {
+            let text = KEYS[rng.gen_range(0..KEYS.len())];
+            let key = match rng.gen_range(0..3u32) {
+                0 => Key::from(text),
+                1 => Key::from(text.to_string()),
+                _ => Key::from(Arc::<str>::from(text)),
+            };
+            (key, text.to_string())
+        }
+        fn value(rng: &mut StdRng) -> Value {
+            match rng.gen_range(0..4u32) {
+                0 => Value::Int(rng.gen_range(-3..3i64)),
+                1 => Value::Float(f64::from(rng.gen_range(0..8u32)) / 4.0),
+                2 => Value::Bool(rng.gen()),
+                _ => Value::Str(Arc::from(KEYS[rng.gen_range(0..KEYS.len())])),
+            }
+        }
+        fn set(p: &mut Payload, model: &mut BTreeMap<String, Value>, rng: &mut StdRng) {
+            let (k, text) = key(rng);
+            let v = value(rng);
+            match &v {
+                Value::Int(i) => p.set_int(k, *i),
+                Value::Float(x) => p.set_float(k, *x),
+                Value::Bool(b) => p.set_bool(k, *b),
+                other => p.set(k, other.clone()),
+            };
+            model.insert(text, v);
+        }
+
+        for seed in 0..200 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut p = Payload::new();
+            let mut model = BTreeMap::new();
+            for _ in 0..rng.gen_range(1..40usize) {
+                match rng.gen_range(0..4u32) {
+                    0 | 1 => set(&mut p, &mut model, &mut rng),
+                    2 => {
+                        let mut other = Payload::new();
+                        for _ in 0..rng.gen_range(0..6usize) {
+                            set(&mut other, &mut model, &mut rng);
+                        }
+                        p.merge(&other);
+                    }
+                    _ => {
+                        let text = KEYS[rng.gen_range(0..KEYS.len())];
+                        assert_eq!(p.get(text), model.get(text), "seed {seed}: get {text:?}");
+                        let widened = match model.get(text) {
+                            Some(Value::Float(x)) => Some(*x),
+                            Some(Value::Int(i)) => Some(*i as f64),
+                            _ => None,
+                        };
+                        assert_eq!(p.float(text), widened, "seed {seed}: float {text:?}");
+                    }
+                }
+                assert_eq!(p.len(), model.len(), "seed {seed}");
+                assert!(
+                    p.iter().eq(model.iter().map(|(k, v)| (k.as_str(), v))),
+                    "seed {seed}: {p:?} against {model:?}"
+                );
+            }
+            // The same entries set in reverse order, all with static or
+            // all with shared keys, make an equal payload.
+            let mut statics = Payload::new();
+            let mut shared = Payload::new();
+            for (k, v) in model.iter().rev() {
+                let text = KEYS.iter().find(|t| *t == k).expect("a pool key");
+                statics.set(*text, v.clone());
+                shared.set(Arc::<str>::from(k.as_str()), v.clone());
+            }
+            assert_eq!(statics, p, "seed {seed}");
+            assert_eq!(shared, statics, "seed {seed}");
+        }
     }
 
     #[test]

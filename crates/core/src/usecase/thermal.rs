@@ -33,7 +33,7 @@ use crate::error::{Error, Result};
 use crate::pipeline::{CorrelationWindow, DeployedPipeline};
 use crate::report::ExpertReport;
 use crate::strata::Strata;
-use crate::tuple::AmTuple;
+use crate::tuple::{AmTuple, Payload};
 
 /// Key-value store keys holding the classification thresholds.
 pub mod keys {
@@ -199,18 +199,22 @@ pub fn isolate_cell(strata: &Strata, cell_px: u32) -> impl FnMut(&AmTuple) -> Ve
                 let count = ((x1 - x0) * (y1 - y0)).max(1) as f64;
                 let center_x_mm = (origin_x + (x0 + x1) as f64 / 2.0) * mm_per_px;
                 let center_y_mm = (origin_y + (y0 + y1) as f64 / 2.0) * mm_per_px;
-                let mut cell_tuple = tuple.derive().with_portion(row * cols + col);
-                cell_tuple
-                    .payload_mut()
-                    .set_float("mean", sum as f64 / count)
-                    .set_float("frac_very_cold", n_very_cold as f64 / count)
+                // One allocation per cell, and the keys in ascending
+                // order so that every `set` appends: out of order, each
+                // would binary-search and shift the entries after it.
+                let mut payload = Payload::with_capacity(8);
+                payload
+                    .set_float("cell_mm", cell as f64 * mm_per_px)
                     .set_float("frac_cold", n_cold as f64 / count)
-                    .set_float("frac_warm", n_warm as f64 / count)
+                    .set_float("frac_very_cold", n_very_cold as f64 / count)
                     .set_float("frac_very_warm", n_very_warm as f64 / count)
+                    .set_float("frac_warm", n_warm as f64 / count)
+                    .set_float("mean", sum as f64 / count)
                     .set_float("x_mm", center_x_mm)
-                    .set_float("y_mm", center_y_mm)
-                    .set_float("cell_mm", cell as f64 * mm_per_px);
-                out.push(cell_tuple);
+                    .set_float("y_mm", center_y_mm);
+                out.push(
+                    AmTuple::from_parts(*tuple.metadata(), payload).with_portion(row * cols + col),
+                );
             }
         }
         out
@@ -281,15 +285,15 @@ pub fn label_cell(strata: &Strata) -> impl FnMut(&AmTuple) -> Option<Vec<AmTuple
             CellClass::VeryCold => tuple.payload().float("frac_very_cold").unwrap_or(0.0),
             _ => tuple.payload().float("frac_very_warm").unwrap_or(0.0),
         };
-        let mut event = tuple.derive();
-        event
-            .payload_mut()
+        let cell = tuple.payload();
+        let mut payload = Payload::with_capacity(5);
+        payload
+            .set_float("cell_mm", cell.float("cell_mm").unwrap_or(0.0))
             .set_str("class", class.as_str())
             .set_float("severity", severity)
-            .set_float("x_mm", tuple.payload().float("x_mm").unwrap_or(0.0))
-            .set_float("y_mm", tuple.payload().float("y_mm").unwrap_or(0.0))
-            .set_float("cell_mm", tuple.payload().float("cell_mm").unwrap_or(0.0));
-        Some(vec![event])
+            .set_float("x_mm", cell.float("x_mm").unwrap_or(0.0))
+            .set_float("y_mm", cell.float("y_mm").unwrap_or(0.0));
+        Some(vec![AmTuple::from_parts(*tuple.metadata(), payload)])
     }
 }
 
