@@ -1,18 +1,12 @@
-//! Criterion micro-benchmarks of the LSM key-value store, including
-//! the bloom-filter ablation called out in DESIGN.md.
+//! Criterion micro-benchmarks of the key-value store: point lookups,
+//! logged puts and prefix scans on a disk-backed store.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use strata_kv::{Db, DbOptions};
 
-fn filled_db(dir: &std::path::Path, bloom_bits: u32, keys: u32) -> Db {
+fn filled_db(dir: &std::path::Path, keys: u32) -> Db {
     let _ = std::fs::remove_dir_all(dir);
-    let db = Db::open(
-        dir,
-        DbOptions::default()
-            .memtable_bytes(64 * 1024)
-            .bloom_bits_per_key(bloom_bits),
-    )
-    .unwrap();
+    let db = Db::open(dir, DbOptions::default()).unwrap();
     for i in 0..keys {
         db.put(format!("key-{i:08}"), format!("value-{i}")).unwrap();
     }
@@ -24,66 +18,54 @@ fn bench_point_lookups(c: &mut Criterion) {
     let keys = 50_000u32;
     let mut group = c.benchmark_group("kv_get");
     group.throughput(Throughput::Elements(1));
-    for (label, bloom_bits) in [("bloom", 10u32), ("no_bloom", 0)] {
-        let dir = std::env::temp_dir().join(format!("strata-bench-kv-{label}"));
-        let db = filled_db(&dir, bloom_bits, keys);
-        let mut i = 0u32;
-        group.bench_with_input(BenchmarkId::new("hit", label), &(), |b, ()| {
-            b.iter(|| {
-                i = (i + 7919) % keys;
-                db.get(format!("key-{i:08}")).unwrap().expect("present")
-            })
-        });
-        let mut j = 0u32;
-        group.bench_with_input(BenchmarkId::new("miss", label), &(), |b, ()| {
-            b.iter(|| {
-                // Misses *inside* the stored key range, so the sparse
-                // index cannot reject them without a block read — the
-                // case bloom filters exist for.
-                j = (j + 7919) % keys;
-                db.get(format!("key-{j:08}.absent")).unwrap()
-            })
-        });
-        drop(db);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let dir = std::env::temp_dir().join("strata-bench-kv-get");
+    let db = filled_db(&dir, keys);
+    let mut i = 0u32;
+    group.bench_function("hit", |b| {
+        b.iter(|| {
+            i = (i + 7919) % keys;
+            db.get(format!("key-{i:08}")).unwrap().expect("present")
+        })
+    });
+    let mut j = 0u32;
+    group.bench_function("miss", |b| {
+        b.iter(|| {
+            // Misses inside the stored key range.
+            j = (j + 7919) % keys;
+            db.get(format!("key-{j:08}.absent")).unwrap()
+        })
+    });
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
     group.finish();
 }
 
 fn bench_writes(c: &mut Criterion) {
     let mut group = c.benchmark_group("kv_put");
     group.throughput(Throughput::Elements(1));
-    for (label, wal) in [("wal", true), ("no_wal", false)] {
-        let dir = std::env::temp_dir().join(format!("strata-bench-kv-put-{label}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        let db = Db::open(
-            &dir,
-            DbOptions::default()
-                .memtable_bytes(8 * 1024 * 1024)
-                .wal(wal),
-        )
-        .unwrap();
-        let mut i = 0u64;
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                i += 1;
-                db.put(format!("key-{i:012}"), b"value-payload-32-bytes-xxxxxxxx")
-                    .unwrap()
-            })
-        });
-        drop(db);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let dir = std::env::temp_dir().join("strata-bench-kv-put");
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = Db::open(&dir, DbOptions::default()).unwrap();
+    let mut i = 0u64;
+    group.bench_function("wal", |b| {
+        b.iter(|| {
+            i += 1;
+            db.put(format!("key-{i:012}"), b"value-payload-32-bytes-xxxxxxxx")
+                .unwrap()
+        })
+    });
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
     group.finish();
 }
 
 fn bench_scans(c: &mut Criterion) {
     let dir = std::env::temp_dir().join("strata-bench-kv-scan");
-    let db = filled_db(&dir, 10, 20_000);
+    let db = filled_db(&dir, 20_000);
     let mut group = c.benchmark_group("kv_scan");
     group.bench_function("prefix_1000", |b| {
         b.iter(|| {
-            // key-000xx... prefix matches 1000 keys (00000000..00000999).
+            // Matches keys 00000000..00009999: 10 000 of the 20 000.
             db.scan_prefix("key-0000").unwrap().len()
         })
     });

@@ -1,6 +1,6 @@
-//! One frame layout, one torn-tail rule, one sync policy and one byte
-//! reader and writer for every binary format: the kv WAL and
-//! SSTables, pub/sub segments, the committed-offset store, the
+//! One frame layout, one torn-tail rule, one sync policy, one byte
+//! reader and writer, and one durable map for every binary format: the
+//! kv WAL, pub/sub segments, the committed-offset store, the
 //! `strata-net` stream codec and the tuple codec.
 //!
 //! Fields are little-endian. They are written with the `put_*`
@@ -18,19 +18,23 @@
 //! └──────────────┴───────────────┴──────────────┘
 //! ```
 //!
-//! The kv WAL and the SSTable blocks keep their own layouts but share
-//! the `body · crc32` trailer ([`seal`], [`unseal`]); the WAL also
-//! shares the recovery scan and the [`Appender`]. Every log recovers by
-//! one rule ([`recover`]): a final frame that ends early
+//! The kv WAL keeps its own layout but shares the `body · crc32`
+//! trailer ([`seal`], [`unseal`]). Every log recovers by one rule
+//! ([`recover`]): a final frame that ends early
 //! ([`FrameError::Incomplete`]) is a crash mid-append and is cut away;
 //! any other bad frame is [`FrameError::Corrupt`], because silently
 //! dropping acknowledged data is never an option.
+//!
+//! The kv store and the offset store are both a [`LogMap`]: a log of
+//! last-writer-wins entries through an [`Appender`], replayed into a
+//! `BTreeMap` on open and compacted by rewrite and rename. Each
+//! supplies only its frame layout, as an [`EntryCodec`].
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
 use crate::{crc32, fsync_dir, ChaosFile};
@@ -443,6 +447,204 @@ impl Appender {
     }
 }
 
+/// The frame layout of a [`LogMap`]'s log: how one frame holds a run
+/// of operations, each a put (`Some(value)`) or a delete (`None`).
+pub trait EntryCodec {
+    /// The map's key.
+    type Key: Ord + fmt::Debug;
+    /// The map's value.
+    type Value: fmt::Debug;
+
+    /// Appends one frame holding `ops`, which replay applies in order.
+    fn encode(buf: &mut Vec<u8>, ops: &[(&Self::Key, Option<&Self::Value>)]);
+
+    /// Decodes the frame at the front of `data` (never empty) onto the
+    /// end of `ops` and returns its length; a frame that ends early is
+    /// [`FrameError::Incomplete`]. On an error, what it pushed is
+    /// discarded.
+    fn decode(
+        data: &[u8],
+        ops: &mut Vec<(Self::Key, Option<Self::Value>)>,
+    ) -> Result<usize, FrameError>;
+
+    /// The length of the frame [`encode`](EntryCodec::encode) writes
+    /// for the one put `key → value`: the entry's share of a compacted
+    /// log.
+    fn len(key: &Self::Key, value: &Self::Value) -> usize;
+}
+
+/// A [`LogMap`] compacts once its log's superseded bytes exceed both
+/// this floor and its live bytes, so a rewrite never costs more than
+/// it frees.
+const COMPACT_SLACK: u64 = 64 * 1024;
+
+/// A last-writer-wins map kept in a log of [`EntryCodec`] frames.
+///
+/// Every change is appended through an [`Appender`] before the map
+/// sees it. Opening replays the log through [`recover`]. Once the
+/// bytes of superseded entries and deletes outweigh the live ones, the
+/// log is rewritten as one frame per live entry: written to a
+/// temporary file, `sync_all`ed, renamed over the log, and the
+/// directory `fsync`ed. A map opened with [`in_memory`](LogMap::in_memory)
+/// has no log and is the same map otherwise.
+#[derive(Debug)]
+pub struct LogMap<C: EntryCodec> {
+    map: BTreeMap<C::Key, C::Value>,
+    log: Option<MapLog>,
+    /// Bytes in the log, and the bytes a compacted log would hold.
+    log_bytes: u64,
+    live_bytes: u64,
+    frame: Vec<u8>,
+}
+
+#[derive(Debug)]
+struct MapLog {
+    point: &'static str,
+    path: PathBuf,
+    policy: SyncPolicy,
+    appender: Appender,
+}
+
+impl<C: EntryCodec> LogMap<C> {
+    /// An empty map with no log: nothing it holds survives a drop.
+    #[must_use]
+    pub fn in_memory() -> Self {
+        LogMap {
+            map: BTreeMap::new(),
+            log: None,
+            log_bytes: 0,
+            live_bytes: 0,
+            frame: Vec::new(),
+        }
+    }
+
+    /// Opens (or creates) the map logged at `path`, replaying every
+    /// frame. A torn final frame is cut away and counted under
+    /// `point`, whose `"<point>.write"` and `"<point>.sync"` failpoints
+    /// every append and compaction consults.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError::Corrupt`] for a bad frame before the tail; I/O
+    /// failures.
+    pub fn open<E>(point: &'static str, path: &Path, policy: SyncPolicy) -> Result<Self, E>
+    where
+        E: From<io::Error> + From<FrameError>,
+    {
+        let mut map = Self::in_memory();
+        let mut ops = Vec::new();
+        recover::<E>(point, path, true, |data| {
+            let used = C::decode(data, &mut ops)?;
+            map.log_bytes += used as u64;
+            for (key, value) in ops.drain(..) {
+                map.set(key, value);
+            }
+            Ok(used)
+        })?;
+        map.log = Some(MapLog {
+            appender: Appender::open(point, path, policy)?,
+            point,
+            path: path.to_path_buf(),
+            policy,
+        });
+        Ok(map)
+    }
+
+    /// The map as of the last applied operation.
+    #[must_use]
+    pub fn map(&self) -> &BTreeMap<C::Key, C::Value> {
+        &self.map
+    }
+
+    /// Logs `ops` as one frame, then applies them in order, and
+    /// compacts the log when superseded bytes outweigh live ones.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures. The map changes only once the frame is appended
+    /// (and synced, per the policy). A failed compaction leaves the
+    /// applied frame in the log that the next open reads.
+    pub fn apply(&mut self, ops: Vec<(C::Key, Option<C::Value>)>) -> io::Result<()> {
+        if let Some(log) = &mut self.log {
+            let refs: Vec<_> = ops
+                .iter()
+                .map(|(key, value)| (key, value.as_ref()))
+                .collect();
+            self.frame.clear();
+            C::encode(&mut self.frame, &refs);
+            log.appender.append(&self.frame)?;
+            self.log_bytes += self.frame.len() as u64;
+        }
+        for (key, value) in ops {
+            self.set(key, value);
+        }
+        // A batch frame can be denser than one frame per entry.
+        let superseded = self.log_bytes.saturating_sub(self.live_bytes);
+        if superseded > COMPACT_SLACK.max(self.live_bytes) {
+            self.compact()?;
+        }
+        Ok(())
+    }
+
+    fn set(&mut self, key: C::Key, value: Option<C::Value>) {
+        if let Some(old) = self.map.get(&key) {
+            self.live_bytes -= C::len(&key, old) as u64;
+        }
+        match value {
+            Some(value) => {
+                self.live_bytes += C::len(&key, &value) as u64;
+                self.map.insert(key, value);
+            }
+            None => {
+                self.map.remove(&key);
+            }
+        }
+    }
+
+    /// `fsync`s every append so far, whatever the policy. Does nothing
+    /// for a map in memory.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures.
+    pub fn sync(&mut self) -> io::Result<()> {
+        match &mut self.log {
+            Some(log) => log.appender.sync(),
+            None => Ok(()),
+        }
+    }
+
+    /// Rewrites the log as one frame per live entry and renames it into
+    /// place. Does nothing for a map in memory.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures. Until the rename the old log stays in place; after
+    /// it, appends go to the new one even when the directory `fsync`
+    /// fails.
+    pub fn compact(&mut self) -> io::Result<()> {
+        let Some(log) = &mut self.log else {
+            return Ok(());
+        };
+        let mut buf = Vec::with_capacity(self.live_bytes as usize);
+        for (key, value) in &self.map {
+            C::encode(&mut buf, &[(key, Some(value))]);
+        }
+        let tmp = log.path.with_extension("tmp");
+        let mut out = ChaosFile::new(log.point, &tmp, fs::File::create(&tmp)?)?;
+        out.write_all(&buf)?;
+        out.sync_all()?;
+        drop(out);
+        fs::rename(&tmp, &log.path)?;
+        log.appender = Appender::open(log.point, &log.path, log.policy)?;
+        self.log_bytes = buf.len() as u64;
+        match log.path.parent() {
+            Some(dir) => fsync_dir(dir),
+            None => Ok(()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -582,6 +784,9 @@ mod tests {
 
     #[test]
     fn every_n_policy_counts_down_to_a_sync() {
+        // Creating the log fsyncs its directory: hold the registry so a
+        // `fs.dirsync` fault armed by another test cannot meet it.
+        let _quiet = crate::Scenario::setup();
         let path = temp_path("everyn");
         let _ = fs::remove_file(&path);
         let mut log = Appender::open("frame.test", &path, SyncPolicy::EveryN(3)).unwrap();
@@ -594,6 +799,251 @@ mod tests {
         assert_eq!(log.unsynced, 0);
         drop(log);
         assert_eq!(fs::read(&path).unwrap(), [0, 1, 2, 3, 4, 5, 6]);
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// Test entries: `key u32 · [value]` in an envelope, where a body
+    /// of just the key deletes it.
+    #[derive(Debug)]
+    struct Entries;
+
+    impl EntryCodec for Entries {
+        type Key = u32;
+        type Value = Vec<u8>;
+
+        fn encode(buf: &mut Vec<u8>, ops: &[(&u32, Option<&Vec<u8>>)]) {
+            for (key, value) in ops {
+                encode(buf, |b| {
+                    put_u32(b, **key);
+                    if let Some(value) = value {
+                        put_u8(b, 1);
+                        b.extend_from_slice(value);
+                    }
+                });
+            }
+        }
+
+        fn decode(data: &[u8], ops: &mut Vec<(u32, Option<Vec<u8>>)>) -> Result<usize, FrameError> {
+            let (body, used) = split(data)?;
+            let mut r = Reader::new(body);
+            let key = r.u32()?;
+            let value = match r.rest() {
+                [] => None,
+                [_, value @ ..] => Some(value.to_vec()),
+            };
+            ops.push((key, value));
+            Ok(used)
+        }
+
+        fn len(_: &u32, value: &Vec<u8>) -> usize {
+            OVERHEAD + 5 + value.len()
+        }
+    }
+
+    type Map = LogMap<Entries>;
+
+    fn open_map(point: &'static str, path: &Path) -> Result<Map, FrameError> {
+        Map::open::<AnyError>(point, path, SyncPolicy::Never).map_err(|err| {
+            match err.downcast::<FrameError>() {
+                Ok(frame) => *frame,
+                Err(err) => panic!("{point}: open failed: {err}"),
+            }
+        })
+    }
+
+    type AnyError = Box<dyn std::error::Error>;
+
+    fn put(map: &mut Map, key: u32, value: &[u8]) {
+        map.apply(vec![(key, Some(value.to_vec()))]).unwrap();
+    }
+
+    fn entries(map: &Map) -> Vec<(u32, Vec<u8>)> {
+        map.map().iter().map(|(k, v)| (*k, v.clone())).collect()
+    }
+
+    #[test]
+    fn log_map_replays_with_the_last_writer_winning() {
+        let path = temp_path("logmap-replay");
+        let _ = fs::remove_file(&path);
+        let mut map = open_map("logmap.test", &path).unwrap();
+        put(&mut map, 1, b"a");
+        put(&mut map, 2, b"b");
+        put(&mut map, 1, b"c");
+        map.apply(vec![(3, Some(b"d".to_vec())), (2, None)])
+            .unwrap();
+        let live = vec![(1, b"c".to_vec()), (3, b"d".to_vec())];
+        assert_eq!(entries(&map), live);
+        drop(map);
+        assert_eq!(entries(&open_map("logmap.test", &path).unwrap()), live);
+
+        let mut memory = Map::in_memory();
+        put(&mut memory, 1, b"a");
+        memory.apply(vec![(1, None)]).unwrap();
+        assert!(memory.map().is_empty());
+        memory.compact().unwrap();
+        memory.sync().unwrap();
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn log_map_compaction_drops_superseded_entries_and_tombstones() {
+        // Compaction fsyncs the directory; see above.
+        let _quiet = crate::Scenario::setup();
+        let path = temp_path("logmap-compact");
+        let _ = fs::remove_file(&path);
+        let mut map = open_map("logmap.test", &path).unwrap();
+        for round in 0..5u8 {
+            for key in 0..4 {
+                put(&mut map, key, &[round]);
+            }
+        }
+        map.apply(vec![(0, None)]).unwrap();
+        map.compact().unwrap();
+        let mut live = Vec::new();
+        for key in 1..4u32 {
+            Entries::encode(&mut live, &[(&key, Some(&vec![4]))]);
+        }
+        assert_eq!(fs::read(&path).unwrap(), live, "one frame per live entry");
+        assert_eq!(
+            (map.log_bytes, map.live_bytes),
+            (live.len() as u64, live.len() as u64)
+        );
+        put(&mut map, 9, b"after");
+        drop(map);
+        let map = open_map("logmap.test", &path).unwrap();
+        assert_eq!(map.map().get(&0), None);
+        assert_eq!(map.map().get(&3), Some(&vec![4]));
+        assert_eq!(map.map().get(&9), Some(&b"after".to_vec()));
+        drop(map);
+
+        // Overwrites compact on their own once the superseded bytes
+        // pass the slack and the live bytes.
+        fs::remove_file(&path).unwrap();
+        let mut map = open_map("logmap.test", &path).unwrap();
+        let value = vec![7; 1024];
+        for _ in 0..200 {
+            put(&mut map, 1, &value);
+        }
+        let len = fs::metadata(&path).unwrap().len();
+        assert!(
+            len <= COMPACT_SLACK + 2 * 1024,
+            "log stays compact: {len} bytes"
+        );
+        assert_eq!(len, map.log_bytes);
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn log_map_cuts_a_torn_tail_at_every_byte_of_its_final_frame() {
+        let path = temp_path("logmap-torn");
+        let _ = fs::remove_file(&path);
+        let mut map = open_map("logmap.torn", &path).unwrap();
+        put(&mut map, 1, b"one");
+        put(&mut map, 2, b"two");
+        let prefix = fs::read(&path).unwrap().len();
+        put(&mut map, 3, b"three");
+        drop(map);
+        let full = fs::read(&path).unwrap();
+        for cut in prefix..=full.len() {
+            let torn = prefix < cut && cut < full.len();
+            fs::write(&path, &full[..cut]).unwrap();
+            let before = tails_truncated("logmap.torn");
+            let mut map = open_map("logmap.torn", &path).unwrap();
+            let keys: Vec<u32> = map.map().keys().copied().collect();
+            let expected: &[u32] = if cut == full.len() {
+                &[1, 2, 3]
+            } else {
+                &[1, 2]
+            };
+            assert_eq!(keys, expected, "cut {cut}");
+            assert_eq!(
+                tails_truncated("logmap.torn") - before,
+                u64::from(torn),
+                "cut {cut}"
+            );
+            assert_eq!(
+                fs::metadata(&path).unwrap().len() as usize,
+                if torn { prefix } else { cut }
+            );
+            put(&mut map, 9, b"post");
+            drop(map);
+            let map = open_map("logmap.torn", &path).unwrap();
+            assert_eq!(map.map().get(&9), Some(&b"post".to_vec()), "cut {cut}");
+        }
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn log_map_mid_log_corruption_is_corrupt() {
+        let path = temp_path("logmap-corrupt");
+        let _ = fs::remove_file(&path);
+        let mut map = open_map("logmap.test", &path).unwrap();
+        put(&mut map, 1, b"one");
+        put(&mut map, 2, b"two");
+        drop(map);
+        let mut data = fs::read(&path).unwrap();
+        data[5] ^= 0x01;
+        fs::write(&path, data).unwrap();
+        assert!(matches!(
+            open_map("logmap.test", &path),
+            Err(FrameError::Corrupt(_))
+        ));
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// A compaction that fails at any of its I/O steps must leave the
+    /// map appending to the file that the next open reads.
+    #[test]
+    fn log_map_appends_survive_a_failed_compaction() {
+        if !crate::is_compiled() {
+            return;
+        }
+        for point in [
+            "logmap.fail.write",
+            "logmap.fail.sync",
+            crate::vfs::DIR_SYNC_POINT,
+        ] {
+            let s = crate::Scenario::setup();
+            let path = temp_path("logmap-fail");
+            let _ = fs::remove_file(&path);
+            let mut map = open_map("logmap.fail", &path).unwrap();
+            put(&mut map, 1, b"one");
+            put(&mut map, 1, b"uno");
+            s.fail(point, crate::Fault::Io(io::ErrorKind::Other));
+            assert!(map.compact().is_err(), "{point}: compaction fails");
+            s.clear(point);
+            put(&mut map, 2, b"two");
+            drop(map);
+            let map = open_map("logmap.fail", &path).unwrap();
+            let expected = vec![(1, b"uno".to_vec()), (2, b"two".to_vec())];
+            assert_eq!(entries(&map), expected, "{point}");
+            drop((map, s));
+            fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn log_map_ignores_a_stale_compaction_file() {
+        // Compaction fsyncs the directory; see above.
+        let _quiet = crate::Scenario::setup();
+        let path = temp_path("logmap-stale");
+        let _ = fs::remove_file(&path);
+        let mut map = open_map("logmap.test", &path).unwrap();
+        put(&mut map, 1, b"one");
+        put(&mut map, 1, b"uno");
+        drop(map);
+        // A compaction that crashed before its rename left this behind.
+        let tmp = path.with_extension("tmp");
+        let mut stale = Vec::new();
+        Entries::encode(&mut stale, &[(&7, Some(&b"stale".to_vec()))]);
+        fs::write(&tmp, &stale[..stale.len() - 2]).unwrap();
+        let mut map = open_map("logmap.test", &path).unwrap();
+        assert_eq!(entries(&map), vec![(1, b"uno".to_vec())]);
+        map.compact().unwrap();
+        drop(map);
+        assert!(!tmp.exists(), "the next compaction renames over it");
+        let map = open_map("logmap.test", &path).unwrap();
+        assert_eq!(entries(&map), vec![(1, b"uno".to_vec())]);
         fs::remove_file(&path).unwrap();
     }
 }

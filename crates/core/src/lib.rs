@@ -41,7 +41,7 @@
 //! Each module runs as its own stream-processing query
 //! ([`strata-spe`](strata_spe)); the connectors are topics of an
 //! in-process broker ([`strata-pubsub`](strata_pubsub)); the
-//! key-value store is an LSM tree ([`strata-kv`](strata_kv)). Every
+//! key-value store is a logged map ([`strata-kv`](strata_kv)). Every
 //! API method of Table 1 compiles to compositions of *native*
 //! operators (Map/FlatMap/Filter/Aggregate/Join), which is what makes
 //! pipelines parallelizable and portable.

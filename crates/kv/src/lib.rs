@@ -1,4 +1,4 @@
-//! `strata-kv` — an embedded LSM-tree key-value store.
+//! `strata-kv` — an embedded key-value store.
 //!
 //! This crate is the key-value substrate of the STRATA reproduction,
 //! standing in for the RocksDB instance of the paper's prototype
@@ -7,18 +7,17 @@
 //! `detectEvent` operator reads, computed from historical jobs — and
 //! every pipeline module may call `store`/`get` against it (Table 1).
 //!
-//! The design is a compact log-structured merge tree:
+//! That knowledge is a handful of keys, so the store is a sorted map
+//! ([`strata_chaos::frame::LogMap`]) kept in one write-ahead log,
+//! `wal.log` ([`wal`] gives its frame layout):
 //!
-//! * writes go to a write-ahead log ([`wal`]) and a sorted in-memory
-//!   [`memtable`];
-//! * a full memtable is flushed into an immutable **SSTable**
-//!   ([`sstable`]): sorted blocks, a sparse block index, and a bloom
-//!   filter ([`bloom`]) to skip tables on point lookups;
-//! * reads consult the memtable, then SSTables newest-first;
-//! * background-free, size-tiered [`compaction`](db) merges tables
-//!   when their count passes a threshold, dropping shadowed versions
-//!   and (on full merges) tombstones;
-//! * range scans merge all sources with a [`MergeIterator`](crate::iterator::MergeIterator).
+//! * every put, delete and [`WriteBatch`] is appended to the log as one
+//!   CRC-framed frame before the map sees it, and `fsync`ed per the
+//!   [`SyncPolicy`];
+//! * opening replays the log, cutting away a torn final frame;
+//! * once superseded entries outweigh the live ones, the log is
+//!   rewritten to the live entries and renamed into place;
+//! * point reads and range scans read the map.
 //!
 //! # Example
 //!
@@ -34,14 +33,10 @@
 //! ```
 
 pub mod batch;
-pub mod bloom;
 pub mod db;
 pub mod error;
-pub mod iterator;
-pub mod memtable;
 pub(crate) mod metrics;
 pub mod options;
-pub mod sstable;
 pub mod wal;
 
 pub use batch::WriteBatch;

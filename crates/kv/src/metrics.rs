@@ -1,18 +1,16 @@
-//! Store-level metrics: operation latency histograms and size gauges.
+//! Store-level metrics: operation latency histograms.
 //!
 //! Every [`Db`](crate::Db) records into its own handles whether or
 //! not anything scrapes them; [`Db::register_metrics`] additionally
 //! lands them in a shared `strata-obs` registry under `kv_*` names.
 
-use strata_obs::{Gauge, Histogram, Registry};
+use strata_obs::{Histogram, Registry};
 
 pub(crate) struct KvMetrics {
     pub(crate) get_ns: Histogram,
     pub(crate) put_ns: Histogram,
     pub(crate) flush_ns: Histogram,
     pub(crate) compact_ns: Histogram,
-    pub(crate) sstables: Gauge,
-    pub(crate) memtable_bytes: Gauge,
 }
 
 impl KvMetrics {
@@ -22,8 +20,6 @@ impl KvMetrics {
             put_ns: Histogram::new(),
             flush_ns: Histogram::new(),
             compact_ns: Histogram::new(),
-            sstables: Gauge::new(),
-            memtable_bytes: Gauge::new(),
         }
     }
 
@@ -31,33 +27,21 @@ impl KvMetrics {
         registry.register_histogram("kv_get_ns", "Point-lookup latency", &[], &self.get_ns);
         registry.register_histogram(
             "kv_put_ns",
-            "Write latency including WAL append and any triggered flush",
+            "Write latency including the log append and any compaction it triggers",
             &[],
             &self.put_ns,
         );
         registry.register_histogram(
             "kv_flush_ns",
-            "Memtable-to-SSTable flush latency",
+            "Explicit log fsync latency",
             &[],
             &self.flush_ns,
         );
         registry.register_histogram(
             "kv_compact_ns",
-            "Full compaction latency",
+            "Explicit log compaction latency",
             &[],
             &self.compact_ns,
-        );
-        registry.register_gauge(
-            "kv_sstables",
-            "SSTables currently on disk",
-            &[],
-            &self.sstables,
-        );
-        registry.register_gauge(
-            "kv_memtable_bytes",
-            "Approximate bytes buffered in the memtable",
-            &[],
-            &self.memtable_bytes,
         );
     }
 }

@@ -1,29 +1,15 @@
-//! Durability-focused integration tests: WAL on/off semantics, large
-//! values, and byte-wise key ordering.
+//! Durability-focused integration tests: large values, byte-wise key
+//! ordering, log compaction, batch atomicity across crashes and
+//! failed writes, and directories of the retired LSM layout.
 
-use strata_kv::{Db, DbOptions};
+use std::fs;
+use std::io::ErrorKind;
+
+use strata_chaos::{Fault, Scenario};
+use strata_kv::{Db, DbOptions, Error, SyncPolicy, WriteBatch};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("strata-kv-int-{tag}-{}", std::process::id()))
-}
-
-#[test]
-fn without_wal_flushed_data_survives_but_memtable_does_not() {
-    let dir = temp_dir("nowal");
-    let _ = std::fs::remove_dir_all(&dir);
-    let options = DbOptions::default().wal(false);
-    {
-        let db = Db::open(&dir, options.clone()).unwrap();
-        db.put("durable", "flushed").unwrap();
-        db.flush().unwrap();
-        db.put("volatile", "memtable-only").unwrap();
-        // Dropped without flush: `volatile` was never persisted
-        // anywhere (that is the documented no-WAL trade-off).
-    }
-    let db = Db::open(&dir, options).unwrap();
-    assert_eq!(db.get("durable").unwrap(), Some(b"flushed".to_vec()));
-    assert_eq!(db.get("volatile").unwrap(), None);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -34,7 +20,7 @@ fn with_wal_everything_survives() {
         let db = Db::open(&dir, DbOptions::default()).unwrap();
         db.put("a", "1").unwrap();
         db.flush().unwrap();
-        db.put("b", "2").unwrap(); // only in WAL + memtable
+        db.put("b", "2").unwrap(); // written, not yet fsynced
     }
     let db = Db::open(&dir, DbOptions::default()).unwrap();
     assert_eq!(db.get("a").unwrap(), Some(b"1".to_vec()));
@@ -43,10 +29,10 @@ fn with_wal_everything_survives() {
 }
 
 #[test]
-fn megabyte_values_round_trip_through_sstables() {
+fn megabyte_values_round_trip_through_the_log() {
     let dir = temp_dir("large");
     let _ = std::fs::remove_dir_all(&dir);
-    let db = Db::open(&dir, DbOptions::default().block_bytes(4096)).unwrap();
+    let db = Db::open(&dir, DbOptions::default()).unwrap();
     let big: Vec<u8> = (0..2_000_000u32).map(|i| (i % 251) as u8).collect();
     db.put("ot-image/job-1/layer-0", &big).unwrap();
     db.flush().unwrap();
@@ -58,7 +44,7 @@ fn megabyte_values_round_trip_through_sstables() {
 }
 
 #[test]
-fn range_order_is_bytewise_across_sources() {
+fn range_order_is_bytewise() {
     let dir = temp_dir("order");
     let _ = std::fs::remove_dir_all(&dir);
     let db = Db::open(&dir, DbOptions::default()).unwrap();
@@ -67,7 +53,7 @@ fn range_order_is_bytewise_across_sources() {
     for (i, k) in keys.iter().enumerate() {
         db.put(k, [i as u8]).unwrap();
         if i % 2 == 0 {
-            db.flush().unwrap(); // spread keys across tables
+            db.compact().unwrap(); // some keys from the rewritten log
         }
     }
     let got: Vec<Vec<u8>> = db
@@ -86,13 +72,7 @@ fn range_order_is_bytewise_across_sources() {
 fn overwrite_heavy_workload_compacts_away_garbage() {
     let dir = temp_dir("compactgc");
     let _ = std::fs::remove_dir_all(&dir);
-    let db = Db::open(
-        &dir,
-        DbOptions::default()
-            .memtable_bytes(2 * 1024)
-            .compaction_trigger(3),
-    )
-    .unwrap();
+    let db = Db::open(&dir, DbOptions::default()).unwrap();
     // Write the same 10 keys 500 times each.
     for round in 0..500u32 {
         for k in 0..10 {
@@ -102,15 +82,105 @@ fn overwrite_heavy_workload_compacts_away_garbage() {
     }
     db.flush().unwrap();
     db.compact().unwrap();
-    assert_eq!(db.table_count(), 1);
     for k in 0..10 {
         assert_eq!(
             db.get(format!("key-{k}")).unwrap(),
             Some(b"round-499".to_vec())
         );
     }
-    // The compacted table holds exactly the 10 live keys.
     let all = db.range(Vec::new(), Vec::new()).unwrap();
     assert_eq!(all.len(), 10);
+    // The compacted log holds exactly the 10 live puts:
+    // tag · key_len · "key-k" · value_len · "round-499" · crc.
+    let live = 10 * (1 + 4 + 5 + 4 + 9 + 4);
+    assert_eq!(fs::metadata(dir.join("wal.log")).unwrap().len(), live);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+fn keys(db: &Db) -> Vec<Vec<u8>> {
+    db.range(Vec::new(), Vec::new())
+        .unwrap()
+        .into_iter()
+        .map(|(k, _)| k)
+        .collect()
+}
+
+/// A crash anywhere inside a batch's append keeps none of the batch:
+/// the batch is one frame, so its torn tail is cut whole.
+#[test]
+fn a_batch_survives_a_torn_tail_whole_or_not_at_all() {
+    let dir = temp_dir("batch-torn");
+    let _ = fs::remove_dir_all(&dir);
+    let wal = dir.join("wal.log");
+    {
+        let db = Db::open(&dir, DbOptions::default()).unwrap();
+        db.put("base", "0").unwrap();
+        let mut batch = WriteBatch::new();
+        batch.put("a", "1").put("b", "2").put("c", "3");
+        db.write(batch).unwrap();
+    }
+    let full = fs::read(&wal).unwrap();
+    // tag · key_len · "base" · value_len · "0" · crc.
+    let base = 1 + 4 + 4 + 4 + 1 + 4;
+    for cut in base..=full.len() {
+        fs::write(&wal, &full[..cut]).unwrap();
+        let db = Db::open(&dir, DbOptions::default()).unwrap();
+        let expected: Vec<&[u8]> = if cut == full.len() {
+            vec![b"a", b"b", b"base", b"c"]
+        } else {
+            vec![b"base"]
+        };
+        assert_eq!(keys(&db), expected, "cut {cut} of {}", full.len());
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Whichever log write fails, a batch that returns `Err` leaves none of
+/// its operations behind, in memory or after a reopen, and a batch that
+/// returns `Ok` leaves all of them.
+#[test]
+fn a_batch_whose_log_write_fails_is_applied_whole_or_not_at_all() {
+    if !strata_chaos::is_compiled() {
+        return;
+    }
+    let dir = temp_dir("batch-fail");
+    let mut failures = 0;
+    for nth in 1..=3 {
+        let _ = fs::remove_dir_all(&dir);
+        let scenario = Scenario::setup();
+        let db = Db::open(&dir, DbOptions::default().sync_policy(SyncPolicy::Always)).unwrap();
+        scenario.fail_nth("kv.wal.write", nth, Fault::Io(ErrorKind::Other));
+        let mut batch = WriteBatch::new();
+        batch.put("a", "1").put("b", "2").put("c", "3");
+        let expected: Vec<&[u8]> = match db.write(batch) {
+            Ok(()) => vec![b"a", b"b", b"c"],
+            Err(_) => {
+                failures += 1;
+                Vec::new()
+            }
+        };
+        drop(scenario);
+        assert_eq!(keys(&db), expected, "in memory, write {nth} failing");
+        drop(db);
+        let db = Db::open(&dir, DbOptions::default()).unwrap();
+        assert_eq!(keys(&db), expected, "after reopen, write {nth} failing");
+    }
+    assert!(failures >= 1, "the armed failpoint fails a batch");
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Data that an older version of the store flushed into SSTables is not
+/// in the log; opening must fail and name the file rather than come up
+/// without it.
+#[test]
+fn open_refuses_a_directory_of_the_retired_sstable_layout() {
+    let dir = temp_dir("sstables");
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    fs::write(dir.join("000000000001.sst"), b"flushed before the upgrade").unwrap();
+    match Db::open(&dir, DbOptions::default()) {
+        Err(Error::Corrupt(msg)) => assert!(msg.contains("000000000001.sst"), "{msg}"),
+        other => panic!("expected the SSTable to be refused, got {other:?}"),
+    }
+    fs::remove_dir_all(&dir).unwrap();
 }

@@ -96,7 +96,7 @@ proptest! {
     }
 
     /// Disk mode equals the model map through flushes, compactions
-    /// and a final reopen (WAL + SSTable recovery).
+    /// and a final reopen (log replay).
     #[test]
     fn disk_db_matches_model_across_reopen(
         ops in proptest::collection::vec(op_strategy(), 1..60),
@@ -107,7 +107,7 @@ proptest! {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let options = DbOptions::default().memtable_bytes(256).block_bytes(64);
+        let options = DbOptions::default();
         let mut model = BTreeMap::new();
         {
             let db = Db::open(&dir, options.clone()).unwrap();

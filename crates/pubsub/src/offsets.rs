@@ -2,30 +2,26 @@
 //!
 //! The broker's group offsets are plain in-memory state; an
 //! [`OffsetStore`] write-through makes them survive a broker restart,
-//! the way Kafka's `__consumer_offsets` topic does. The store is an
-//! append-only log of [`strata_chaos::frame`] envelopes, one per
-//! commit:
+//! the way Kafka's `__consumer_offsets` topic does. The store is a
+//! [`LogMap`]: an append-only log of [`strata_chaos::frame`]
+//! envelopes, one per commit,
 //!
 //! ```text
 //! body := group_len u16 · group · topic_len u16 · topic
 //!       · partition u32 · offset u64
 //! ```
 //!
-//! The last frame for a `(group, topic, partition)` wins. Recovery
-//! follows the shared tail rule of [`frame::recover`]: a torn final
-//! frame is truncated away (and counted under `pubsub.offsets`),
-//! corruption before the tail is an error. When the log grows well
-//! past the number of live entries it is compacted by rewriting and
-//! atomically renaming.
+//! in which the last frame for a `(group, topic, partition)` wins.
+//! Recovery follows the shared tail rule of [`frame::recover`]: a torn
+//! final frame is truncated away (and counted under `pubsub.offsets`),
+//! corruption before the tail is an error. Superseded commits are
+//! compacted away by rewriting and atomically renaming the log.
 
-use std::collections::BTreeMap;
-use std::fs;
 use std::path::PathBuf;
 
 use strata_chaos::frame::{
-    self, put_str16, put_u32, put_u64, Appender, FrameError, Reader, SyncPolicy,
+    self, put_str16, put_u32, put_u64, EntryCodec, FrameError, LogMap, Reader, SyncPolicy, OVERHEAD,
 };
-use strata_chaos::{fsync_dir, ChaosFile};
 
 use crate::error::{Error, Result};
 
@@ -33,21 +29,53 @@ use crate::error::{Error, Result};
 /// `pubsub.offsets.sync`), and the key of its torn-tail count.
 const CHAOS_POINT: &str = "pubsub.offsets";
 
-/// Compact when the log holds this many frames beyond the live count.
-const COMPACT_SLACK: u64 = 1024;
-
 type Key = (String, String, u32);
+
+/// The commit frames, from and to `((group, topic, partition),
+/// Some(offset))`. Commits are never deleted.
+#[derive(Debug)]
+struct Commits;
+
+impl EntryCodec for Commits {
+    type Key = Key;
+    type Value = u64;
+
+    fn encode(buf: &mut Vec<u8>, ops: &[(&Key, Option<&u64>)]) {
+        let [((group, topic, partition), Some(offset))] = ops else {
+            unreachable!("the offset store logs one commit per frame");
+        };
+        frame::encode(buf, |buf| {
+            put_str16(buf, group);
+            put_str16(buf, topic);
+            put_u32(buf, *partition);
+            put_u64(buf, **offset);
+        });
+    }
+
+    fn decode(
+        data: &[u8],
+        ops: &mut Vec<(Key, Option<u64>)>,
+    ) -> std::result::Result<usize, FrameError> {
+        let (body, used) = frame::split(data)?;
+        let mut r = Reader::new(body);
+        let group = r.str16()?.to_string();
+        let topic = r.str16()?.to_string();
+        let partition = r.u32()?;
+        let offset = r.u64()?;
+        r.finish()?;
+        ops.push(((group, topic, partition), Some(offset)));
+        Ok(used)
+    }
+
+    fn len((group, topic, _): &Key, _: &u64) -> usize {
+        OVERHEAD + 2 + group.len() + 2 + topic.len() + 4 + 8
+    }
+}
 
 /// An append-only, crash-recoverable store of committed offsets.
 #[derive(Debug)]
 pub struct OffsetStore {
-    path: PathBuf,
-    log: Appender,
-    policy: SyncPolicy,
-    /// Frames currently in the file (live + superseded).
-    frames: u64,
-    live: BTreeMap<Key, u64>,
-    scratch: Vec<u8>,
+    log: LogMap<Commits>,
 }
 
 impl OffsetStore {
@@ -58,49 +86,15 @@ impl OffsetStore {
     ///
     /// [`Error::Corrupt`] for mid-log corruption; I/O failures.
     pub fn open(path: impl Into<PathBuf>, policy: SyncPolicy) -> Result<Self> {
-        let path = path.into();
-        let mut live = BTreeMap::new();
-        let mut frames = 0u64;
-        frame::recover::<Error>(CHAOS_POINT, &path, true, |data| {
-            let (key, offset, used) = Self::decode_frame(data)?;
-            live.insert(key, offset);
-            frames += 1;
-            Ok(used)
-        })?;
-        Ok(OffsetStore {
-            log: Appender::open(CHAOS_POINT, &path, policy)?,
-            path,
-            policy,
-            frames,
-            live,
-            scratch: Vec::new(),
-        })
-    }
-
-    fn decode_frame(data: &[u8]) -> std::result::Result<(Key, u64, usize), FrameError> {
-        let (body, used) = frame::split(data)?;
-        let mut r = Reader::new(body);
-        let group = r.str16()?.to_string();
-        let topic = r.str16()?.to_string();
-        let partition = r.u32()?;
-        let offset = r.u64()?;
-        r.finish()?;
-        Ok(((group, topic, partition), offset, used))
-    }
-
-    fn encode_frame(buf: &mut Vec<u8>, group: &str, topic: &str, partition: u32, offset: u64) {
-        frame::encode(buf, |buf| {
-            put_str16(buf, group);
-            put_str16(buf, topic);
-            put_u32(buf, partition);
-            put_u64(buf, offset);
-        });
+        let log = LogMap::open::<Error>(CHAOS_POINT, &path.into(), policy)?;
+        Ok(OffsetStore { log })
     }
 
     /// The stored offset of `(group, topic, partition)`, if any.
     #[must_use]
     pub fn get(&self, group: &str, topic: &str, partition: u32) -> Option<u64> {
-        self.live
+        self.log
+            .map()
             .get(&(group.to_string(), topic.to_string(), partition))
             .copied()
     }
@@ -108,39 +102,31 @@ impl OffsetStore {
     /// Every live `((group, topic, partition), offset)` entry, in key
     /// order.
     pub fn entries(&self) -> impl Iterator<Item = (&Key, u64)> {
-        self.live.iter().map(|(k, &v)| (k, v))
+        self.log.map().iter().map(|(k, &v)| (k, v))
     }
 
     /// Number of live `(group, topic, partition)` entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.log.map().len()
     }
 
     /// `true` when no offsets are stored.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.log.map().is_empty()
     }
 
     /// Appends one commit frame (and syncs per policy), compacting
-    /// the log when superseded frames pile up.
+    /// the log once superseded commits outweigh the live ones.
     ///
     /// # Errors
     ///
     /// I/O failures. The in-memory view is only updated once the
     /// append succeeded.
     pub fn record(&mut self, group: &str, topic: &str, partition: u32, offset: u64) -> Result<()> {
-        self.scratch.clear();
-        Self::encode_frame(&mut self.scratch, group, topic, partition, offset);
-        self.log.append(&self.scratch)?;
-        self.frames += 1;
-        self.live
-            .insert((group.to_string(), topic.to_string(), partition), offset);
-        if self.frames > self.live.len() as u64 + COMPACT_SLACK {
-            self.compact()?;
-        }
-        Ok(())
+        let key = (group.to_string(), topic.to_string(), partition);
+        Ok(self.log.apply(vec![(key, Some(offset))])?)
     }
 
     /// Rewrites the log with one frame per live entry and atomically
@@ -149,32 +135,16 @@ impl OffsetStore {
     ///
     /// # Errors
     ///
-    /// I/O failures; on error the previous log remains in place.
+    /// I/O failures; see [`LogMap::compact`] for what stays in place.
     pub fn compact(&mut self) -> Result<()> {
-        let tmp = self.path.with_extension("tmp");
-        {
-            let file = fs::File::create(&tmp)?;
-            let mut out = ChaosFile::new(CHAOS_POINT, &tmp, file)?;
-            let mut buf = Vec::new();
-            for ((group, topic, partition), offset) in &self.live {
-                Self::encode_frame(&mut buf, group, topic, *partition, *offset);
-            }
-            out.write_all(&buf)?;
-            out.sync_all()?;
-        }
-        fs::rename(&tmp, &self.path)?;
-        if let Some(parent) = self.path.parent() {
-            fsync_dir(parent)?;
-        }
-        self.log = Appender::open(CHAOS_POINT, &self.path, self.policy)?;
-        self.frames = self.live.len() as u64;
-        Ok(())
+        Ok(self.log.compact()?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!(

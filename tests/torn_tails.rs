@@ -10,8 +10,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use strata_chaos::frame::tails_truncated;
-use strata_kv::wal::{Wal, WalOp};
-use strata_kv::SyncPolicy as KvSync;
+use strata_kv::{Db, DbOptions};
 use strata_pubsub::log::{FileLog, PartitionLog};
 use strata_pubsub::{OffsetStore, Record, SyncPolicy as PubSync};
 
@@ -35,18 +34,18 @@ fn wal_file(dir: &Path) -> PathBuf {
 }
 
 fn wal_append(dir: &Path, item: u8) {
-    let mut wal = Wal::open(wal_file(dir), KvSync::Never).unwrap();
-    wal.log_put(&[item], b"value").unwrap();
+    let db = Db::open(dir, DbOptions::default()).unwrap();
+    db.put([item], b"value").unwrap();
 }
 
 fn wal_recover(dir: &Path) -> Option<Vec<u8>> {
-    match Wal::recover(&wal_file(dir)) {
-        Ok((ops, _)) => Some(
-            ops.iter()
-                .map(|op| match op {
-                    WalOp::Put { key, .. } => key[0],
-                    WalOp::Delete { .. } => unreachable!("only puts are logged"),
-                })
+    match Db::open(dir, DbOptions::default()) {
+        // Keys come in order, and each item is its own key.
+        Ok(db) => Some(
+            db.range(Vec::new(), Vec::new())
+                .unwrap()
+                .iter()
+                .map(|(key, _)| key[0])
                 .collect(),
         ),
         Err(strata_kv::Error::Corrupt(_)) => None,
