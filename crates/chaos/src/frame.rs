@@ -21,9 +21,10 @@
 //! The kv WAL keeps its own layout but shares the `body · crc32`
 //! trailer ([`seal`], [`unseal`]). Every log recovers by one rule
 //! ([`recover`]): a final frame that ends early
-//! ([`FrameError::Incomplete`]) is a crash mid-append and is cut away;
-//! any other bad frame is [`FrameError::Corrupt`], because silently
-//! dropping acknowledged data is never an option.
+//! ([`FrameError::Incomplete`]) with no whole frame after it is a
+//! crash mid-append and is cut away; any other bad frame is
+//! [`FrameError::Corrupt`], because silently dropping acknowledged
+//! data is never an option.
 //!
 //! The kv store and the offset store are both a [`LogMap`]: a log of
 //! last-writer-wins entries through an [`Appender`], replayed into a
@@ -328,22 +329,33 @@ pub fn tails_truncated(point: &str) -> u64 {
 /// recovery finds them, and counted under `point`. Where the log may
 /// not end torn (`may_tear` is false, as for a segment that later
 /// segments follow) a torn frame is [`FrameError::Corrupt`].
+///
+/// A damaged length field also reads as a frame that ends past the
+/// data. Nothing follows a frame torn by a crash, so when `decode`
+/// accepts a frame at any later byte, the log is
+/// [`FrameError::Corrupt`] and is left as it is.
 pub fn recover<E>(
     point: &'static str,
     path: &Path,
     may_tear: bool,
-    decode: impl FnMut(&[u8]) -> Result<usize, FrameError>,
+    mut decode: impl FnMut(&[u8]) -> Result<usize, FrameError>,
 ) -> Result<u64, E>
 where
     E: From<io::Error> + From<FrameError>,
 {
     let data = read_log(path)?;
-    let valid = scan(&data, decode)?;
+    let valid = scan(&data, &mut decode)?;
     if valid == data.len() {
         return Ok(0);
     }
     if !may_tear {
         return Err(FrameError::Corrupt(format!("{path:?} ends in a torn frame")).into());
+    }
+    if let Some(at) = (valid + 1..data.len()).find(|&at| decode(&data[at..]).is_ok()) {
+        return Err(FrameError::Corrupt(format!(
+            "{path:?}: the frame at byte {valid} runs past a whole frame at byte {at}"
+        ))
+        .into());
     }
     let file = fs::OpenOptions::new().write(true).open(path)?;
     file.set_len(valid as u64)?;
@@ -377,12 +389,20 @@ pub enum SyncPolicy {
 
 /// An append-only log file that writes, flushes and `fsync`s every
 /// frame per its [`SyncPolicy`].
+///
+/// A failed append may leave part of its frame behind. Until the next
+/// append cuts those bytes off, they read as a torn tail, so a crash
+/// right after the failure recovers like any crash mid-append; the
+/// next append then lands where recovery finds it.
 #[derive(Debug)]
 pub struct Appender {
     file: ChaosFile,
     policy: SyncPolicy,
     /// Appends not yet covered by a sync.
     unsynced: u32,
+    /// The log's length before a failed append, while bytes of that
+    /// append may still follow it.
+    torn_from: Option<u64>,
 }
 
 impl Appender {
@@ -408,12 +428,31 @@ impl Appender {
             file: ChaosFile::new(point, path, file)?,
             policy,
             unsynced: 0,
+            torn_from: None,
         })
     }
 
     /// Writes `frame` whole, flushes it, and syncs when the policy is
     /// due. A failed sync fails the append.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures. After one, the next append first cuts the failed
+    /// append's bytes off; while that cut fails, appends are refused.
     pub fn append(&mut self, frame: &[u8]) -> io::Result<()> {
+        if let Some(len) = self.torn_from {
+            self.file.set_len(len)?;
+            self.torn_from = None;
+        }
+        let len = self.file.written_len();
+        let appended = self.write(frame);
+        if appended.is_err() {
+            self.torn_from = Some(len);
+        }
+        appended
+    }
+
+    fn write(&mut self, frame: &[u8]) -> io::Result<()> {
         self.file.write_all(frame)?;
         self.file.flush()?;
         let every = match self.policy {
@@ -799,6 +838,69 @@ mod tests {
         assert_eq!(log.unsynced, 0);
         drop(log);
         assert_eq!(fs::read(&path).unwrap(), [0, 1, 2, 3, 4, 5, 6]);
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// A failed append's bytes are cut off before the next append, so
+    /// the next acknowledged frame does not land behind a torn one.
+    /// While that cut fails, appends are refused.
+    #[test]
+    fn a_failed_append_is_cut_off_before_the_next_one() {
+        if !crate::is_compiled() {
+            return;
+        }
+        let s = crate::Scenario::setup();
+        let path = temp_path("cut");
+        let _ = fs::remove_file(&path);
+        let mut log = Appender::open("frame.cut", &path, SyncPolicy::Never).unwrap();
+        log.append(b"a1").unwrap();
+        let torn = crate::Fault::Torn {
+            keep: 1,
+            kind: io::ErrorKind::Other,
+        };
+        s.fail_nth("frame.cut.write", 1, torn);
+        assert!(log.append(b"b2").is_err());
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            b"a1b",
+            "torn bytes until the next append"
+        );
+        log.append(b"c3").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"a1c3");
+
+        s.fail("frame.cut.write", crate::Fault::Io(io::ErrorKind::Other));
+        assert!(log.append(b"d4").is_err());
+        assert!(
+            log.append(b"e5").is_err(),
+            "the cut fails, so the append is refused"
+        );
+        s.clear("frame.cut.write");
+        log.append(b"f6").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"a1c3f6");
+        drop((log, s));
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// A flipped high byte of a length field makes a frame mid-log run
+    /// past the end, like a torn tail; the whole frames after it show
+    /// that it is damage.
+    #[test]
+    fn a_damaged_length_before_the_tail_is_corrupt_and_left_alone() {
+        let path = temp_path("logmap-length");
+        let _ = fs::remove_file(&path);
+        let mut map = open_map("logmap.test", &path).unwrap();
+        for key in 1..=3 {
+            put(&mut map, key, b"value");
+        }
+        drop(map);
+        let mut data = fs::read(&path).unwrap();
+        data[3] ^= 0x01;
+        fs::write(&path, &data).unwrap();
+        assert!(matches!(
+            open_map("logmap.test", &path),
+            Err(FrameError::Corrupt(_))
+        ));
+        assert_eq!(fs::read(&path).unwrap(), data, "the log is not cut");
         fs::remove_file(&path).unwrap();
     }
 

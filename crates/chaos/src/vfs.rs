@@ -118,6 +118,38 @@ impl ChaosFile {
         self.synced
     }
 
+    /// Bytes written through this handle plus whatever the file held
+    /// when wrapped: the file's length, as far as this handle knows.
+    #[must_use]
+    pub fn written_len(&self) -> u64 {
+        self.written
+    }
+
+    /// Truncates the file to `len` bytes, consulting the write
+    /// failpoint: cutting bytes off is a write too.
+    ///
+    /// # Errors
+    ///
+    /// Injected faults and real I/O failures.
+    pub fn set_len(&mut self, len: u64) -> io::Result<()> {
+        match hit(&self.write_point) {
+            None => {}
+            Some(Fault::Delay(d)) => std::thread::sleep(d),
+            Some(Fault::Panic(msg)) => panic!("injected panic at {}: {msg}", self.write_point),
+            Some(_) => {
+                return Err(io::Error::other(format!(
+                    "injected fault at {}",
+                    self.write_point
+                )));
+            }
+        }
+        self.file.set_len(len)?;
+        self.written = len;
+        self.synced = self.synced.min(len);
+        track_synced(&self.path, self.synced);
+        Ok(())
+    }
+
     /// Writes the whole buffer, acting out any armed fault first.
     ///
     /// # Errors

@@ -9,18 +9,18 @@
 //! progressing on the other side.
 //!
 //! One connector serves both transports: the in-process broker
-//! ([`Producer`], [`Consumer`]) and a broker server reached over TCP
-//! ([`RemoteProducer`], [`RemoteConsumer`]) sit behind
-//! [`TopicProducer`] and [`TopicConsumer`]. Either way a
-//! [`TopicSource`] commits its group's offsets after every polled
-//! batch it fully hands to the engine, and again when it stops, so a
-//! successor in the group resumes where it left off.
+//! ([`Producer`], [`Broker`](strata_pubsub::Broker)) and a broker
+//! server reached over TCP ([`RemoteProducer`],
+//! [`BrokerClient`](strata_net::BrokerClient)) sit behind
+//! [`TopicProducer`] and the one [`Consumer`]'s [`Transport`]. Either
+//! way a [`TopicSource`] commits its group's offsets after every
+//! polled batch it fully hands to the engine, and again when it stops,
+//! so a successor in the group resumes where it left off.
 
-use std::fmt::Debug;
 use std::time::Duration;
 
-use strata_net::{RemoteConsumer, RemoteProducer};
-use strata_pubsub::{Consumer, PolledRecord, Producer, Record};
+use strata_net::RemoteProducer;
+use strata_pubsub::{Consumer, Producer, Record, Transport};
 use strata_spe::{Element, Source, SourceContext};
 
 use crate::codec::{self, ConnectorMessage};
@@ -37,23 +37,21 @@ pub trait TopicProducer: Send + 'static {
     fn send(&mut self, topic: &str, record: Record) -> Result<()>;
 }
 
-/// The subscribing end of a connector topic: a member of the
-/// downstream module's consumer group.
-pub trait TopicConsumer: Debug + Send + 'static {
-    /// Fetches the next records, blocking up to `timeout` when none
-    /// are available.
-    ///
-    /// # Errors
-    ///
-    /// Broker or transport errors.
-    fn poll(&mut self, timeout: Duration) -> Result<Vec<PolledRecord>>;
+/// The subscribing end of a connector topic, over either transport.
+pub type TopicConsumer = Consumer<Box<dyn Transport + Send>>;
 
-    /// Makes the positions polled so far the group's resume point.
-    ///
-    /// # Errors
-    ///
-    /// Broker or transport errors.
-    fn commit(&mut self) -> Result<()>;
+/// Subscribes `group` to `topic` over `transport`.
+///
+/// # Errors
+///
+/// Broker or transport errors, such as a missing topic.
+pub(crate) fn subscribe(
+    transport: impl Transport + Send + 'static,
+    group: String,
+    topic: &str,
+) -> Result<TopicConsumer> {
+    let transport: Box<dyn Transport + Send> = Box::new(transport);
+    Ok(Consumer::new(transport, group, &[topic])?)
 }
 
 impl TopicProducer for Producer {
@@ -73,36 +71,6 @@ impl TopicProducer for RemoteProducer {
 impl<P: TopicProducer + ?Sized> TopicProducer for Box<P> {
     fn send(&mut self, topic: &str, record: Record) -> Result<()> {
         (**self).send(topic, record)
-    }
-}
-
-impl TopicConsumer for Consumer {
-    fn poll(&mut self, timeout: Duration) -> Result<Vec<PolledRecord>> {
-        Ok(Consumer::poll(self, timeout)?)
-    }
-
-    fn commit(&mut self) -> Result<()> {
-        Ok(Consumer::commit(self)?)
-    }
-}
-
-impl TopicConsumer for RemoteConsumer {
-    fn poll(&mut self, timeout: Duration) -> Result<Vec<PolledRecord>> {
-        Ok(RemoteConsumer::poll(self, timeout)?)
-    }
-
-    fn commit(&mut self) -> Result<()> {
-        Ok(RemoteConsumer::commit(self)?)
-    }
-}
-
-impl<C: TopicConsumer + ?Sized> TopicConsumer for Box<C> {
-    fn poll(&mut self, timeout: Duration) -> Result<Vec<PolledRecord>> {
-        (**self).poll(timeout)
-    }
-
-    fn commit(&mut self) -> Result<()> {
-        (**self).commit()
     }
 }
 
@@ -159,16 +127,16 @@ pub fn publisher(
 /// topic: decodes tuples, re-emits watermarks, and ends when the
 /// upstream's end-of-stream marker arrives.
 #[derive(Debug)]
-pub struct TopicSource<C> {
-    consumer: C,
+pub struct TopicSource<T: Transport> {
+    consumer: Consumer<T>,
     poll_timeout: Duration,
 }
 
-impl<C: TopicConsumer> TopicSource<C> {
+impl<T: Transport> TopicSource<T> {
     /// Wraps a subscribed consumer. Each downstream module uses its
     /// own consumer group, so independent pipelines each see the full
     /// stream.
-    pub fn new(consumer: C, poll_timeout: Duration) -> Self {
+    pub fn new(consumer: Consumer<T>, poll_timeout: Duration) -> Self {
         TopicSource {
             consumer,
             poll_timeout,
@@ -204,7 +172,7 @@ impl<C: TopicConsumer> TopicSource<C> {
     }
 }
 
-impl<C: TopicConsumer> Source for TopicSource<C> {
+impl<T: Transport + Send> Source for TopicSource<T> {
     type Out = AmTuple;
 
     fn run(&mut self, ctx: &mut SourceContext<AmTuple>) -> std::result::Result<(), String> {
@@ -260,13 +228,15 @@ mod tests {
             }
         }
 
-        fn consumer(&self, group: &str, topic: &str) -> Box<dyn TopicConsumer> {
+        fn consumer(&self, group: &str, topic: &str) -> TopicConsumer {
             match self {
-                Bus::Local(broker) => Box::new(broker.consumer(group, &[topic]).unwrap()),
-                Bus::Tcp(server) => Box::new(
-                    RemoteConsumer::connect(server.local_addr().to_string(), group, &[topic])
-                        .unwrap(),
-                ),
+                Bus::Local(broker) => subscribe(broker.clone(), group.into(), topic).unwrap(),
+                Bus::Tcp(server) => subscribe(
+                    BrokerClient::connect(server.local_addr().to_string()).unwrap(),
+                    group.into(),
+                    topic,
+                )
+                .unwrap(),
             }
         }
 

@@ -19,14 +19,14 @@ use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver};
-use strata_net::{NetError, RemoteConsumer, RemoteProducer};
+use strata_net::{BrokerClient, NetError, RemoteProducer};
 use strata_pubsub::{Broker, LogKind, RetentionPolicy, TopicConfig};
 use strata_spe::operator::UnaryOperator;
 use strata_spe::operators::{FlatMap, RoutePolicy};
 use strata_spe::{QueryBuilder, QueryMetrics, RunningQuery, Source, Stream, Timestamp};
 
 use crate::config::{ConnectorMode, StrataConfig};
-use crate::connector::{publisher, TopicConsumer, TopicProducer, TopicSource};
+use crate::connector::{publisher, subscribe, TopicConsumer, TopicProducer, TopicSource};
 use crate::error::{Error, Result};
 use crate::report::ExpertReport;
 use crate::tuple::AmTuple;
@@ -197,7 +197,7 @@ const EVENT_TOPIC_MAX_RECORDS: u64 = 1_000_000;
 const POLL_TIMEOUT: Duration = Duration::from_millis(20);
 
 /// The two ends of one connector topic.
-type ConnectorEnds = (Box<dyn TopicProducer>, Box<dyn TopicConsumer>);
+type ConnectorEnds = (Box<dyn TopicProducer>, TopicConsumer);
 
 /// Builder for one expert pipeline. Created by
 /// [`Strata::pipeline`](crate::Strata::pipeline); see the
@@ -319,11 +319,9 @@ impl PipelineBuilder {
                 // can continue; deploy fails with the error.
                 let fallback = format!("{topic}.invalid");
                 let _ = self.broker.create_topic(&fallback, TopicConfig::new(1));
-                let consumer = self
-                    .broker
-                    .consumer(format!("{fallback}.g"), &[&fallback])
+                let consumer = subscribe(self.broker.clone(), format!("{fallback}.g"), &fallback)
                     .expect("fresh fallback topic exists");
-                (Box::new(self.broker.producer()), Box::new(consumer))
+                (Box::new(self.broker.producer()), consumer)
             }
         };
 
@@ -368,16 +366,16 @@ impl PipelineBuilder {
                     Ok(()) | Err(NetError::Broker(strata_pubsub::Error::TopicExists(_))) => {}
                     Err(err) => return Err(err.into()),
                 }
-                let consumer = RemoteConsumer::connect(addr, group, &[topic])?;
-                Ok((Box::new(producer), Box::new(consumer)))
+                let consumer = subscribe(BrokerClient::connect(addr)?, group, topic)?;
+                Ok((Box::new(producer), consumer))
             }
             _ => {
                 let config = TopicConfig::new(1)
                     .with_log(LogKind::Memory)
                     .with_retention(retention);
                 self.broker.create_topic(topic, config)?;
-                let consumer = self.broker.consumer(group, &[topic])?;
-                Ok((Box::new(self.broker.producer()), Box::new(consumer)))
+                let consumer = subscribe(self.broker.clone(), group, topic)?;
+                Ok((Box::new(self.broker.producer()), consumer))
             }
         }
     }

@@ -169,6 +169,56 @@ fn a_batch_whose_log_write_fails_is_applied_whole_or_not_at_all() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A put whose log write tore must not leave bytes that swallow the
+/// next acknowledged put on reopen.
+#[test]
+fn a_torn_put_does_not_hide_the_next_one() {
+    if !strata_chaos::is_compiled() {
+        return;
+    }
+    let dir = temp_dir("torn-put");
+    let _ = fs::remove_dir_all(&dir);
+    let scenario = Scenario::setup();
+    let db = Db::open(&dir, DbOptions::default()).unwrap();
+    db.put("a", "1").unwrap();
+    let torn = Fault::Torn {
+        keep: 7,
+        kind: ErrorKind::Other,
+    };
+    scenario.fail_nth("kv.wal.write", 1, torn);
+    assert!(db.put("b", "2").is_err());
+    db.put("c", "3").unwrap();
+    drop((db, scenario));
+    let db = Db::open(&dir, DbOptions::default()).unwrap();
+    assert_eq!(keys(&db), vec![b"a".to_vec(), b"c".to_vec()]);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A flipped length byte in the first of three frames must fail the
+/// open and leave the log as it is, not read as a torn tail that cuts
+/// all three.
+#[test]
+fn a_damaged_length_mid_log_fails_open_and_keeps_the_log() {
+    let dir = temp_dir("flipped-length");
+    let _ = fs::remove_dir_all(&dir);
+    let db = Db::open(&dir, DbOptions::default()).unwrap();
+    for key in ["a", "b", "c"] {
+        db.put(key, "1").unwrap();
+    }
+    drop(db);
+    let wal = dir.join("wal.log");
+    let mut data = fs::read(&wal).unwrap();
+    assert_eq!(data.len(), 45);
+    data[4] ^= 0x01; // The high byte of the first frame's key_len.
+    fs::write(&wal, &data).unwrap();
+    assert!(matches!(
+        Db::open(&dir, DbOptions::default()),
+        Err(Error::Corrupt(_))
+    ));
+    assert_eq!(fs::read(&wal).unwrap(), data, "the log is not cut");
+    fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Data that an older version of the store flushed into SSTables is not
 /// in the log; opening must fail and name the file rather than come up
 /// without it.

@@ -1,25 +1,27 @@
-//! Remote clients: [`RemoteProducer`] and [`RemoteConsumer`] mirror
-//! the in-process `Producer`/`Consumer` APIs over a TCP connection,
-//! with a reliability layer underneath (request timeouts, bounded
-//! retries with backoff, transparent reconnect).
+//! Remote clients over a TCP connection, with a reliability layer
+//! underneath (request timeouts, bounded retries with backoff,
+//! transparent reconnect): [`RemoteProducer`] mirrors the in-process
+//! `Producer`, and [`BrokerClient`] is the [`Transport`] of the one
+//! `strata_pubsub::Consumer`, named [`RemoteConsumer`] here.
 //!
 //! # Resume semantics
 //!
 //! A [`RemoteConsumer`] tracks its read positions client-side and
-//! commits them to the server with [`RemoteConsumer::commit`]. Every
-//! reconnect bumps the connection's *epoch*; when a poll observes an
-//! epoch change it discards its in-memory positions and re-seeds them
-//! from the server's committed offsets before reading on. Records
-//! polled after the last commit are therefore re-delivered after a
-//! connection loss — at-least-once overall, and exactly-once for
-//! consumers that commit before acting on a batch's successor.
+//! commits them to the server. Every reconnect bumps the connection's
+//! *epoch*; when a poll observes an epoch change, the consumer drops
+//! its in-memory positions and re-seeds them from the server's
+//! committed offsets before reading on. Records polled after the last
+//! commit are therefore re-delivered after a connection loss:
+//! at-least-once overall, and exactly-once for consumers that commit
+//! before acting on a batch's successor.
 
-use std::collections::HashMap;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use strata_pubsub::record::Record;
-use strata_pubsub::PolledRecord;
+use strata_pubsub::record::{Record, StoredRecord};
+use strata_pubsub::{
+    Consumer, Error as BrokerError, PartitionRange, Result as BrokerResult, Transport,
+};
 
 use crate::codec;
 use crate::error::{broker_error_from_wire, NetError, NetResult};
@@ -29,10 +31,6 @@ use crate::retry::RetryPolicy;
 /// Cap on one request/response exchange (socket read timeout). Must
 /// exceed the longest `Fetch` wait a client requests.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// Batch-size cap per poll of a new [`RemoteConsumer`]; see
-/// [`RemoteConsumer::set_max_poll_records`].
-const MAX_POLL_RECORDS: usize = 500;
 
 /// A single logical connection to a
 /// [`BrokerServer`](crate::server::BrokerServer): serialized
@@ -310,230 +308,91 @@ impl RemoteProducer {
     }
 }
 
-/// A consumer whose broker lives across a TCP connection.
-///
-/// Unlike the in-process `Consumer` there is no server-side group
-/// membership: the consumer owns *all* partitions of its subscribed
-/// topics and tracks positions client-side, committing them under its
-/// group name. Scaling out therefore means partitioning by topic, not
-/// by group membership — which matches how the STRATA pipeline
-/// shards: one topic per connector hop, one consumer per topic.
-pub struct RemoteConsumer {
-    client: BrokerClient,
-    group: String,
-    topics: Vec<String>,
-    /// `(topic, partition)` → next offset to read.
-    positions: HashMap<(String, u32), u64>,
-    /// Partitions in fixed iteration order, for fair polling.
-    assignment: Vec<(String, u32)>,
-    /// The client epoch the positions were last synced against.
-    synced_epoch: u64,
-    max_poll_records: usize,
-}
+/// A consumer whose broker lives across a TCP connection: the one
+/// [`Consumer`] over a [`BrokerClient`]. It owns every partition of
+/// its topics, which matches how the STRATA pipeline shards: one topic
+/// per connector hop, one consumer per topic.
+pub type RemoteConsumer = Consumer<BrokerClient>;
 
-impl std::fmt::Debug for RemoteConsumer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RemoteConsumer")
-            .field("group", &self.group)
-            .field("assignment", &self.assignment)
-            .field("client", &self.client)
-            .finish()
+/// The consumer's broker calls, as requests over this connection. A
+/// reconnect bumps the [`epoch`](BrokerClient::epoch); transport
+/// failures surface as [`BrokerError::Io`].
+impl Transport for BrokerClient {
+    fn partitions(&mut self, topics: &[String]) -> BrokerResult<Vec<PartitionRange>> {
+        let topics: Vec<&str> = topics.iter().map(String::as_str).collect();
+        let infos = self
+            .metadata(&topics)
+            .map_err(NetError::into_broker_error)?;
+        Ok(infos
+            .into_iter()
+            .flat_map(|info| {
+                let name = info.name;
+                info.partitions
+                    .into_iter()
+                    .map(move |p| (name.clone(), p.partition, (p.start, p.end)))
+            })
+            .collect())
     }
-}
 
-impl RemoteConsumer {
-    /// Connects a consumer in `group` subscribed to `topics`,
-    /// starting each partition at the group's committed offset (or
-    /// the partition start).
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Broker`] with `UnknownTopic` if a subscribed topic
-    /// is missing, or transport errors.
-    pub fn connect(
-        addr: impl Into<String>,
-        group: impl Into<String>,
-        topics: &[&str],
-    ) -> NetResult<Self> {
-        let mut consumer = RemoteConsumer {
-            client: BrokerClient::connect(addr)?,
+    fn committed(&mut self, group: &str, topic: &str, partition: u32) -> BrokerResult<Option<u64>> {
+        match self.request(&Request::FetchOffset {
             group: group.into(),
-            topics: topics.iter().map(|t| t.to_string()).collect(),
-            positions: HashMap::new(),
-            assignment: Vec::new(),
-            synced_epoch: 0,
-            max_poll_records: MAX_POLL_RECORDS,
-        };
-        consumer.sync_positions()?;
-        Ok(consumer)
-    }
-
-    /// The group this consumer commits under.
-    pub fn group(&self) -> &str {
-        &self.group
-    }
-
-    /// The `(topic, partition)` pairs this consumer reads, in polling
-    /// order.
-    pub fn assignment(&self) -> &[(String, u32)] {
-        &self.assignment
-    }
-
-    /// Caps the records returned by one [`poll`](Self::poll).
-    pub fn set_max_poll_records(&mut self, max: usize) {
-        self.max_poll_records = max.max(1);
-    }
-
-    /// Access to the underlying connection (for lag queries and test
-    /// hooks such as killing the connection mid-stream).
-    pub fn client_mut(&mut self) -> &mut BrokerClient {
-        &mut self.client
-    }
-
-    /// (Re)derives the assignment from server metadata and seeds
-    /// positions from committed offsets, falling back to each
-    /// partition's start offset.
-    fn sync_positions(&mut self) -> NetResult<()> {
-        let topics: Vec<&str> = self.topics.iter().map(String::as_str).collect();
-        let metadata = self.client.metadata(&topics)?;
-        let mut assignment = Vec::new();
-        let mut positions = HashMap::new();
-        for info in &metadata {
-            for p in &info.partitions {
-                let committed = self.committed(&info.name, p.partition)?;
-                let position = committed.unwrap_or(p.start).clamp(p.start, p.end);
-                assignment.push((info.name.clone(), p.partition));
-                positions.insert((info.name.clone(), p.partition), position);
-            }
-        }
-        assignment.sort();
-        self.assignment = assignment;
-        self.positions = positions;
-        self.synced_epoch = self.client.epoch();
-        Ok(())
-    }
-
-    fn committed(&mut self, topic: &str, partition: u32) -> NetResult<Option<u64>> {
-        match self.client.request(&Request::FetchOffset {
-            group: self.group.clone(),
             topic: topic.into(),
             partition,
-        })? {
-            Response::CommittedOffset(offset) => Ok(offset),
-            other => Err(unexpected("CommittedOffset", &other)),
+        }) {
+            Ok(Response::CommittedOffset(offset)) => Ok(offset),
+            other => Err(failed("CommittedOffset", other)),
         }
     }
 
-    /// Polls for records across the assignment, long-polling up to
-    /// `timeout` when all partitions are drained. Returns an empty
-    /// batch on timeout.
-    ///
-    /// If the connection was lost (and transparently re-established)
-    /// since the last poll, positions are first re-seeded from the
-    /// group's committed offsets, so uncommitted reads re-deliver.
-    ///
-    /// # Errors
-    ///
-    /// Broker or transport errors.
-    pub fn poll(&mut self, timeout: Duration) -> NetResult<Vec<PolledRecord>> {
-        if self.client.epoch() != self.synced_epoch {
-            self.sync_positions()?;
+    fn fetch(
+        &mut self,
+        topic: &str,
+        partition: u32,
+        offset: u64,
+        max_records: usize,
+        wait: Duration,
+    ) -> BrokerResult<Vec<StoredRecord>> {
+        match self.request(&Request::Fetch {
+            topic: topic.into(),
+            partition,
+            offset,
+            max_records: u32::try_from(max_records).unwrap_or(u32::MAX),
+            max_wait_ms: u32::try_from(wait.as_millis()).unwrap_or(u32::MAX),
+        }) {
+            Ok(Response::Records(records)) => Ok(records),
+            other => Err(failed("Records", other)),
         }
-        let mut out = Vec::new();
-        // First pass: drain whatever is already stored, no waiting.
-        self.poll_once(Duration::ZERO, &mut out)?;
-        if !out.is_empty() || timeout.is_zero() {
-            return Ok(out);
-        }
-        // Nothing buffered: spend the wait budget on a long poll of
-        // the first partition, then sweep the rest without waiting so
-        // one quiet partition cannot starve the others.
-        self.poll_once(timeout, &mut out)?;
-        Ok(out)
     }
 
-    fn poll_once(&mut self, wait: Duration, out: &mut Vec<PolledRecord>) -> NetResult<()> {
-        let mut remaining_wait = wait;
-        for (topic, partition) in self.assignment.clone() {
-            if out.len() >= self.max_poll_records {
-                break;
-            }
-            let position = *self
-                .positions
-                .get(&(topic.clone(), partition))
-                .unwrap_or(&0);
-            let response = self.client.request(&Request::Fetch {
-                topic: topic.clone(),
-                partition,
-                offset: position,
-                max_records: (self.max_poll_records - out.len()) as u32,
-                max_wait_ms: remaining_wait.as_millis().min(u32::MAX as u128) as u32,
-            });
-            // A reconnect mid-poll invalidates every position,
-            // including ones this sweep already advanced: drop what
-            // we have and let the caller's next poll re-sync.
-            if self.client.epoch() != self.synced_epoch {
-                out.clear();
-                self.sync_positions()?;
-                return Ok(());
-            }
-            let records = match response? {
-                Response::Records(records) => records,
-                other => return Err(unexpected("Records", &other)),
-            };
-            remaining_wait = Duration::ZERO; // Only the first fetch waits.
-            if let Some(last) = records.last() {
-                self.positions
-                    .insert((topic.clone(), partition), last.offset + 1);
-            }
-            out.extend(records.into_iter().map(|stored| PolledRecord {
-                topic: topic.clone(),
-                partition,
-                offset: stored.offset,
-                record: stored.record,
-            }));
+    fn commit(
+        &mut self,
+        group: &str,
+        topic: &str,
+        partition: u32,
+        offset: u64,
+    ) -> BrokerResult<()> {
+        match self.request(&Request::CommitOffset {
+            group: group.into(),
+            topic: topic.into(),
+            partition,
+            offset,
+        }) {
+            Ok(Response::Committed) => Ok(()),
+            other => Err(failed("Committed", other)),
         }
-        Ok(())
     }
 
-    /// Commits the current positions of every assigned partition
-    /// under the consumer's group, making them the resume points for
-    /// reconnects and successors.
-    ///
-    /// # Errors
-    ///
-    /// Broker or transport errors. On error, part of the assignment
-    /// may have committed; re-committing is safe (idempotent).
-    pub fn commit(&mut self) -> NetResult<()> {
-        for ((topic, partition), offset) in self.positions.clone() {
-            match self.client.request(&Request::CommitOffset {
-                group: self.group.clone(),
-                topic,
-                partition,
-                offset,
-            })? {
-                Response::Committed => {}
-                other => return Err(unexpected("Committed", &other)),
-            }
-        }
-        Ok(())
+    fn epoch(&self) -> u64 {
+        self.epoch
     }
+}
 
-    /// Rewinds every assigned partition to its start offset. Does not
-    /// commit; pair with [`commit`](Self::commit) to persist.
-    ///
-    /// # Errors
-    ///
-    /// Broker or transport errors.
-    pub fn seek_to_beginning(&mut self) -> NetResult<()> {
-        let topics: Vec<&str> = self.topics.iter().map(String::as_str).collect();
-        let metadata = self.client.metadata(&topics)?;
-        for info in metadata {
-            for p in info.partitions {
-                self.positions
-                    .insert((info.name.clone(), p.partition), p.start);
-            }
-        }
-        Ok(())
+/// The broker error for a failed exchange or an unexpected response.
+fn failed(wanted: &str, got: NetResult<Response>) -> BrokerError {
+    match got {
+        Ok(other) => unexpected(wanted, &other),
+        Err(err) => err,
     }
+    .into_broker_error()
 }

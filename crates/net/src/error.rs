@@ -40,12 +40,7 @@ impl NetError {
     /// protocol violations and most broker errors are not (the
     /// request would fail identically on a healthy connection).
     pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            NetError::Io(_)
-                | NetError::Disconnected
-                | NetError::Broker(BrokerError::RebalanceInProgress)
-        )
+        matches!(self, NetError::Io(_) | NetError::Disconnected)
     }
 
     /// Maps this error onto the broker error space, for callers that
@@ -125,7 +120,6 @@ pub fn broker_error_from_wire(code: ErrorCode, message: String, context: &[u64])
             start: context.get(1).copied().unwrap_or(0),
             end: context.get(2).copied().unwrap_or(0),
         },
-        ErrorCode::RebalanceInProgress => BrokerError::RebalanceInProgress,
         ErrorCode::InvalidConfig => BrokerError::InvalidConfig(message),
         ErrorCode::Corrupt => BrokerError::Corrupt(message),
         ErrorCode::Io | ErrorCode::BadRequest => BrokerError::Io(std::io::Error::other(message)),
@@ -140,7 +134,6 @@ mod tests {
     fn transience_classification() {
         assert!(NetError::Disconnected.is_transient());
         assert!(NetError::Io(std::io::Error::other("x")).is_transient());
-        assert!(NetError::Broker(BrokerError::RebalanceInProgress).is_transient());
         assert!(!NetError::Corrupt("bad".into()).is_transient());
         assert!(!NetError::Broker(BrokerError::UnknownTopic("t".into())).is_transient());
     }

@@ -10,8 +10,10 @@
 //!   `Read`/`Write` transport.
 //! - [`server`] — [`server::BrokerServer`]: a thread-per-connection
 //!   TCP front end over an `Arc<Broker>` with graceful shutdown.
-//! - [`client`] — [`client::RemoteProducer`] / [`client::RemoteConsumer`],
-//!   mirroring the in-process `Producer` / `Consumer` APIs.
+//! - [`client`] — [`client::RemoteProducer`], mirroring the
+//!   in-process `Producer`, and [`client::BrokerClient`], the TCP
+//!   transport of the one `strata_pubsub::Consumer`
+//!   ([`client::RemoteConsumer`]).
 //! - `retry` — bounded exponential backoff with jitter, the client
 //!   reliability layer's schedule.
 //! - [`error`] — transport error type, convertible from and into the

@@ -169,8 +169,8 @@ pub enum ErrorCode {
     UnknownPartition = 3,
     /// See [`strata_pubsub::Error::OffsetOutOfRange`].
     OffsetOutOfRange = 4,
-    /// See [`strata_pubsub::Error::RebalanceInProgress`].
-    RebalanceInProgress = 5,
+    // 5 is unassigned: it was a group rebalance, which no longer
+    // exists. Do not reuse it.
     /// See [`strata_pubsub::Error::InvalidConfig`].
     InvalidConfig = 6,
     /// See [`strata_pubsub::Error::Corrupt`].
@@ -189,7 +189,6 @@ impl ErrorCode {
             2 => ErrorCode::TopicExists,
             3 => ErrorCode::UnknownPartition,
             4 => ErrorCode::OffsetOutOfRange,
-            5 => ErrorCode::RebalanceInProgress,
             6 => ErrorCode::InvalidConfig,
             7 => ErrorCode::Corrupt,
             8 => ErrorCode::Io,
@@ -219,9 +218,6 @@ impl ErrorCode {
                 String::new(),
                 vec![*requested, *start, *end],
             ),
-            BrokerError::RebalanceInProgress => {
-                (ErrorCode::RebalanceInProgress, String::new(), vec![])
-            }
             BrokerError::InvalidConfig(msg) => (ErrorCode::InvalidConfig, msg.clone(), vec![]),
             BrokerError::Corrupt(msg) => (ErrorCode::Corrupt, msg.clone(), vec![]),
             BrokerError::Io(err) => (ErrorCode::Io, err.to_string(), vec![]),

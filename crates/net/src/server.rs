@@ -28,7 +28,6 @@ use crate::error::{NetError, NetResult};
 use crate::protocol::{self, PartitionInfo, Request, Response, TopicInfo};
 
 /// How often idle handler threads wake to check the shutdown flag.
-/// Bounds both shutdown latency and long-poll granularity.
 const IDLE_POLL: Duration = Duration::from_millis(100);
 
 /// Server-side cap on a single fetch batch, applied on top of the
@@ -317,9 +316,9 @@ fn serve(shared: &Shared, producer: &Producer, request: Request) -> Response {
     response
 }
 
-/// A fetch with a long-poll budget: empty reads wait on the broker's
-/// append signal in [`IDLE_POLL`] slices until data arrives, the budget
-/// runs out, or the server stops.
+/// A fetch with a long-poll budget ([`Broker::fetch_wait`]): empty
+/// reads wait for an append until data arrives, the budget runs out,
+/// or the server stops.
 fn serve_fetch(
     shared: &Shared,
     topic: &str,
@@ -331,23 +330,13 @@ fn serve_fetch(
     let broker = &shared.broker;
     let max_records = (max_records as usize).min(MAX_FETCH_RECORDS);
     let budget = Duration::from_millis(max_wait_ms as u64).min(MAX_FETCH_WAIT);
-    let deadline = Instant::now() + budget;
-    let mut seen = 0u64;
-    loop {
-        let mut batch = broker.fetch(topic, partition, offset, max_records)?;
-        if !batch.is_empty() {
-            // A record count alone does not bound the frame: a backlog
-            // of large images must go out over several fetches.
-            protocol::truncate_to_body(&mut batch, codec::MAX_FRAME_BYTES);
-            return Ok(Response::Records(batch));
-        }
-        let now = Instant::now();
-        if now >= deadline || shared.stop.load(Ordering::SeqCst) {
-            return Ok(Response::Records(vec![]));
-        }
-        let wait = (deadline - now).min(IDLE_POLL);
-        broker.wait_for_appends(&mut seen, wait);
-    }
+    let mut batch = broker.fetch_wait(topic, partition, offset, max_records, budget, || {
+        shared.stop.load(Ordering::SeqCst)
+    })?;
+    // A record count alone does not bound the frame: a backlog of large
+    // images must go out over several fetches.
+    protocol::truncate_to_body(&mut batch, codec::MAX_FRAME_BYTES);
+    Ok(Response::Records(batch))
 }
 
 fn serve_metadata(broker: &Broker, topics: &[String]) -> Result<Response, strata_pubsub::Error> {

@@ -1,22 +1,26 @@
-//! The broker: topic registry, consumer-group coordination, and the
-//! wakeup machinery connecting producers to blocked consumers.
+//! The broker: topic registry, committed group offsets, and the
+//! wakeup machinery connecting producers to blocked fetches.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, RwLock};
 use strata_obs::{Histogram, Registry};
 
-use crate::consumer::Consumer;
+use crate::consumer::{Consumer, PartitionRange, Transport};
 use crate::error::{Error, Result};
 use crate::log::{LogKind, SyncPolicy};
 use crate::offsets::OffsetStore;
 use crate::producer::Producer;
+use crate::record::StoredRecord;
 use crate::retention::RetentionPolicy;
 use crate::topic::Topic;
+
+/// Longest single wait of [`Broker::fetch_wait`]: how promptly it
+/// notices its stop condition.
+const STOP_POLL: Duration = Duration::from_millis(100);
 
 /// Configuration for a new topic.
 ///
@@ -57,58 +61,25 @@ impl TopicConfig {
     }
 }
 
-/// Coordination state of one consumer group.
-#[derive(Debug, Default)]
-pub(crate) struct GroupState {
-    /// Member ids, ordered — the assignment function depends on it.
-    pub(crate) members: BTreeSet<u64>,
-    /// Bumped on every membership change; consumers holding an older
-    /// generation refresh their assignment before polling.
-    pub(crate) generation: u64,
-    /// Committed offsets: (topic, partition) → next offset to read.
-    pub(crate) offsets: BTreeMap<(String, u32), u64>,
-    /// Union of the members' topic subscriptions.
-    pub(crate) subscribed: BTreeSet<String>,
-}
-
 pub(crate) struct BrokerInner {
     topics: RwLock<HashMap<String, Arc<Topic>>>,
-    pub(crate) groups: Mutex<HashMap<String, GroupState>>,
+    /// Committed group offsets, durable when opened from a file.
+    offsets: Mutex<OffsetStore>,
     /// Bumped on every append; consumers block on it while idle.
     appends: Mutex<u64>,
     data_ready: Condvar,
-    next_member: AtomicU64,
-    /// Optional durable backing for committed group offsets.
-    offset_store: Option<Mutex<OffsetStore>>,
     /// The metrics registry topics register their counters into; also
     /// where embedders (kv, net, spe) land so one render covers the
     /// whole process.
     registry: Registry,
-    /// How long consumers blocked in [`wait_for_data`]
-    /// (`BrokerInner::wait_for_data`) — the fetch long-poll wait.
+    /// How long fetches blocked waiting for appends: the long-poll
+    /// wait.
     fetch_wait_ns: Histogram,
     /// Offset-commit latency, durable persistence included.
     commit_ns: Histogram,
 }
 
 impl BrokerInner {
-    /// Writes a commit through to the durable store, when one is
-    /// configured. Callers update the in-memory group state only
-    /// after this succeeds, so an acknowledged commit is always at
-    /// least as durable as the store's sync policy promises.
-    pub(crate) fn persist_offset(
-        &self,
-        group: &str,
-        topic: &str,
-        partition: u32,
-        offset: u64,
-    ) -> Result<()> {
-        if let Some(store) = &self.offset_store {
-            store.lock().record(group, topic, partition, offset)?;
-        }
-        Ok(())
-    }
-
     pub(crate) fn topic(&self, name: &str) -> Result<Arc<Topic>> {
         self.topics
             .read()
@@ -120,73 +91,6 @@ impl BrokerInner {
     pub(crate) fn notify_append(&self) {
         *self.appends.lock() += 1;
         self.data_ready.notify_all();
-    }
-
-    /// Blocks until new data may be available or `timeout` elapses.
-    pub(crate) fn wait_for_data(&self, seen: &mut u64, timeout: Duration) {
-        let started = Instant::now();
-        let mut guard = self.appends.lock();
-        if *guard != *seen {
-            *seen = *guard;
-        } else {
-            self.data_ready.wait_for(&mut guard, timeout);
-            *seen = *guard;
-        }
-        drop(guard);
-        self.fetch_wait_ns.record_since(started);
-    }
-
-    pub(crate) fn register_member(&self, group: &str, topics: &[String]) -> u64 {
-        let id = self.next_member.fetch_add(1, Ordering::Relaxed);
-        let mut groups = self.groups.lock();
-        let state = groups.entry(group.to_string()).or_default();
-        state.members.insert(id);
-        state.subscribed.extend(topics.iter().cloned());
-        state.generation += 1;
-        id
-    }
-
-    pub(crate) fn deregister_member(&self, group: &str, id: u64) {
-        let mut groups = self.groups.lock();
-        if let Some(state) = groups.get_mut(group) {
-            if state.members.remove(&id) {
-                state.generation += 1;
-            }
-        }
-        self.data_ready.notify_all();
-    }
-
-    /// The partitions assigned to `member` at the group's current
-    /// generation, plus that generation: partitions of all subscribed
-    /// topics, sorted, dealt round-robin over the sorted member list.
-    pub(crate) fn assignment_for(
-        &self,
-        group: &str,
-        member: u64,
-    ) -> Result<(u64, Vec<(String, u32)>)> {
-        let groups = self.groups.lock();
-        let state = groups
-            .get(group)
-            .ok_or_else(|| Error::InvalidConfig(format!("unknown group `{group}`")))?;
-        let members: Vec<u64> = state.members.iter().copied().collect();
-        let my_index = members
-            .iter()
-            .position(|&m| m == member)
-            .ok_or(Error::RebalanceInProgress)?;
-        let mut all: Vec<(String, u32)> = Vec::new();
-        for topic_name in &state.subscribed {
-            let topic = self.topic(topic_name)?;
-            for p in 0..topic.partition_count() {
-                all.push((topic_name.clone(), p));
-            }
-        }
-        let mine = all
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| i % members.len() == my_index)
-            .map(|(_, tp)| tp)
-            .collect();
-        Ok((state.generation, mine))
     }
 }
 
@@ -223,15 +127,11 @@ impl Broker {
     /// and the servers on top, so one render covers everything.
     pub fn with_registry(registry: Registry) -> Self {
         Broker {
-            inner: Arc::new(Self::inner_with(registry, HashMap::new(), None)),
+            inner: Arc::new(Self::inner_with(registry, OffsetStore::in_memory())),
         }
     }
 
-    fn inner_with(
-        registry: Registry,
-        groups: HashMap<String, GroupState>,
-        offset_store: Option<Mutex<OffsetStore>>,
-    ) -> BrokerInner {
+    fn inner_with(registry: Registry, offsets: OffsetStore) -> BrokerInner {
         let fetch_wait_ns = registry.histogram(
             "pubsub_fetch_wait_ns",
             "Time consumers spent blocked waiting for new appends",
@@ -244,11 +144,9 @@ impl Broker {
         );
         BrokerInner {
             topics: RwLock::new(HashMap::new()),
-            groups: Mutex::new(groups),
+            offsets: Mutex::new(offsets),
             appends: Mutex::new(0),
             data_ready: Condvar::new(),
-            next_member: AtomicU64::new(1),
-            offset_store,
             registry,
             fetch_wait_ns,
             commit_ns,
@@ -260,10 +158,9 @@ impl Broker {
         &self.inner.registry
     }
 
-    /// Creates a broker whose committed group offsets are written
-    /// through to a durable [`OffsetStore`] at `path`, and seeds the
-    /// group state with whatever the store recovered — so a restarted
-    /// broker resumes consumers from their last committed positions.
+    /// Creates a broker whose committed group offsets are kept in a
+    /// durable [`OffsetStore`] at `path`, so a restarted broker
+    /// resumes consumers from their last committed positions.
     ///
     /// # Errors
     ///
@@ -271,20 +168,8 @@ impl Broker {
     /// frame (a torn final frame is truncated away), or I/O failures.
     pub fn with_offset_store(path: impl Into<PathBuf>, sync: SyncPolicy) -> Result<Self> {
         let store = OffsetStore::open(path, sync)?;
-        let mut groups: HashMap<String, GroupState> = HashMap::new();
-        for ((group, topic, partition), offset) in store.entries() {
-            groups
-                .entry(group.clone())
-                .or_default()
-                .offsets
-                .insert((topic.clone(), *partition), offset);
-        }
         Ok(Broker {
-            inner: Arc::new(Self::inner_with(
-                Registry::new(),
-                groups,
-                Some(Mutex::new(store)),
-            )),
+            inner: Arc::new(Self::inner_with(Registry::new(), store)),
         })
     }
 
@@ -357,26 +242,19 @@ impl Broker {
         Producer::new(Arc::clone(&self.inner))
     }
 
-    /// Creates a consumer in `group` subscribed to `topics`.
-    /// Consumers sharing a group split the partitions between them;
-    /// distinct groups each see every record.
+    /// Creates a consumer in `group` reading every partition of
+    /// `topics`, starting at the group's committed offsets. Distinct
+    /// groups each see every record; see [`Consumer`] for the rules.
     ///
     /// # Errors
     ///
     /// [`Error::UnknownTopic`] if any subscribed topic is missing.
     pub fn consumer(&self, group: impl Into<String>, topics: &[&str]) -> Result<Consumer> {
-        let group = group.into();
-        let names: Vec<String> = topics.iter().map(|t| t.to_string()).collect();
-        for name in &names {
-            self.inner.topic(name)?; // Validate before registering.
-        }
-        Ok(Consumer::register(Arc::clone(&self.inner), group, names))
+        Consumer::new(self.clone(), group, topics)
     }
 
     /// Reads up to `max_records` records of `topic`/`partition`
-    /// starting at `offset`, without any group bookkeeping. This is
-    /// the server-side read primitive of the TCP transport
-    /// (`strata-net`), whose consumers track their own positions.
+    /// starting at `offset`, without any group bookkeeping.
     ///
     /// # Errors
     ///
@@ -390,16 +268,53 @@ impl Broker {
         partition: u32,
         offset: u64,
         max_records: usize,
-    ) -> Result<Vec<crate::record::StoredRecord>> {
+    ) -> Result<Vec<StoredRecord>> {
         self.inner
             .topic(topic)?
             .read(partition, offset, max_records)
     }
 
+    /// [`fetch`](Broker::fetch), but when there is nothing to read,
+    /// waits up to `wait` for an append and reads again, until records
+    /// arrive, the wait runs out or `stop` returns true (checked at
+    /// least every 100 ms). This is the long poll of both transports:
+    /// in-process consumers and the TCP server's `Fetch`.
+    ///
+    /// # Errors
+    ///
+    /// As [`fetch`](Broker::fetch).
+    pub fn fetch_wait(
+        &self,
+        topic: &str,
+        partition: u32,
+        offset: u64,
+        max_records: usize,
+        wait: Duration,
+        stop: impl Fn() -> bool,
+    ) -> Result<Vec<StoredRecord>> {
+        let deadline = Instant::now() + wait;
+        let mut seen = *self.inner.appends.lock();
+        loop {
+            let batch = self.fetch(topic, partition, offset, max_records)?;
+            let now = Instant::now();
+            if !batch.is_empty() || now >= deadline || stop() {
+                return Ok(batch);
+            }
+            let started = Instant::now();
+            let mut appends = self.inner.appends.lock();
+            if *appends == seen {
+                self.inner
+                    .data_ready
+                    .wait_for(&mut appends, (deadline - now).min(STOP_POLL));
+            }
+            seen = *appends;
+            drop(appends);
+            self.inner.fetch_wait_ns.record_since(started);
+        }
+    }
+
     /// Commits `offset` as the resume point of `(group, topic,
-    /// partition)`, creating the group if it does not exist. Remote
-    /// consumers commit through this instead of holding a group
-    /// membership: their partition assignment lives client-side.
+    /// partition)`, creating the group if it does not exist.
     ///
     /// # Errors
     ///
@@ -413,31 +328,17 @@ impl Broker {
         offset: u64,
     ) -> Result<()> {
         let started = Instant::now();
-        self.inner.persist_offset(group, topic, partition, offset)?;
-        let mut groups = self.inner.groups.lock();
-        let state = groups.entry(group.to_string()).or_default();
-        state.offsets.insert((topic.to_string(), partition), offset);
-        drop(groups);
+        self.inner
+            .offsets
+            .lock()
+            .record(group, topic, partition, offset)?;
         self.inner.commit_ns.record_since(started);
         Ok(())
     }
 
-    /// Blocks until a producer appends somewhere in the broker or
-    /// `timeout` elapses. `seen` carries the caller's append-counter
-    /// state between calls (start at 0); a change means data may be
-    /// available. Long-polling reads (the TCP transport's `Fetch`
-    /// with a wait budget) are built on this.
-    pub fn wait_for_appends(&self, seen: &mut u64, timeout: Duration) {
-        self.inner.wait_for_data(seen, timeout);
-    }
-
     /// The committed offset of `(group, topic, partition)`, if any.
     pub fn committed_offset(&self, group: &str, topic: &str, partition: u32) -> Option<u64> {
-        self.inner
-            .groups
-            .lock()
-            .get(group)
-            .and_then(|g| g.offsets.get(&(topic.to_string(), partition)).copied())
+        self.inner.offsets.lock().get(group, topic, partition)
     }
 
     /// The consumer lag of `group` on `topic`: how many stored
@@ -451,18 +352,51 @@ impl Broker {
     /// [`Error::UnknownTopic`] if the topic does not exist.
     pub fn consumer_lag(&self, group: &str, topic: &str) -> Result<u64> {
         let t = self.inner.topic(topic)?;
-        let groups = self.inner.groups.lock();
-        let offsets = groups.get(group).map(|g| &g.offsets);
+        let offsets = self.inner.offsets.lock();
         let mut lag = 0u64;
         for p in 0..t.partition_count() {
             let (start, end) = t.offsets(p)?;
             let committed = offsets
-                .and_then(|o| o.get(&(topic.to_string(), p)).copied())
+                .get(group, topic, p)
                 .unwrap_or(start)
                 .clamp(start, end);
             lag += end - committed;
         }
         Ok(lag)
+    }
+}
+
+/// The in-process transport: the consumer's calls go straight to the
+/// broker, and its epoch never changes.
+impl Transport for Broker {
+    fn partitions(&mut self, topics: &[String]) -> Result<Vec<PartitionRange>> {
+        let mut partitions = Vec::new();
+        for name in topics {
+            let topic = self.inner.topic(name)?;
+            for p in 0..topic.partition_count() {
+                partitions.push((name.clone(), p, topic.offsets(p)?));
+            }
+        }
+        Ok(partitions)
+    }
+
+    fn committed(&mut self, group: &str, topic: &str, partition: u32) -> Result<Option<u64>> {
+        Ok(self.committed_offset(group, topic, partition))
+    }
+
+    fn fetch(
+        &mut self,
+        topic: &str,
+        partition: u32,
+        offset: u64,
+        max_records: usize,
+        wait: Duration,
+    ) -> Result<Vec<StoredRecord>> {
+        self.fetch_wait(topic, partition, offset, max_records, wait, || false)
+    }
+
+    fn commit(&mut self, group: &str, topic: &str, partition: u32, offset: u64) -> Result<()> {
+        self.commit_offset(group, topic, partition, offset)
     }
 }
 
@@ -494,21 +428,6 @@ mod tests {
             broker.consumer("g", &["missing"]),
             Err(Error::UnknownTopic(_))
         ));
-    }
-
-    #[test]
-    fn assignment_splits_partitions_across_members() {
-        let broker = Broker::new();
-        broker.create_topic("t", TopicConfig::new(4)).unwrap();
-        let c1 = broker.consumer("g", &["t"]).unwrap();
-        let c2 = broker.consumer("g", &["t"]).unwrap();
-        let (_, a1) = broker.inner.assignment_for("g", c1.member_id()).unwrap();
-        let (_, a2) = broker.inner.assignment_for("g", c2.member_id()).unwrap();
-        assert_eq!(a1.len(), 2);
-        assert_eq!(a2.len(), 2);
-        let mut all: Vec<u32> = a1.iter().chain(&a2).map(|(_, p)| *p).collect();
-        all.sort();
-        assert_eq!(all, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -591,38 +510,30 @@ mod tests {
     }
 
     #[test]
-    fn wait_for_appends_wakes_on_produce() {
+    fn fetch_wait_wakes_on_produce_and_on_stop() {
         let broker = Broker::new();
         broker.create_topic("t", TopicConfig::new(1)).unwrap();
         let producer = broker.producer();
         let waiter = broker.clone();
         let handle = std::thread::spawn(move || {
-            let mut seen = 0;
             let start = std::time::Instant::now();
-            waiter.wait_for_appends(&mut seen, Duration::from_secs(5));
-            start.elapsed()
+            let batch = waiter.fetch_wait("t", 0, 0, 10, Duration::from_secs(5), || false);
+            (batch.unwrap().len(), start.elapsed())
         });
         std::thread::sleep(Duration::from_millis(30));
         producer.send("t", None, "x").unwrap();
-        let waited = handle.join().unwrap();
+        let (got, waited) = handle.join().unwrap();
+        assert_eq!(got, 1);
         assert!(
             waited < Duration::from_secs(4),
             "woke early, not by timeout"
         );
-    }
 
-    #[test]
-    fn dropping_a_member_rebalances() {
-        let broker = Broker::new();
-        broker.create_topic("t", TopicConfig::new(2)).unwrap();
-        let c1 = broker.consumer("g", &["t"]).unwrap();
-        let gen_before = {
-            let c2 = broker.consumer("g", &["t"]).unwrap();
-            let (g, _) = broker.inner.assignment_for("g", c2.member_id()).unwrap();
-            g
-        }; // c2 dropped here.
-        let (gen_after, a1) = broker.inner.assignment_for("g", c1.member_id()).unwrap();
-        assert!(gen_after > gen_before);
-        assert_eq!(a1.len(), 2, "sole member owns every partition");
+        let start = std::time::Instant::now();
+        let batch = broker
+            .fetch_wait("t", 0, 1, 10, Duration::from_secs(5), || true)
+            .unwrap();
+        assert!(batch.is_empty());
+        assert!(start.elapsed() < Duration::from_secs(4), "stopped early");
     }
 }

@@ -1,13 +1,17 @@
-//! Consumers: poll records, coordinate through groups, commit
-//! offsets.
+//! The one consumer: polls every partition of its topics, tracks its
+//! positions and commits them under its group, over any [`Transport`]
+//! to the broker.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::collections::BTreeMap;
+use std::time::Duration;
 
-use crate::broker::BrokerInner;
+use crate::broker::Broker;
 use crate::error::{Error, Result};
-use crate::record::Record;
+use crate::record::{Record, StoredRecord};
+
+/// Batch-size cap per poll of a new consumer; see
+/// [`Consumer::set_max_poll_records`].
+const MAX_POLL_RECORDS: usize = 500;
 
 /// A record returned by [`Consumer::poll`], annotated with where it
 /// came from.
@@ -23,60 +27,139 @@ pub struct PolledRecord {
     pub record: Record,
 }
 
-/// A group member reading records from its assigned partitions.
+/// A topic's partition with its `(start, end)` offsets.
+pub type PartitionRange = (String, u32, (u64, u64));
+
+/// The broker calls a [`Consumer`] makes. [`Broker`] answers them in
+/// process; `strata-net`'s `BrokerClient` sends them over TCP.
+pub trait Transport: std::fmt::Debug {
+    /// Every partition of `topics` with its `(start, end)` offsets.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::UnknownTopic`] if a topic is missing, or transport
+    /// errors.
+    fn partitions(&mut self, topics: &[String]) -> Result<Vec<PartitionRange>>;
+
+    /// The offset `group` last committed on `topic`/`partition`, if
+    /// any.
+    ///
+    /// # Errors
+    ///
+    /// Transport errors.
+    fn committed(&mut self, group: &str, topic: &str, partition: u32) -> Result<Option<u64>>;
+
+    /// Up to `max_records` records of `topic`/`partition` from
+    /// `offset` on, waiting up to `wait` for the first one to be
+    /// appended.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::OffsetOutOfRange`] when `offset` lies outside the
+    /// partition's `[start, end]`, [`Error::UnknownTopic`], or
+    /// transport errors.
+    fn fetch(
+        &mut self,
+        topic: &str,
+        partition: u32,
+        offset: u64,
+        max_records: usize,
+        wait: Duration,
+    ) -> Result<Vec<StoredRecord>>;
+
+    /// Commits `offset` as `group`'s resume point on
+    /// `topic`/`partition`.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures persisting the commit, or transport errors.
+    fn commit(&mut self, group: &str, topic: &str, partition: u32, offset: u64) -> Result<()>;
+
+    /// The connection epoch, bumped whenever the transport reconnects
+    /// to the broker. Always 0 in process.
+    fn epoch(&self) -> u64 {
+        0
+    }
+}
+
+impl<T: Transport + ?Sized> Transport for Box<T> {
+    fn partitions(&mut self, topics: &[String]) -> Result<Vec<PartitionRange>> {
+        (**self).partitions(topics)
+    }
+
+    fn committed(&mut self, group: &str, topic: &str, partition: u32) -> Result<Option<u64>> {
+        (**self).committed(group, topic, partition)
+    }
+
+    fn fetch(
+        &mut self,
+        topic: &str,
+        partition: u32,
+        offset: u64,
+        max_records: usize,
+        wait: Duration,
+    ) -> Result<Vec<StoredRecord>> {
+        (**self).fetch(topic, partition, offset, max_records, wait)
+    }
+
+    fn commit(&mut self, group: &str, topic: &str, partition: u32, offset: u64) -> Result<()> {
+        (**self).commit(group, topic, partition, offset)
+    }
+
+    fn epoch(&self) -> u64 {
+        (**self).epoch()
+    }
+}
+
+/// A consumer in a group, reading every partition of its topics.
 ///
-/// A consumer starts at the group's committed offset for each
-/// assigned partition (or at the partition's start when nothing was
-/// committed). Positions advance as records are polled;
-/// [`commit`](Consumer::commit) persists them in the broker so a
-/// successor in the same group resumes where this consumer left off.
+/// There is no group membership: the consumer owns all partitions of
+/// its topics and tracks its positions itself. Distinct groups each
+/// see every record; a successor in the same group resumes where the
+/// last [`commit`](Consumer::commit) left off.
 ///
-/// Dropping the consumer leaves the group, triggering a rebalance of
-/// its partitions onto the surviving members.
-pub struct Consumer {
-    inner: Arc<BrokerInner>,
+/// - *Seeding.* Each partition starts at the group's committed offset.
+///   With none, or with one outside the partition's `[start, end]`
+///   (retention trimmed it, or the broker came back with less data),
+///   it starts at the log start, like Kafka's `earliest` reset.
+/// - *Retention.* A fetch that finds its position trimmed away
+///   ([`Error::OffsetOutOfRange`]) snaps forward to the log start.
+/// - *Reconnects.* When the transport's [`epoch`](Transport::epoch)
+///   changes, the positions are re-seeded from the committed offsets
+///   and the records read since are dropped, so uncommitted reads are
+///   delivered again: at-least-once overall, and exactly-once for a
+///   consumer that commits before acting on the next batch.
+#[derive(Debug)]
+pub struct Consumer<T: Transport = Broker> {
+    transport: T,
     group: String,
-    member_id: u64,
-    generation: u64,
-    assignment: Vec<(String, u32)>,
-    positions: HashMap<(String, u32), u64>,
-    appends_seen: u64,
+    topics: Vec<String>,
+    /// `(topic, partition)` → next offset to read, in polling order.
+    positions: BTreeMap<(String, u32), u64>,
+    /// The transport epoch the positions were seeded against.
+    synced_epoch: u64,
     max_poll_records: usize,
 }
 
-impl std::fmt::Debug for Consumer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Consumer")
-            .field("group", &self.group)
-            .field("member_id", &self.member_id)
-            .field("assignment", &self.assignment)
-            .finish()
-    }
-}
-
-impl Consumer {
-    pub(crate) fn register(inner: Arc<BrokerInner>, group: String, topics: Vec<String>) -> Self {
-        let member_id = inner.register_member(&group, &topics);
-        Consumer {
-            inner,
-            group,
-            member_id,
-            generation: 0, // Stale on purpose: first poll fetches the assignment.
-            assignment: Vec::new(),
-            positions: HashMap::new(),
-            appends_seen: 0,
-            max_poll_records: 500,
-        }
-    }
-
-    /// This consumer's broker-assigned member id.
-    pub fn member_id(&self) -> u64 {
-        self.member_id
-    }
-
-    /// The group this consumer belongs to.
-    pub fn group(&self) -> &str {
-        &self.group
+impl<T: Transport> Consumer<T> {
+    /// A consumer in `group` reading every partition of `topics` over
+    /// `transport`, seeded from the group's committed offsets.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::UnknownTopic`] if a topic is missing, or transport
+    /// errors.
+    pub fn new(transport: T, group: impl Into<String>, topics: &[&str]) -> Result<Self> {
+        let mut consumer = Consumer {
+            transport,
+            group: group.into(),
+            topics: topics.iter().map(|t| t.to_string()).collect(),
+            positions: BTreeMap::new(),
+            synced_epoch: 0,
+            max_poll_records: MAX_POLL_RECORDS,
+        };
+        consumer.seed()?;
+        Ok(consumer)
     }
 
     /// Caps how many records a single [`poll`](Consumer::poll)
@@ -85,174 +168,118 @@ impl Consumer {
         self.max_poll_records = max.max(1);
     }
 
-    /// The partitions currently assigned to this consumer. Empty
-    /// until the first poll after joining or a rebalance.
-    pub fn assignment(&self) -> &[(String, u32)] {
-        &self.assignment
+    /// The transport this consumer reads through (for lag queries and
+    /// test hooks such as killing a connection mid-stream).
+    pub fn transport_mut(&mut self) -> &mut T {
+        &mut self.transport
     }
 
-    fn refresh_assignment(&mut self) -> Result<()> {
-        let (generation, assignment) = self.inner.assignment_for(&self.group, self.member_id)?;
-        if generation == self.generation && !self.assignment.is_empty() {
-            return Ok(());
+    /// Starts every partition at its committed offset; see the seeding
+    /// rule above.
+    fn seed(&mut self) -> Result<()> {
+        let mut positions = BTreeMap::new();
+        for (topic, partition, (start, end)) in self.transport.partitions(&self.topics)? {
+            let committed = self.transport.committed(&self.group, &topic, partition)?;
+            let position = committed
+                .filter(|offset| (start..=end).contains(offset))
+                .unwrap_or(start);
+            positions.insert((topic, partition), position);
         }
-        self.generation = generation;
-        self.assignment = assignment;
-        self.positions.clear();
-        let groups = self.inner.groups.lock();
-        let committed = groups.get(&self.group).map(|g| &g.offsets);
-        for (topic, partition) in &self.assignment {
-            let key = (topic.clone(), *partition);
-            let position = match committed.and_then(|offsets| offsets.get(&key).copied()) {
-                Some(committed) => committed,
-                // No committed offset: start from the log's start.
-                None => self.inner.topic(topic)?.offsets(*partition)?.0,
-            };
-            self.positions.insert(key, position);
-        }
+        self.positions = positions;
+        self.synced_epoch = self.transport.epoch();
         Ok(())
     }
 
-    /// Fetches available records from the assigned partitions,
-    /// blocking up to `timeout` when none are immediately available.
-    /// An empty vector after `timeout` means no data arrived.
+    /// Fetches available records from every partition, waiting up to
+    /// `timeout` when none are stored. An empty vector after `timeout`
+    /// means no data arrived.
+    ///
+    /// The first sweep asks every partition without waiting. Only if
+    /// it finds nothing does a second sweep spend `timeout` on the
+    /// first partition and then ask the rest without waiting.
     ///
     /// # Errors
     ///
-    /// [`Error::UnknownTopic`] if a subscribed topic was deleted,
-    /// or storage errors. [`Error::OffsetOutOfRange`] is handled
-    /// internally by snapping to the log start (retention may trim
-    /// records this consumer had not read yet).
+    /// [`Error::UnknownTopic`] if a topic was deleted, storage or
+    /// transport errors.
     pub fn poll(&mut self, timeout: Duration) -> Result<Vec<PolledRecord>> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            self.refresh_assignment()?;
-            let mut out = Vec::new();
-            for (topic_name, partition) in self.assignment.clone() {
-                if out.len() >= self.max_poll_records {
-                    break;
-                }
-                let key = (topic_name.clone(), partition);
-                let position = *self.positions.get(&key).expect("assigned partition");
-                let topic = self.inner.topic(&topic_name)?;
-                let batch = match topic.read(partition, position, self.max_poll_records - out.len())
-                {
-                    Ok(batch) => batch,
-                    Err(Error::OffsetOutOfRange { start, .. }) => {
-                        // Retention trimmed past our position: snap forward.
-                        self.positions.insert(key.clone(), start);
-                        topic.read(partition, start, self.max_poll_records - out.len())?
-                    }
-                    Err(other) => return Err(other),
-                };
-                if let Some(last) = batch.last() {
-                    self.positions.insert(key, last.offset + 1);
-                }
-                out.extend(batch.into_iter().map(|stored| PolledRecord {
-                    topic: topic_name.clone(),
-                    partition,
-                    offset: stored.offset,
-                    record: stored.record,
-                }));
-            }
-            if !out.is_empty() {
-                return Ok(out);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(Vec::new());
-            }
-            self.inner
-                .wait_for_data(&mut self.appends_seen, deadline - now);
+        if self.transport.epoch() != self.synced_epoch {
+            self.seed()?;
         }
+        let mut out = Vec::new();
+        self.sweep(Duration::ZERO, &mut out)?;
+        if out.is_empty() && !timeout.is_zero() {
+            self.sweep(timeout, &mut out)?;
+        }
+        Ok(out)
     }
 
-    /// Commits the current positions to the broker, making them the
-    /// group's resume points. With a durable offset store configured
-    /// on the broker, the positions are persisted before the
-    /// in-memory group state acknowledges them.
+    /// Fetches from each partition in turn into `out`; only the first
+    /// fetch waits, for up to `wait`.
+    fn sweep(&mut self, mut wait: Duration, out: &mut Vec<PolledRecord>) -> Result<()> {
+        let mut reconnected = false;
+        for ((topic, partition), position) in &mut self.positions {
+            if out.len() >= self.max_poll_records {
+                break;
+            }
+            let max = self.max_poll_records - out.len();
+            let fetched = match self
+                .transport
+                .fetch(topic, *partition, *position, max, wait)
+            {
+                Err(Error::OffsetOutOfRange { start, .. }) => {
+                    *position = start;
+                    self.transport.fetch(topic, *partition, start, max, wait)
+                }
+                fetched => fetched,
+            };
+            if self.transport.epoch() != self.synced_epoch {
+                reconnected = true;
+                break;
+            }
+            let records = fetched?;
+            wait = Duration::ZERO;
+            if let Some(last) = records.last() {
+                *position = last.offset + 1;
+            }
+            out.extend(records.into_iter().map(|stored| PolledRecord {
+                topic: topic.clone(),
+                partition: *partition,
+                offset: stored.offset,
+                record: stored.record,
+            }));
+        }
+        if reconnected {
+            // The reconnect invalidated every position, also those this
+            // sweep advanced: drop what it read and re-seed.
+            out.clear();
+            self.seed()?;
+        }
+        Ok(())
+    }
+
+    /// Commits the current position of every partition under the
+    /// consumer's group, making them the resume points for reconnects
+    /// and successors.
     ///
     /// # Errors
     ///
-    /// I/O failures writing the broker's durable offset store, when
-    /// one is configured.
+    /// I/O failures persisting a commit, or transport errors. On error
+    /// some partitions may have committed; committing again is safe.
     pub fn commit(&mut self) -> Result<()> {
-        for ((topic, partition), &position) in &self.positions {
-            self.inner
-                .persist_offset(&self.group, topic, *partition, position)?;
-        }
-        let mut groups = self.inner.groups.lock();
-        if let Some(state) = groups.get_mut(&self.group) {
-            for (key, &position) in &self.positions {
-                state.offsets.insert(key.clone(), position);
-            }
+        for ((topic, partition), &offset) in &self.positions {
+            self.transport
+                .commit(&self.group, topic, *partition, offset)?;
         }
         Ok(())
-    }
-
-    /// Moves this consumer's position on one partition.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidConfig`] when the partition is not assigned to
-    /// this consumer.
-    pub fn seek(&mut self, topic: &str, partition: u32, offset: u64) -> Result<()> {
-        let key = (topic.to_string(), partition);
-        if !self.positions.contains_key(&key) {
-            // The assignment may simply not have been fetched yet.
-            self.refresh_assignment()?;
-        }
-        match self.positions.get_mut(&key) {
-            Some(position) => {
-                *position = offset;
-                Ok(())
-            }
-            None => Err(Error::InvalidConfig(format!(
-                "partition {topic}/{partition} is not assigned to this consumer"
-            ))),
-        }
-    }
-
-    /// Rewinds every assigned partition to its first stored record.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::UnknownTopic`] if a subscribed topic was deleted.
-    pub fn seek_to_beginning(&mut self) -> Result<()> {
-        self.refresh_assignment()?;
-        for (topic, partition) in self.assignment.clone() {
-            let (start, _) = self.inner.topic(&topic)?.offsets(partition)?;
-            self.positions.insert((topic, partition), start);
-        }
-        Ok(())
-    }
-
-    /// Fast-forwards every assigned partition past all stored
-    /// records, so only new data is polled.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::UnknownTopic`] if a subscribed topic was deleted.
-    pub fn seek_to_end(&mut self) -> Result<()> {
-        self.refresh_assignment()?;
-        for (topic, partition) in self.assignment.clone() {
-            let (_, end) = self.inner.topic(&topic)?.offsets(partition)?;
-            self.positions.insert((topic, partition), end);
-        }
-        Ok(())
-    }
-}
-
-impl Drop for Consumer {
-    fn drop(&mut self) {
-        self.inner.deregister_member(&self.group, self.member_id);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::broker::{Broker, TopicConfig};
+    use crate::broker::TopicConfig;
+    use std::time::Instant;
 
     fn broker_with(topic: &str, partitions: u32) -> Broker {
         let broker = Broker::new();
@@ -332,50 +359,17 @@ mod tests {
     }
 
     #[test]
-    fn group_members_split_the_stream() {
-        let broker = broker_with("t", 2);
-        let producer = broker.producer();
-        let mut c1 = broker.consumer("g", &["t"]).unwrap();
-        let mut c2 = broker.consumer("g", &["t"]).unwrap();
-        for n in 0..20u8 {
-            producer.send("t", Some(&[n]), vec![n]).unwrap();
-        }
-        let got1 = c1.poll(Duration::from_millis(100)).unwrap();
-        let got2 = c2.poll(Duration::from_millis(100)).unwrap();
-        assert_eq!(got1.len() + got2.len(), 20);
-        assert!(!got1.is_empty() && !got2.is_empty());
-        // No overlap between the two members.
-        let p1: std::collections::HashSet<u32> = got1.iter().map(|r| r.partition).collect();
-        let p2: std::collections::HashSet<u32> = got2.iter().map(|r| r.partition).collect();
-        assert!(p1.is_disjoint(&p2));
-    }
-
-    #[test]
-    fn seek_to_end_skips_history() {
+    fn commits_are_timed() {
         let broker = broker_with("t", 1);
-        let producer = broker.producer();
-        producer.send("t", None, "old").unwrap();
+        broker.producer().send("t", None, "a").unwrap();
         let mut consumer = broker.consumer("g", &["t"]).unwrap();
-        consumer.seek_to_end().unwrap();
-        producer.send("t", None, "new").unwrap();
-        let got = consumer.poll(Duration::from_millis(100)).unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].record.value.as_ref(), b"new");
-    }
-
-    #[test]
-    fn seek_replays_from_arbitrary_offset() {
-        let broker = broker_with("t", 1);
-        let producer = broker.producer();
-        for n in 0..5u8 {
-            producer.send("t", None, vec![n]).unwrap();
-        }
-        let mut consumer = broker.consumer("g", &["t"]).unwrap();
-        let _ = consumer.poll(Duration::from_millis(50)).unwrap();
-        consumer.seek("t", 0, 2).unwrap();
-        let got = consumer.poll(Duration::from_millis(50)).unwrap();
-        assert_eq!(got[0].offset, 2);
-        assert_eq!(got.len(), 3);
+        consumer.poll(Duration::from_millis(100)).unwrap();
+        consumer.commit().unwrap();
+        let metrics = broker.registry().render();
+        assert!(
+            metrics.contains("pubsub_commit_ns_count 1\n"),
+            "one commit, one sample:\n{metrics}"
+        );
     }
 
     #[test]

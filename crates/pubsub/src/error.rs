@@ -32,9 +32,6 @@ pub enum Error {
         /// One past the last stored offset.
         end: u64,
     },
-    /// The consumer was fenced by a group rebalance and must re-poll
-    /// to pick up its new assignment. Transient by design.
-    RebalanceInProgress,
     /// A configuration parameter is invalid (e.g. zero partitions).
     InvalidConfig(String),
     /// A stored segment failed checksum or framing validation.
@@ -59,7 +56,6 @@ impl fmt::Display for Error {
                 f,
                 "offset {requested} out of range (log covers [{start}, {end}))"
             ),
-            Error::RebalanceInProgress => write!(f, "group rebalance in progress, poll again"),
             Error::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             Error::Corrupt(msg) => write!(f, "corrupt log data: {msg}"),
             Error::Io(err) => write!(f, "i/o failure: {err}"),

@@ -11,13 +11,16 @@
 //!   either memory-resident or file-backed with segment files;
 //! * **producers** append records, picking the partition by key hash
 //!   (or sticky round-robin for keyless records);
-//! * **consumers** poll records at their own pace; consumers sharing
-//!   a **group** split the partitions among themselves and can
-//!   **commit** offsets to resume after a restart;
+//! * **consumers** poll every partition of their topics at their own
+//!   pace and **commit** their positions under a **group**, so a
+//!   successor in the group resumes after a restart. One
+//!   [`Consumer`] serves both transports: it reads through a
+//!   [`Transport`], which the in-process [`Broker`] implements here
+//!   and `strata-net`'s client implements over TCP;
 //! * optional per-partition **retention** bounds the log.
 //!
-//! Unlike Kafka there is no network: producers and consumers must
-//! live in the same process as the [`Broker`]. That preserves what
+//! Unlike Kafka there is no group membership or rebalancing, and the
+//! network lives in `strata-net`. That preserves what
 //! STRATA actually needs from the connector layer — decoupling of
 //! modules, multiple independent subscribers, replay from arbitrary
 //! offsets — while keeping the reproduction self-contained.
@@ -53,7 +56,7 @@ pub mod topic;
 pub mod wire;
 
 pub use broker::{Broker, TopicConfig};
-pub use consumer::{Consumer, PolledRecord};
+pub use consumer::{Consumer, PartitionRange, PolledRecord, Transport};
 pub use error::{Error, Result};
 pub use log::{LogKind, SyncPolicy};
 pub use offsets::OffsetStore;

@@ -13,7 +13,7 @@ use std::fs;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
-use strata_chaos::frame::{self, Appender, FrameError};
+use strata_chaos::frame::{self, Appender};
 
 use crate::error::{Error, Result};
 use crate::record::{Record, StoredRecord};
@@ -252,22 +252,24 @@ impl FileLog {
             .parse()
             .map_err(|_| Error::Corrupt(format!("bad segment name {path:?}")))?;
         let mut positions = Vec::new();
+        let mut offsets = Vec::new();
         let mut bytes = 0u64;
         // Only the final segment can legitimately end mid-frame (the
         // crash happened while appending to it).
         frame::recover::<Error>(CHAOS_POINT, path, is_final, |data| {
             let (stored, used) = wire::decode_frame(data)?;
-            let expected = base_offset + positions.len() as u64;
-            if stored.offset != expected {
-                return Err(FrameError::Corrupt(format!(
-                    "segment {path:?}: offset {} where {expected} expected",
-                    stored.offset
-                )));
-            }
             positions.push(bytes);
+            offsets.push(stored.offset);
             bytes += used as u64;
             Ok(used)
         })?;
+        for (offset, expected) in offsets.into_iter().zip(base_offset..) {
+            if offset != expected {
+                return Err(Error::Corrupt(format!(
+                    "segment {path:?}: offset {offset} where {expected} expected"
+                )));
+            }
+        }
         Ok(Segment {
             base_offset,
             path: path.to_path_buf(),
@@ -502,21 +504,27 @@ mod tests {
     #[test]
     fn file_log_reports_corruption() {
         let dir = std::env::temp_dir().join(format!("strata-pubsub-t4-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        {
-            let mut log = FileLog::open(&dir, 1 << 20, SyncPolicy::Never).unwrap();
-            log.append(record(0)).unwrap();
+        // A byte in the middle of one record, and the high byte of the
+        // first of three records' length, which reads like a torn tail.
+        for (records, flip) in [(1, None), (3, Some(3))] {
+            let _ = fs::remove_dir_all(&dir);
+            {
+                let mut log = FileLog::open(&dir, 1 << 20, SyncPolicy::Never).unwrap();
+                for n in 0..records {
+                    log.append(record(n)).unwrap();
+                }
+            }
+            let seg = fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
+            let mut data = fs::read(&seg).unwrap();
+            let at = flip.unwrap_or(data.len() / 2);
+            data[at] ^= 0xFF;
+            fs::write(&seg, &data).unwrap();
+            assert!(matches!(
+                FileLog::open(&dir, 1 << 20, SyncPolicy::Never),
+                Err(Error::Corrupt(_))
+            ));
+            assert_eq!(fs::read(&seg).unwrap(), data, "the segment is not cut");
         }
-        // Flip a byte in the middle of the single segment.
-        let seg = fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
-        let mut data = fs::read(&seg).unwrap();
-        let mid = data.len() / 2;
-        data[mid] ^= 0xFF;
-        fs::write(&seg, data).unwrap();
-        assert!(matches!(
-            FileLog::open(&dir, 1 << 20, SyncPolicy::Never),
-            Err(Error::Corrupt(_))
-        ));
         fs::remove_dir_all(&dir).unwrap();
     }
 

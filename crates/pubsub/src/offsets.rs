@@ -79,6 +79,13 @@ pub struct OffsetStore {
 }
 
 impl OffsetStore {
+    /// An empty store with no log: nothing it holds survives a drop.
+    pub(crate) fn in_memory() -> Self {
+        OffsetStore {
+            log: LogMap::in_memory(),
+        }
+    }
+
     /// Opens (or creates) the store at `path`, replaying every commit
     /// frame. A torn final frame is truncated away.
     ///

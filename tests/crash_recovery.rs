@@ -17,7 +17,7 @@ use std::time::Duration;
 use strata_chaos::frame::tails_truncated;
 use strata_chaos::{fired, simulate_crash, Fault, Scenario};
 use strata_kv::{Db, DbOptions, SyncPolicy as KvSync};
-use strata_net::{BrokerServer, RemoteConsumer, RemoteProducer};
+use strata_net::{BrokerClient, BrokerServer, RemoteConsumer, RemoteProducer};
 use strata_pubsub::log::{FileLog, PartitionLog};
 use strata_pubsub::{Broker, LogKind, Record, SyncPolicy as PubSync, TopicConfig};
 
@@ -286,7 +286,8 @@ fn remote_consumer_resumes_exactly_once_across_sever_and_restart() {
     // (and phase 3's successor) must never re-deliver.
     let mut seen: BTreeMap<(u32, u64), u64> = BTreeMap::new();
     {
-        let mut consumer = RemoteConsumer::connect(&addr, "g", &["t"]).unwrap();
+        let client = BrokerClient::connect(&addr).unwrap();
+        let mut consumer = RemoteConsumer::new(client, "g", &["t"]).unwrap();
         consumer.set_max_poll_records(8);
         s.fail_nth("net.server.send", 4, Fault::Sever { after: 5 });
         let mut delivered = 0u64;
@@ -325,7 +326,8 @@ fn remote_consumer_resumes_exactly_once_across_sever_and_restart() {
     drop(server);
     let _server = BrokerServer::bind("127.0.0.1:0", open_broker()).unwrap();
     let addr = _server.local_addr().to_string();
-    let mut consumer = RemoteConsumer::connect(&addr, "g", &["t"]).unwrap();
+    let client = BrokerClient::connect(&addr).unwrap();
+    let mut consumer = RemoteConsumer::new(client, "g", &["t"]).unwrap();
     consumer.set_max_poll_records(64);
     let mut idle = 0;
     while seen.len() < RECORDS as usize && idle < 100 {

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use std::thread;
 use std::time::Duration;
 
-use strata_net::{BrokerServer, RemoteConsumer, RemoteProducer};
+use strata_net::{BrokerClient, BrokerServer, RemoteConsumer, RemoteProducer};
 use strata_pubsub::Broker;
 
 const PARTITIONS: u32 = 3;
@@ -47,8 +47,9 @@ fn remote_consumer_resumes_exactly_once_after_disconnect() {
 
     let consumer_addr = addr.clone();
     let consumer = thread::spawn(move || {
-        let mut consumer = RemoteConsumer::connect(&consumer_addr, "qa", &["melt.pool"])
-            .expect("consumer connect");
+        let client = BrokerClient::connect(&consumer_addr).expect("consumer connect");
+        let mut consumer =
+            RemoteConsumer::new(client, "qa", &["melt.pool"]).expect("consumer connect");
         consumer.set_max_poll_records(16);
 
         // (partition, offset) → payload sequence number. Duplicate
@@ -78,7 +79,7 @@ fn remote_consumer_resumes_exactly_once_after_disconnect() {
             // resume from exactly these committed offsets.
             consumer.commit().expect("commit positions");
             if dropped < 3 && arrivals >= (dropped + 1) * 60 {
-                consumer.client_mut().drop_connection_for_test();
+                consumer.transport_mut().drop_connection_for_test();
                 dropped += 1;
             }
         }
@@ -119,8 +120,9 @@ fn remote_consumer_resumes_exactly_once_after_disconnect() {
 
     // The committed positions on the server match what was consumed:
     // a successor consumer in the same group starts at the end.
+    let client = BrokerClient::connect(&addr).expect("successor connect");
     let mut successor =
-        RemoteConsumer::connect(&addr, "qa", &["melt.pool"]).expect("successor connect");
+        RemoteConsumer::new(client, "qa", &["melt.pool"]).expect("successor connect");
     let tail = successor
         .poll(Duration::from_millis(100))
         .expect("successor poll");
@@ -158,8 +160,9 @@ fn a_backlog_above_the_frame_cap_drains_in_order() {
             .expect("a 4 MiB record fits one frame");
     }
 
+    let client = BrokerClient::connect(&addr).expect("consumer connect");
     let mut consumer =
-        RemoteConsumer::connect(&addr, "monitor", &["ot.images"]).expect("consumer connect");
+        RemoteConsumer::new(client, "monitor", &["ot.images"]).expect("consumer connect");
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     let mut seqs = Vec::new();
     while (seqs.len() as u64) < IMAGES && std::time::Instant::now() < deadline {
