@@ -15,10 +15,10 @@
 //!   oracle for property tests and as the ablation baseline;
 //! * [`kmeans()`] — k-means++ (the paper's comparator from prior work
 //!   on pore classification);
-//! * [`layered`] — incremental cross-layer clustering over a sliding
-//!   window of the most recent `L` layers, with stable cluster
-//!   identities across window slides (the engine behind STRATA's
-//!   `correlateEvents`);
+//! * [`summary`] — per-cluster size, centroid and bounding box, the
+//!   figures `correlateEvents` reports;
+//! * [`tracker`] — stable cluster identities from one correlation
+//!   window to the next, matched by bounding-box overlap;
 //! * [`quality`] — silhouette and Davies–Bouldin metrics making the
 //!   DBSCAN-vs-k-means accuracy comparison quantitative.
 //!
@@ -43,16 +43,16 @@ pub mod dbscan;
 pub mod error;
 pub mod grid;
 pub mod kmeans;
-pub mod layered;
 pub mod naive;
 pub mod point;
 pub mod quality;
 pub mod summary;
+pub mod tracker;
 
 pub use dbscan::{dbscan, DbscanParams, Label};
 pub use error::{Error, Result};
 pub use kmeans::{kmeans, KmeansParams, KmeansResult};
-pub use layered::{LayeredClusterer, LayeredParams};
 pub use point::Point;
 pub use quality::{davies_bouldin, silhouette};
 pub use summary::ClusterSummary;
+pub use tracker::ClusterTracker;

@@ -21,12 +21,14 @@
 //! clusters above a volume threshold, together with a rendered
 //! cluster image for the expert.
 
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
 
 use crossbeam::channel::Receiver;
 use strata_amsim::{OtImage, PbfLbMachine, ThermalModel};
-use strata_cluster::{dbscan, DbscanParams, Point};
+use strata_cluster::{dbscan, ClusterSummary, ClusterTracker, DbscanParams, Label, Point};
+use strata_spe::Timestamp;
 
 use crate::collector::{OfferedRateSource, OtImageCollector, PrintingParameterCollector};
 use crate::error::{Error, Result};
@@ -325,189 +327,167 @@ impl CorrelatorOptions {
             render_image: false,
         }
     }
+
+    /// The DBSCAN parameters, checked once when a correlator is built.
+    ///
+    /// # Panics
+    ///
+    /// Names the field at fault: a non-positive or non-finite
+    /// `eps_mm` or `layer_pitch_mm`, or a zero `min_pts`.
+    fn dbscan_params(&self) -> DbscanParams {
+        for (field, value) in [
+            ("eps_mm", self.eps_mm),
+            ("layer_pitch_mm", self.layer_pitch_mm),
+        ] {
+            assert!(
+                value.is_finite() && value > 0.0,
+                "CorrelatorOptions::{field} must be positive and finite, got {value}"
+            );
+        }
+        assert!(self.min_pts >= 1, "CorrelatorOptions::min_pts must be ≥ 1");
+        DbscanParams::new(self.eps_mm, self.min_pts).expect("checked above")
+    }
 }
 
 /// `DBSCAN()`: the `correlateEvents` function — clusters the window's
 /// events (current layer + previous `L` layers) in 3-D and emits one
 /// tuple per cluster above the volume threshold, plus a per-window
 /// summary tuple (optionally carrying a rendered cluster image).
+///
+/// # Panics
+///
+/// Here, not at the first window, if `eps_mm` or `layer_pitch_mm` is
+/// not positive and finite or `min_pts` is zero.
 pub fn dbscan_correlator(
     options: CorrelatorOptions,
 ) -> impl for<'a> FnMut(&CorrelationWindow<'a>) -> Vec<AmTuple> + Send {
+    let params = options.dbscan_params();
+    move |window: &CorrelationWindow<'_>| correlate_window(window, &options, &params).1
+}
+
+/// A `correlateEvents` function with **stable cluster identities**:
+/// [`dbscan_correlator`]'s clustering and reports, but each cluster
+/// keeps its id from window to window (matched by bounding-box
+/// overlap through one [`strata_cluster::ClusterTracker`] per
+/// `(job, specimen)`), so the expert can watch defect *n* grow
+/// instead of re-identifying clusters per window.
+///
+/// Emits the same tuples as [`dbscan_correlator`], except that a
+/// cluster's `"cluster_id"` is its tracked id, repeated under
+/// `"tracked_id"`. Pass it to
+/// [`PipelineBuilder::correlate_events`](crate::PipelineBuilder::correlate_events)
+/// in place of [`dbscan_correlator`]; [`deploy_pipeline`] always uses
+/// the latter.
+///
+/// # Panics
+///
+/// Here, not at the first window, if `eps_mm` or `layer_pitch_mm` is
+/// not positive and finite or `min_pts` is zero.
+pub fn tracked_correlator(
+    options: CorrelatorOptions,
+) -> impl for<'a> FnMut(&CorrelationWindow<'a>) -> Vec<AmTuple> + Send {
+    let params = options.dbscan_params();
+    let mut trackers: HashMap<(u32, u32), ClusterTracker> = HashMap::new();
     move |window: &CorrelationWindow<'_>| {
-        let params = DbscanParams::new(options.eps_mm, options.min_pts)
-            .expect("validated CorrelatorOptions");
-        let points: Vec<Point> = window
-            .events
-            .iter()
-            .map(|e| {
-                Point::new(
-                    e.payload().float("x_mm").unwrap_or(0.0),
-                    e.payload().float("y_mm").unwrap_or(0.0),
-                    e.metadata().layer as f64 * options.layer_pitch_mm,
-                )
-            })
-            .collect();
-        let labels = dbscan(&points, &params);
-
-        // Collect members per cluster.
-        let mut members: std::collections::BTreeMap<u32, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for (idx, label) in labels.iter().enumerate() {
-            if let Some(cluster) = label.cluster() {
-                members.entry(cluster).or_default().push(idx);
-            }
+        let (clusters, mut out) = correlate_window(window, &options, &params);
+        let tracker = trackers.entry((window.job, window.specimen)).or_default();
+        // The cluster tuples come first, one per summary; the window
+        // summary tuple is last.
+        for (tuple, id) in out.iter_mut().zip(tracker.track(clusters)) {
+            tuple
+                .payload_mut()
+                .set_int("cluster_id", id as i64)
+                .set_int("tracked_id", id as i64);
         }
-        members.retain(|_, m| m.len() >= options.min_cluster_size);
-
-        let template = window
-            .events
-            .first()
-            .map(|e| e.derive())
-            .unwrap_or_default_tuple(window);
-        let mut out = Vec::with_capacity(members.len() + 1);
-        for (cluster_id, idxs) in &members {
-            let mut min = points[idxs[0]];
-            let mut max = points[idxs[0]];
-            let mut sum = (0.0, 0.0, 0.0);
-            let mut hot = 0usize;
-            for &i in idxs {
-                let p = points[i];
-                min.x = min.x.min(p.x);
-                min.y = min.y.min(p.y);
-                min.z = min.z.min(p.z);
-                max.x = max.x.max(p.x);
-                max.y = max.y.max(p.y);
-                max.z = max.z.max(p.z);
-                sum.0 += p.x;
-                sum.1 += p.y;
-                sum.2 += p.z;
-                if window.events[i].payload().str("class") == Some("very_warm") {
-                    hot += 1;
-                }
-            }
-            let n = idxs.len() as f64;
-            let mut t = template.clone();
-            t.payload_mut()
-                .set_str("report", "cluster")
-                .set_int("cluster_id", *cluster_id as i64)
-                .set_int("size", idxs.len() as i64)
-                .set_int("hot_members", hot as i64)
-                .set_float("centroid_x_mm", sum.0 / n)
-                .set_float("centroid_y_mm", sum.1 / n)
-                .set_float("centroid_z_mm", sum.2 / n)
-                .set_float("bbox_min_x_mm", min.x)
-                .set_float("bbox_min_y_mm", min.y)
-                .set_float("bbox_max_x_mm", max.x)
-                .set_float("bbox_max_y_mm", max.y)
-                .set_float("depth_mm", max.z - min.z);
-            out.push(t);
-        }
-
-        // Per-window summary.
-        let mut summary = template.clone();
-        summary
-            .payload_mut()
-            .set_str("report", "summary")
-            .set_int("cluster_count", members.len() as i64)
-            .set_int("event_count", window.events.len() as i64)
-            .set_int("window_layer", window.layer as i64);
-        if options.render_image {
-            summary.payload_mut().set_image(
-                "clusters_image",
-                Arc::new(render_clusters(&points, &labels, &members)),
-            );
-        }
-        out.push(summary);
         out
     }
 }
 
-/// A `correlateEvents` function with **stable cluster identities**:
-/// like [`dbscan_correlator`], but clusters keep their id from layer
-/// to layer (matched by bounding-box overlap through
-/// [`strata_cluster::LayeredClusterer`]), so the expert can watch
-/// defect *n* grow instead of re-identifying clusters per window.
-///
-/// Emits one tuple per reported cluster with the same payload schema
-/// as [`dbscan_correlator`] plus a persistent `"tracked_id"`.
-///
-/// `depth_l` must equal the `L` passed to `correlateEvents` so the
-/// tracker's sliding window matches the correlation window. Pass it to
-/// [`PipelineBuilder::correlate_events`](crate::PipelineBuilder::correlate_events)
-/// in place of [`dbscan_correlator`]; [`deploy_pipeline`] always uses
-/// the latter.
-pub fn tracked_correlator(
-    options: CorrelatorOptions,
-    depth_l: u32,
-) -> impl for<'a> FnMut(&CorrelationWindow<'a>) -> Vec<AmTuple> + Send {
-    use strata_cluster::{LayeredClusterer, LayeredParams};
-    // One clusterer per (job, specimen) group, created on first use.
-    let mut clusterers: std::collections::HashMap<(u32, u32), LayeredClusterer> =
-        std::collections::HashMap::new();
-    move |window: &CorrelationWindow<'_>| {
-        let clusterer = clusterers
-            .entry((window.job, window.specimen))
-            .or_insert_with(|| {
-                let params = LayeredParams::new(
-                    // The correlate window spans the current layer plus
-                    // L previous ones.
-                    depth_l as usize + 1,
-                    DbscanParams::new(options.eps_mm, options.min_pts)
-                        .expect("validated CorrelatorOptions"),
-                    options.layer_pitch_mm,
-                )
-                .expect("validated CorrelatorOptions")
-                .min_cluster_size(options.min_cluster_size);
-                LayeredClusterer::new(params)
-            });
-        // Only the window's newest layer is new to the tracker.
-        let new_events: Vec<(f64, f64)> = window
-            .events
-            .iter()
-            .filter(|e| e.metadata().layer == window.layer)
-            .map(|e| {
-                (
-                    e.payload().float("x_mm").unwrap_or(0.0),
-                    e.payload().float("y_mm").unwrap_or(0.0),
-                )
-            })
-            .collect();
-        let summaries = clusterer.push_layer(window.layer, new_events);
+/// One evaluation of both correlators: clusters the window's events
+/// in 3-D and returns the clusters of at least `min_cluster_size`
+/// members, in DBSCAN label order, together with the reports: one
+/// tuple per such cluster, in the same order, then the window
+/// summary tuple.
+fn correlate_window(
+    window: &CorrelationWindow<'_>,
+    options: &CorrelatorOptions,
+    params: &DbscanParams,
+) -> (Vec<ClusterSummary>, Vec<AmTuple>) {
+    let points: Vec<Point> = window
+        .events
+        .iter()
+        .map(|e| {
+            Point::new(
+                e.payload().float("x_mm").unwrap_or(0.0),
+                e.payload().float("y_mm").unwrap_or(0.0),
+                e.metadata().layer as f64 * options.layer_pitch_mm,
+            )
+        })
+        .collect();
+    let labels = dbscan(&points, params);
 
-        let template = window
-            .events
-            .first()
-            .map(|e| e.derive())
-            .unwrap_or_default_tuple(window);
-        let mut out = Vec::with_capacity(summaries.len() + 1);
-        for s in &summaries {
-            let mut t = template.clone();
-            t.payload_mut()
-                .set_str("report", "cluster")
-                .set_int("tracked_id", s.id as i64)
-                .set_int("cluster_id", s.id as i64)
-                .set_int("size", s.size as i64)
-                .set_float("centroid_x_mm", s.centroid.x)
-                .set_float("centroid_y_mm", s.centroid.y)
-                .set_float("centroid_z_mm", s.centroid.z)
-                .set_float("bbox_min_x_mm", s.min.x)
-                .set_float("bbox_min_y_mm", s.min.y)
-                .set_float("bbox_max_x_mm", s.max.x)
-                .set_float("bbox_max_y_mm", s.max.y)
-                .set_float("depth_mm", s.max.z - s.min.z);
-            out.push(t);
+    // Collect members per cluster, in ascending event index.
+    let mut members: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+    for (idx, label) in labels.iter().enumerate() {
+        if let Some(cluster) = label.cluster() {
+            members.entry(cluster).or_default().push(idx);
         }
-        let mut summary = template;
-        summary
-            .payload_mut()
-            .set_str("report", "summary")
-            .set_int("cluster_count", summaries.len() as i64)
-            .set_int("event_count", window.events.len() as i64)
-            .set_int("window_layer", window.layer as i64);
-        out.push(summary);
-        out
     }
+    members.retain(|_, m| m.len() >= options.min_cluster_size);
+
+    // The pipeline only evaluates layers with events; the fallback
+    // keeps the correlator total.
+    let template = match window.events.first() {
+        Some(e) => e.derive(),
+        None => {
+            AmTuple::new(Timestamp::MIN, window.job, window.layer).with_specimen(window.specimen)
+        }
+    };
+    let mut clusters = Vec::with_capacity(members.len());
+    let mut out = Vec::with_capacity(members.len() + 1);
+    for (label, idxs) in &members {
+        let mut hot = 0i64;
+        let cluster = ClusterSummary::from_members(
+            u64::from(*label),
+            idxs.iter().map(|&i| {
+                hot += i64::from(window.events[i].payload().str("class") == Some("very_warm"));
+                points[i]
+            }),
+        );
+        let mut t = template.clone();
+        t.payload_mut()
+            .set_str("report", "cluster")
+            .set_int("cluster_id", i64::from(*label))
+            .set_int("size", cluster.size as i64)
+            .set_int("hot_members", hot)
+            .set_float("centroid_x_mm", cluster.centroid.x)
+            .set_float("centroid_y_mm", cluster.centroid.y)
+            .set_float("centroid_z_mm", cluster.centroid.z)
+            .set_float("bbox_min_x_mm", cluster.min.x)
+            .set_float("bbox_min_y_mm", cluster.min.y)
+            .set_float("bbox_max_x_mm", cluster.max.x)
+            .set_float("bbox_max_y_mm", cluster.max.y)
+            .set_float("depth_mm", cluster.max.z - cluster.min.z);
+        out.push(t);
+        clusters.push(cluster);
+    }
+
+    // Per-window summary.
+    let mut summary = template;
+    summary
+        .payload_mut()
+        .set_str("report", "summary")
+        .set_int("cluster_count", members.len() as i64)
+        .set_int("event_count", window.events.len() as i64)
+        .set_int("window_layer", window.layer as i64);
+    if options.render_image {
+        summary.payload_mut().set_image(
+            "clusters_image",
+            Arc::new(render_clusters(&points, &labels, &members)),
+        );
+    }
+    out.push(summary);
+    (clusters, out)
 }
 
 /// Renders the window's events with their cluster assignment into a
@@ -515,8 +495,8 @@ pub fn tracked_correlator(
 /// gray band — the inspection artifact of Figure 4.
 fn render_clusters(
     points: &[Point],
-    labels: &[strata_cluster::Label],
-    members: &std::collections::BTreeMap<u32, Vec<usize>>,
+    labels: &[Label],
+    members: &BTreeMap<u32, Vec<usize>>,
 ) -> OtImage {
     const PX_PER_MM: f64 = 8.0;
     if points.is_empty() {
@@ -555,22 +535,6 @@ fn render_clusters(
         image.set(x, y, value.max(image.get(x, y)));
     }
     image
-}
-
-/// Fallback template construction for windows whose event list is
-/// empty (cannot happen through the pipeline, which only evaluates
-/// layers with events, but keeps the correlator total).
-trait TemplateFallback {
-    fn unwrap_or_default_tuple(self, window: &CorrelationWindow<'_>) -> AmTuple;
-}
-
-impl TemplateFallback for Option<AmTuple> {
-    fn unwrap_or_default_tuple(self, window: &CorrelationWindow<'_>) -> AmTuple {
-        self.unwrap_or_else(|| {
-            AmTuple::new(strata_spe::Timestamp::MIN, window.job, window.layer)
-                .with_specimen(window.specimen)
-        })
-    }
 }
 
 /// Options for [`deploy_pipeline`]: the full Algorithm-1 pipeline in
@@ -702,7 +666,7 @@ pub fn deploy_pipeline(
 mod tests {
     use super::*;
     use crate::config::StrataConfig;
-    use strata_spe::{Timestamp, Timestamped};
+    use strata_spe::Timestamped;
 
     fn strata_with_thresholds() -> Strata {
         let strata = Strata::new(StrataConfig::default()).unwrap();
@@ -904,7 +868,7 @@ mod tests {
             layer_pitch_mm: 0.04,
             render_image: false,
         };
-        let mut f = tracked_correlator(options, 10);
+        let mut f = tracked_correlator(options);
         let make_window = |layer: u32, events: &mut Vec<AmTuple>| {
             // A persistent 3×3 patch on every layer up to `layer`.
             for i in 0..3 {
@@ -948,6 +912,57 @@ mod tests {
             ids.windows(2).all(|w| w[0] == w[1]),
             "identity must be stable: {ids:?}"
         );
+    }
+
+    #[test]
+    fn tracked_correlator_clusters_only_the_window_across_layer_gaps() {
+        // L = 2 and a 3×3 patch on layers 0 and 5 only: `Correlate`
+        // evaluates layers 0 and 5, and layer 5's window [3, 5] holds
+        // just layer 5's patch.
+        let patch = |layer: u32| -> Vec<AmTuple> {
+            (0..9)
+                .map(|k| {
+                    let mut e = AmTuple::new(Timestamp::from_millis(layer as u64 * 100), 1, layer)
+                        .with_specimen(0);
+                    e.payload_mut()
+                        .set_str("class", "very_warm")
+                        .set_float("x_mm", 5.0 + (k / 3) as f64 * 0.25)
+                        .set_float("y_mm", 5.0 + (k % 3) as f64 * 0.25);
+                    e
+                })
+                .collect()
+        };
+        let mut f = tracked_correlator(CorrelatorOptions {
+            eps_mm: 0.4,
+            min_pts: 3,
+            min_cluster_size: 5,
+            layer_pitch_mm: 0.04,
+            render_image: false,
+        });
+        let (layer0, layer5) = (patch(0), patch(5));
+        for (layer, events) in [(0, &layer0), (5, &layer5)] {
+            let out = f(&CorrelationWindow {
+                job: 1,
+                specimen: 0,
+                layer,
+                events: events.iter().collect(),
+            });
+            assert_eq!(out.len(), 2, "one cluster + summary at layer {layer}");
+            assert_eq!(out[0].payload().int("size"), Some(9), "layer {layer}");
+            assert_eq!(
+                out[0].payload().float("depth_mm"),
+                Some(0.0),
+                "layer {layer}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "CorrelatorOptions::eps_mm")]
+    fn correlator_options_are_checked_when_the_correlator_is_built() {
+        let mut options = CorrelatorOptions::for_cell_mm(1.0);
+        options.eps_mm = 0.0;
+        let _ = dbscan_correlator(options);
     }
 
     #[test]

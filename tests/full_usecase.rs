@@ -248,7 +248,7 @@ fn stable_ids_pipeline_reports_persistent_clusters() {
     let mm_per_px = machine.plan().specimens()[0].rect.w / widest_px as f64;
     let mut options = CorrelatorOptions::for_cell_mm(cell_px as f64 * mm_per_px);
     options.layer_pitch_mm = machine.plan().layer_thickness_mm();
-    let tracked = thermal::tracked_correlator(options, depth_l);
+    let tracked = thermal::tracked_correlator(options);
     let out = pipeline.correlate_events("out", &events, depth_l, tracked);
     let reports = pipeline.deliver("expert", &out);
     let reports = collect_reports(
