@@ -1,7 +1,5 @@
 //! Grid-accelerated DBSCAN (Ester et al., KDD 1996).
 
-use std::collections::VecDeque;
-
 use crate::error::{Error, Result};
 use crate::grid::GridIndex;
 use crate::point::Point;
@@ -78,8 +76,9 @@ impl Label {
 /// those with at least `min_pts` points within ε (themselves
 /// included); clusters are maximal sets of density-connected points;
 /// border points join the cluster of the first core point that
-/// reaches them; the rest is noise. Runtime is O(n · density) thanks
-/// to the uniform grid index.
+/// reaches them; the rest is noise. Cluster ids follow seed order.
+/// Each point's neighborhood is queried once, through the column grid
+/// index, so the runtime is O(n · candidates per query).
 pub fn dbscan(points: &[Point], params: &DbscanParams) -> Vec<Label> {
     let mut labels = vec![None::<Label>; points.len()];
     if points.is_empty() {
@@ -87,37 +86,30 @@ pub fn dbscan(points: &[Point], params: &DbscanParams) -> Vec<Label> {
     }
     let grid = GridIndex::build(points, params.eps);
     let mut next_cluster = 0u32;
-    let mut queue = VecDeque::new();
+    let mut pending: Vec<u32> = Vec::new();
+    let mut neighbors: Vec<u32> = Vec::new();
 
     for seed in 0..points.len() {
         if labels[seed].is_some() {
             continue;
         }
-        let neighbors = grid.neighbors_of(seed);
+        grid.neighbors_into(seed, &mut neighbors);
         if neighbors.len() < params.min_pts {
             labels[seed] = Some(Label::Noise);
             continue;
         }
-        // `seed` is a core point: grow a new cluster from it.
+        // `seed` is a core point: grow a new cluster from it. Points
+        // are labelled as they are reached, and only unlabelled ones
+        // are queued, so each is queried once. No other cluster grows
+        // meanwhile, so the visit order does not change any label.
         let cluster = Label::Cluster(next_cluster);
         next_cluster += 1;
         labels[seed] = Some(cluster);
-        queue.extend(neighbors);
-        while let Some(idx) = queue.pop_front() {
-            let idx = idx as usize;
-            match labels[idx] {
-                Some(Label::Noise) => {
-                    // Border point previously misjudged as noise.
-                    labels[idx] = Some(cluster);
-                }
-                Some(_) => continue,
-                None => {
-                    labels[idx] = Some(cluster);
-                    let reach = grid.neighbors_of(idx);
-                    if reach.len() >= params.min_pts {
-                        queue.extend(reach); // idx is core: expand through it.
-                    }
-                }
+        claim(&neighbors, cluster, &mut labels, &mut pending);
+        while let Some(idx) = pending.pop() {
+            grid.neighbors_into(idx as usize, &mut neighbors);
+            if neighbors.len() >= params.min_pts {
+                claim(&neighbors, cluster, &mut labels, &mut pending); // idx is core.
             }
         }
     }
@@ -125,6 +117,23 @@ pub fn dbscan(points: &[Point], params: &DbscanParams) -> Vec<Label> {
         .into_iter()
         .map(|l| l.expect("every point labeled"))
         .collect()
+}
+
+/// Puts the `neighbors` of a core point into `cluster`: unlabelled
+/// ones are queued to be expanded in turn, and noise becomes a border
+/// point (it was queried already and is not core).
+fn claim(neighbors: &[u32], cluster: Label, labels: &mut [Option<Label>], pending: &mut Vec<u32>) {
+    for &j in neighbors {
+        let label = &mut labels[j as usize];
+        match label {
+            None => {
+                *label = Some(cluster);
+                pending.push(j);
+            }
+            Some(Label::Noise) => *label = Some(cluster),
+            Some(Label::Cluster(_)) => {}
+        }
+    }
 }
 
 #[cfg(test)]

@@ -9,8 +9,10 @@
 //!
 //! This crate provides:
 //!
-//! * [`dbscan()`] — grid-accelerated DBSCAN over 3-D points (the grid
-//!   index makes ε-neighborhood queries O(neighbors));
+//! * [`dbscan()`] — grid-accelerated DBSCAN over 3-D points (the
+//!   [`grid`] index sorts the points into ε-wide `x`/`y` columns, so a
+//!   query costs one distance per point in its 9 columns; each point is
+//!   queried once);
 //! * [`naive`] — the textbook O(n²) DBSCAN, kept as the correctness
 //!   oracle for property tests and as the ablation baseline;
 //! * [`kmeans()`] — k-means++ (the paper's comparator from prior work

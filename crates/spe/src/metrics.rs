@@ -76,9 +76,9 @@ impl NodeMetrics {
         self.panics.get()
     }
 
-    /// Distribution of per-item processing latency (the operator
-    /// callback only — send-side backpressure is excluded), in
-    /// nanoseconds.
+    /// Distribution of the time spent in the operator's callbacks, in
+    /// nanoseconds: one sample per `on_batch`, `on_watermark` and
+    /// `on_end` call (send-side backpressure is excluded).
     pub fn process_latency(&self) -> HistogramSnapshot {
         self.process_ns.snapshot()
     }
@@ -154,7 +154,7 @@ impl NodeMetrics {
         );
         registry.register_histogram(
             "spe_node_process_ns",
-            "Per-item operator latency in nanoseconds",
+            "Time per operator callback in nanoseconds",
             labels,
             &self.process_ns,
         );
@@ -285,7 +285,7 @@ pub struct NodeMetricsSnapshot {
     pub watermarks_in: u64,
     /// Panics caught by supervision.
     pub panics: u64,
-    /// Per-item operator latency distribution (nanoseconds).
+    /// Time per operator callback distribution (nanoseconds).
     pub process_ns: HistogramSnapshot,
     /// Input queue depth distribution, sampled at item receipt.
     pub queue_depth: HistogramSnapshot,

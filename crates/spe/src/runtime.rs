@@ -286,7 +286,7 @@ pub(crate) fn run_node<I, O, Op>(
                 metrics.record_in(items.len() as u64);
                 metrics.record_batch(items.len() as u64);
                 metrics.record_queue_depth(inbox.len() as u64);
-                // Time the operator callback only: send-side
+                // Time the operator callbacks only: send-side
                 // backpressure in `flush` is queueing, not processing,
                 // and would drown the signal.
                 let started = Instant::now();
@@ -307,7 +307,9 @@ pub(crate) fn run_node<I, O, Op>(
             }
         };
         if let Some(wm) = watermark {
+            let started = Instant::now();
             op.on_watermark(wm, &mut out);
+            metrics.record_process_since(started);
         }
         let alive = flush(&mut out, &mut outlets, &metrics, max_batch)
             && watermark.is_none_or(|wm| broadcast(&mut outlets, Element::Watermark(wm)));
@@ -315,7 +317,9 @@ pub(crate) fn run_node<I, O, Op>(
             return;
         }
     }
+    let started = Instant::now();
     op.on_end(&mut out);
+    metrics.record_process_since(started);
     flush(&mut out, &mut outlets, &metrics, max_batch);
 }
 

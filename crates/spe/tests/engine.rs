@@ -1,6 +1,7 @@
 //! End-to-end tests of the engine: full query graphs with real
 //! threads, watermark-driven windows, joins, routing and unions.
 
+use strata_spe::operator::UnaryOperator;
 use strata_spe::prelude::*;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -327,6 +328,40 @@ fn metrics_count_items_through_the_graph() {
     assert_eq!(metrics.node("keep-half").unwrap().items_in(), 50);
     assert_eq!(metrics.node("keep-half").unwrap().items_out(), 25);
     assert_eq!(metrics.node("out").unwrap().items_in(), 25);
+}
+
+/// A node's process time counts every operator callback: work done
+/// when a watermark arrives, as `correlateEvents` does its clustering,
+/// shows up in `process_latency` next to `on_batch`.
+#[test]
+fn process_time_includes_watermark_callbacks() {
+    const NAP: std::time::Duration = std::time::Duration::from_millis(25);
+    struct SleepOnWatermark;
+    impl UnaryOperator<Event, Event> for SleepOnWatermark {
+        fn on_item(&mut self, item: Event, out: &mut Vec<Event>) {
+            out.push(item);
+        }
+        fn on_watermark(&mut self, _watermark: Timestamp, _out: &mut Vec<Event>) {
+            std::thread::sleep(NAP);
+        }
+    }
+    let mut qb = QueryBuilder::new("slow-watermarks");
+    let src = qb.source(
+        "src",
+        IteratorSource::with_watermarks(events(&[(10, 1, 1), (20, 1, 2)])),
+    );
+    let slow = qb.operator("slow", &src, SleepOnWatermark);
+    let _out = qb.collect_sink("out", &slow);
+    let metrics = qb.build().unwrap().run().join().unwrap();
+    let node = metrics.node("slow").unwrap();
+    assert!(node.watermarks_in() >= 1);
+    let process = node.process_latency();
+    assert!(
+        process.sum() >= NAP.as_nanos() as u64,
+        "{} ns over {} callbacks",
+        process.sum(),
+        process.count()
+    );
 }
 
 #[test]
