@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use strata_pubsub::checksum::crc32;
-use strata_pubsub::{Broker, TopicConfig};
+use strata_pubsub::{Broker, Record, TopicConfig};
 
 fn bench_roundtrip(c: &mut Criterion) {
     let mut group = c.benchmark_group("pubsub_roundtrip");
@@ -17,13 +17,14 @@ fn bench_roundtrip(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(label), &(), |b, ()| {
             let broker = Broker::new();
             broker.create_topic("t", TopicConfig::new(1)).unwrap();
-            let producer = broker.producer();
             let mut consumer = broker.consumer("g", &["t"]).unwrap();
             consumer.set_max_poll_records(batch as usize);
             let payload = vec![0xABu8; payload_bytes];
             b.iter(|| {
                 for _ in 0..batch {
-                    producer.send("t", Some(b"k"), payload.clone()).unwrap();
+                    broker
+                        .produce("t", None, Record::new(Some(&b"k"[..]), payload.clone()))
+                        .unwrap();
                 }
                 let mut got = 0u64;
                 while got < batch {
@@ -45,14 +46,15 @@ fn bench_fanout(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("groups", groups), &groups, |b, &groups| {
             let broker = Broker::new();
             broker.create_topic("t", TopicConfig::new(1)).unwrap();
-            let producer = broker.producer();
             let mut consumers: Vec<_> = (0..groups)
                 .map(|g| broker.consumer(format!("g{g}"), &["t"]).unwrap())
                 .collect();
             let n = 512u64;
             b.iter(|| {
                 for i in 0..n {
-                    producer.send("t", None, vec![i as u8; 128]).unwrap();
+                    broker
+                        .produce("t", None, Record::new(None::<&[u8]>, vec![i as u8; 128]))
+                        .unwrap();
                 }
                 for consumer in &mut consumers {
                     let mut got = 0u64;

@@ -8,34 +8,23 @@
 //! broker in-band as [`ConnectorMessage`]s, so event time keeps
 //! progressing on the other side.
 //!
-//! One connector serves both transports: the in-process broker
-//! ([`Producer`], [`Broker`](strata_pubsub::Broker)) and a broker
-//! server reached over TCP ([`RemoteProducer`],
-//! [`BrokerClient`](strata_net::BrokerClient)) sit behind
-//! [`TopicProducer`] and the one [`Consumer`]'s [`Transport`]. Either
-//! way a [`TopicSource`] commits its group's offsets after every
-//! polled batch it fully hands to the engine, and again when it stops,
-//! so a successor in the group resumes where it left off.
+//! One connector serves both transports: the in-process
+//! [`Broker`](strata_pubsub::Broker) and a broker server reached over
+//! TCP ([`BrokerClient`](strata_net::BrokerClient)) are each a
+//! [`Transport`], which the [`publisher`] produces through and the one
+//! [`Consumer`] reads through. Either way a [`TopicSource`] commits its
+//! group's offsets after every polled batch it fully hands to the
+//! engine, and again when it stops, so a successor in the group
+//! resumes where it left off.
 
 use std::time::Duration;
 
-use strata_net::RemoteProducer;
-use strata_pubsub::{Consumer, Producer, Record, Transport};
+use strata_pubsub::{Consumer, Record, Transport};
 use strata_spe::{Element, Source, SourceContext};
 
 use crate::codec::{self, ConnectorMessage};
 use crate::error::Result;
 use crate::tuple::AmTuple;
-
-/// The publishing end of a connector topic.
-pub trait TopicProducer: Send + 'static {
-    /// Appends `record` to `topic`.
-    ///
-    /// # Errors
-    ///
-    /// Broker or transport errors.
-    fn send(&mut self, topic: &str, record: Record) -> Result<()>;
-}
 
 /// The subscribing end of a connector topic, over either transport.
 pub type TopicConsumer = Consumer<Box<dyn Transport + Send>>;
@@ -52,26 +41,6 @@ pub(crate) fn subscribe(
 ) -> Result<TopicConsumer> {
     let transport: Box<dyn Transport + Send> = Box::new(transport);
     Ok(Consumer::new(transport, group, &[topic])?)
-}
-
-impl TopicProducer for Producer {
-    fn send(&mut self, topic: &str, record: Record) -> Result<()> {
-        self.send_record(topic, record)?;
-        Ok(())
-    }
-}
-
-impl TopicProducer for RemoteProducer {
-    fn send(&mut self, topic: &str, record: Record) -> Result<()> {
-        self.send_record(topic, record)?;
-        Ok(())
-    }
-}
-
-impl<P: TopicProducer + ?Sized> TopicProducer for Box<P> {
-    fn send(&mut self, topic: &str, record: Record) -> Result<()> {
-        (**self).send(topic, record)
-    }
 }
 
 /// Flattens a stream element into connector wire messages. The wire
@@ -109,16 +78,16 @@ fn connector_record(message: ConnectorMessage) -> Record {
 }
 
 /// Builds the element-sink callback that republishes a stream into
-/// `topic`. A send fails only when the topic was deleted mid-run or
-/// the remote producer's retries ran out; dropping the element then
-/// matches "subscriber gone".
+/// `topic` over `transport`. A produce fails only when the topic was
+/// deleted mid-run or a remote transport's retries ran out; dropping
+/// the element then matches "subscriber gone".
 pub fn publisher(
-    mut producer: impl TopicProducer,
+    mut transport: impl Transport + Send + 'static,
     topic: String,
 ) -> impl FnMut(Element<AmTuple>) + Send + 'static {
     move |element| {
         for message in connector_messages(element) {
-            let _ = producer.send(&topic, connector_record(message));
+            let _ = transport.produce(&topic, connector_record(message));
         }
     }
 }
@@ -213,16 +182,16 @@ mod tests {
         }
 
         /// Creates `topic` and connects a producer to it.
-        fn producer(&self, topic: &str) -> Box<dyn TopicProducer> {
+        fn producer(&self, topic: &str) -> Box<dyn Transport + Send> {
             match self {
                 Bus::Local(broker) => {
                     broker.create_topic(topic, TopicConfig::new(1)).unwrap();
-                    Box::new(broker.producer())
+                    Box::new(broker.clone())
                 }
                 Bus::Tcp(server) => {
                     let mut producer =
-                        RemoteProducer::connect(server.local_addr().to_string()).unwrap();
-                    producer.client_mut().create_topic(topic, 1).unwrap();
+                        BrokerClient::connect(server.local_addr().to_string()).unwrap();
+                    producer.create_topic(topic, 1).unwrap();
                     Box::new(producer)
                 }
             }
@@ -326,7 +295,7 @@ mod tests {
     fn watermarks_drive_windows_across_the_bridge() {
         let broker = Broker::new();
         broker.create_topic("wm", TopicConfig::new(1)).unwrap();
-        let mut publish = publisher(broker.producer(), "wm".into());
+        let mut publish = publisher(broker.clone(), "wm".into());
         for layer in 0..3u32 {
             let t = AmTuple::new(Timestamp::from_millis(layer as u64 * 100), 1, layer);
             publish(Element::Batch(Batch::new(vec![t])));
@@ -355,7 +324,7 @@ mod tests {
     fn independent_groups_both_receive_the_stream() {
         let broker = Broker::new();
         broker.create_topic("shared", TopicConfig::new(1)).unwrap();
-        let mut publish = publisher(broker.producer(), "shared".into());
+        let mut publish = publisher(broker.clone(), "shared".into());
         publish(Element::Batch(Batch::new(vec![AmTuple::new(
             Timestamp::MIN,
             1,

@@ -19,14 +19,14 @@ use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver};
-use strata_net::{BrokerClient, NetError, RemoteProducer};
-use strata_pubsub::{Broker, LogKind, RetentionPolicy, TopicConfig};
+use strata_net::{BrokerClient, NetError};
+use strata_pubsub::{Broker, LogKind, RetentionPolicy, TopicConfig, Transport};
 use strata_spe::operator::UnaryOperator;
 use strata_spe::operators::{FlatMap, RoutePolicy};
 use strata_spe::{QueryBuilder, QueryMetrics, RunningQuery, Source, Stream, Timestamp};
 
 use crate::config::{ConnectorMode, StrataConfig};
-use crate::connector::{publisher, subscribe, TopicConsumer, TopicProducer, TopicSource};
+use crate::connector::{publisher, subscribe, TopicConsumer, TopicSource};
 use crate::error::{Error, Result};
 use crate::report::ExpertReport;
 use crate::tuple::AmTuple;
@@ -196,8 +196,9 @@ const EVENT_TOPIC_MAX_RECORDS: u64 = 1_000_000;
 /// promptly it notices a stop request, not latency.
 const POLL_TIMEOUT: Duration = Duration::from_millis(20);
 
-/// The two ends of one connector topic.
-type ConnectorEnds = (Box<dyn TopicProducer>, TopicConsumer);
+/// The two ends of one connector topic: the publisher's transport and
+/// the subscriber.
+type ConnectorEnds = (Box<dyn Transport + Send>, TopicConsumer);
 
 /// Builder for one expert pipeline. Created by
 /// [`Strata::pipeline`](crate::Strata::pipeline); see the
@@ -311,22 +312,18 @@ impl PipelineBuilder {
         } else {
             RetentionPolicy::default().with_max_records(EVENT_TOPIC_MAX_RECORDS)
         };
-        let (producer, consumer): ConnectorEnds = match self.connect(&topic, retention) {
+        let (transport, consumer) = match self.connect(&topic, retention) {
             Ok(ends) => ends,
             Err(err) => {
+                // Deploy fails with the error before it builds a query,
+                // so building goes on without the bridge.
                 self.errors.push(err);
-                // Placeholder ends on a fresh local topic so building
-                // can continue; deploy fails with the error.
-                let fallback = format!("{topic}.invalid");
-                let _ = self.broker.create_topic(&fallback, TopicConfig::new(1));
-                let consumer = subscribe(self.broker.clone(), format!("{fallback}.g"), &fallback)
-                    .expect("fresh fallback topic exists");
-                (Box::new(self.broker.producer()), consumer)
+                return upstream;
             }
         };
 
         let name = format!("publish.{label}");
-        let publish = publisher(producer, topic);
+        let publish = publisher(transport, topic);
         if from_collector {
             self.collector.element_sink(name, &upstream, publish);
             self.collector_nodes += 1;
@@ -361,13 +358,13 @@ impl PipelineBuilder {
         let group = format!("{topic}.sub");
         match self.config.connector_mode_value() {
             ConnectorMode::Remote { addr } => {
-                let mut producer = RemoteProducer::connect(addr.clone())?;
-                match producer.client_mut().create_topic(topic, 1) {
+                let mut client = BrokerClient::connect(addr.clone())?;
+                match client.create_topic(topic, 1) {
                     Ok(()) | Err(NetError::Broker(strata_pubsub::Error::TopicExists(_))) => {}
                     Err(err) => return Err(err.into()),
                 }
                 let consumer = subscribe(BrokerClient::connect(addr)?, group, topic)?;
-                Ok((Box::new(producer), consumer))
+                Ok((Box::new(client), consumer))
             }
             _ => {
                 let config = TopicConfig::new(1)
@@ -375,7 +372,7 @@ impl PipelineBuilder {
                     .with_retention(retention);
                 self.broker.create_topic(topic, config)?;
                 let consumer = subscribe(self.broker.clone(), group, topic)?;
-                Ok((Box::new(self.broker.producer()), consumer))
+                Ok((Box::new(self.broker.clone()), consumer))
             }
         }
     }

@@ -1,8 +1,10 @@
-//! Remote clients over a TCP connection, with a reliability layer
+//! The remote client over a TCP connection, with a reliability layer
 //! underneath (request timeouts, bounded retries with backoff,
-//! transparent reconnect): [`RemoteProducer`] mirrors the in-process
-//! `Producer`, and [`BrokerClient`] is the [`Transport`] of the one
-//! `strata_pubsub::Consumer`, named [`RemoteConsumer`] here.
+//! transparent reconnect): [`BrokerClient`] is the [`Transport`] of
+//! both ends of a topic. Producers call its
+//! [`produce`](Transport::produce), and the one
+//! `strata_pubsub::Consumer` reads through it, named
+//! [`RemoteConsumer`] here.
 //!
 //! # Resume semantics
 //!
@@ -16,6 +18,7 @@
 //! before acting on a batch's successor.
 
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use strata_pubsub::record::{Record, StoredRecord};
@@ -31,6 +34,10 @@ use crate::retry::RetryPolicy;
 /// Cap on one request/response exchange (socket read timeout). Must
 /// exceed the longest `Fetch` wait a client requests.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Clients created so far in this process; each mixes its number into
+/// its retry salt.
+static CLIENTS: AtomicU64 = AtomicU64::new(0);
 
 /// A single logical connection to a
 /// [`BrokerServer`](crate::server::BrokerServer): serialized
@@ -69,6 +76,7 @@ impl BrokerClient {
             let mut hasher = std::collections::hash_map::DefaultHasher::new();
             addr.hash(&mut hasher);
             std::process::id().hash(&mut hasher);
+            CLIENTS.fetch_add(1, Ordering::Relaxed).hash(&mut hasher);
             hasher.finish()
         };
         let mut client = BrokerClient {
@@ -219,105 +227,31 @@ fn unexpected(wanted: &str, got: &Response) -> NetError {
     NetError::Protocol(format!("expected {wanted} response, got {got:?}"))
 }
 
-/// A producer whose broker lives across a TCP connection. Mirrors
-/// the in-process `Producer` API, returning `(partition, offset)`.
-pub struct RemoteProducer {
-    client: BrokerClient,
-}
-
-impl std::fmt::Debug for RemoteProducer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RemoteProducer")
-            .field("client", &self.client)
-            .finish()
-    }
-}
-
-impl RemoteProducer {
-    /// Connects a producer to `addr` with default tuning.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors.
-    pub fn connect(addr: impl Into<String>) -> NetResult<Self> {
-        Ok(RemoteProducer {
-            client: BrokerClient::connect(addr)?,
-        })
-    }
-
-    /// Access to the underlying connection (for `create_topic`,
-    /// `metadata`, and test hooks).
-    pub fn client_mut(&mut self) -> &mut BrokerClient {
-        &mut self.client
-    }
-
-    /// Sends a record with the given key and value, server-side
-    /// partitioning. Returns `(partition, offset)`.
-    ///
-    /// # Errors
-    ///
-    /// Broker or transport errors. Note a retried produce that
-    /// succeeded server-side before the response was lost is
-    /// re-appended: produces are at-least-once, like Kafka's
-    /// pre-idempotence producer.
-    pub fn send(
-        &mut self,
-        topic: &str,
-        key: Option<&[u8]>,
-        value: impl Into<bytes::Bytes>,
-    ) -> NetResult<(u32, u64)> {
-        let record = Record::new(key.map(bytes::Bytes::copy_from_slice), value.into());
-        self.send_record(topic, record)
-    }
-
-    /// Sends a fully built record, server-side partitioning.
-    ///
-    /// # Errors
-    ///
-    /// Broker or transport errors.
-    pub fn send_record(&mut self, topic: &str, record: Record) -> NetResult<(u32, u64)> {
-        match self.client.request(&Request::Produce {
-            topic: topic.into(),
-            partition: None,
-            record,
-        })? {
-            Response::Produced { partition, offset } => Ok((partition, offset)),
-            other => Err(unexpected("Produced", &other)),
-        }
-    }
-
-    /// Sends a record to an explicit partition. Returns the offset.
-    ///
-    /// # Errors
-    ///
-    /// Broker or transport errors.
-    pub fn send_to_partition(
-        &mut self,
-        topic: &str,
-        partition: u32,
-        record: Record,
-    ) -> NetResult<u64> {
-        match self.client.request(&Request::Produce {
-            topic: topic.into(),
-            partition: Some(partition),
-            record,
-        })? {
-            Response::Produced { offset, .. } => Ok(offset),
-            other => Err(unexpected("Produced", &other)),
-        }
-    }
-}
-
 /// A consumer whose broker lives across a TCP connection: the one
 /// [`Consumer`] over a [`BrokerClient`]. It owns every partition of
 /// its topics, which matches how the STRATA pipeline shards: one topic
 /// per connector hop, one consumer per topic.
 pub type RemoteConsumer = Consumer<BrokerClient>;
 
-/// The consumer's broker calls, as requests over this connection. A
-/// reconnect bumps the [`epoch`](BrokerClient::epoch); transport
-/// failures surface as [`BrokerError::Io`].
+/// The broker calls, as requests over this connection. A reconnect
+/// bumps the [`epoch`](BrokerClient::epoch); transport failures
+/// surface as [`BrokerError::Io`].
 impl Transport for BrokerClient {
+    /// One `Produce` request; the server's broker picks the partition.
+    /// Produces are at-least-once, like Kafka's pre-idempotence
+    /// producer: a retried produce that succeeded server-side before
+    /// the response was lost is appended again.
+    fn produce(&mut self, topic: &str, record: Record) -> BrokerResult<(u32, u64)> {
+        match self.request(&Request::Produce {
+            topic: topic.into(),
+            partition: None,
+            record,
+        }) {
+            Ok(Response::Produced { partition, offset }) => Ok((partition, offset)),
+            other => Err(failed("Produced", other)),
+        }
+    }
+
     fn partitions(&mut self, topics: &[String]) -> BrokerResult<Vec<PartitionRange>> {
         let topics: Vec<&str> = topics.iter().map(String::as_str).collect();
         let infos = self
@@ -395,4 +329,20 @@ fn failed(wanted: &str, got: NetResult<Response>) -> BrokerError {
         Err(err) => err,
     }
     .into_broker_error()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::BrokerServer;
+    use strata_pubsub::Broker;
+
+    #[test]
+    fn clients_of_one_process_and_server_get_distinct_salts() {
+        let server = BrokerServer::bind("127.0.0.1:0", Broker::new()).unwrap();
+        let addr = server.local_addr().to_string();
+        let a = BrokerClient::connect(addr.clone()).unwrap();
+        let b = BrokerClient::connect(addr).unwrap();
+        assert_ne!(a.salt, b.salt);
+    }
 }

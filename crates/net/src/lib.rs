@@ -10,9 +10,9 @@
 //!   `Read`/`Write` transport.
 //! - [`server`] — [`server::BrokerServer`]: a thread-per-connection
 //!   TCP front end over an `Arc<Broker>` with graceful shutdown.
-//! - [`client`] — [`client::RemoteProducer`], mirroring the
-//!   in-process `Producer`, and [`client::BrokerClient`], the TCP
-//!   transport of the one `strata_pubsub::Consumer`
+//! - [`client`] — [`client::BrokerClient`], the TCP
+//!   [`strata_pubsub::Transport`]: producers call its `produce`, and
+//!   the one `strata_pubsub::Consumer` reads through it
 //!   ([`client::RemoteConsumer`]).
 //! - `retry` — bounded exponential backoff with jitter, the client
 //!   reliability layer's schedule.
@@ -26,7 +26,7 @@ pub mod protocol;
 mod retry;
 pub mod server;
 
-pub use client::{BrokerClient, RemoteConsumer, RemoteProducer};
+pub use client::{BrokerClient, RemoteConsumer};
 pub use error::{NetError, NetResult};
 pub use protocol::{ErrorCode, Request, Response};
 pub use server::BrokerServer;

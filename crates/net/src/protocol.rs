@@ -38,9 +38,10 @@ pub enum Request {
         /// Partition count (≥ 1).
         partitions: u32,
     },
-    /// Appends a record. With `partition: None` the server picks the
-    /// partition (key hash / round-robin, like the in-process
-    /// producer); `Some(p)` bypasses the partitioner.
+    /// Appends a record through `Broker::produce`. With
+    /// `partition: None` the server's broker picks the partition (key
+    /// hash, or the topic's round-robin); `Some(p)` bypasses the
+    /// partitioner.
     Produce {
         /// Target topic.
         topic: String,

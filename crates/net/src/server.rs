@@ -21,7 +21,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use strata_obs::{Counter, Gauge, Histogram, Registry};
-use strata_pubsub::{Broker, Producer, TopicConfig};
+use strata_pubsub::{Broker, TopicConfig};
 
 use crate::codec;
 use crate::error::{NetError, NetResult};
@@ -212,10 +212,16 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         let handle = std::thread::Builder::new()
             .name("strata-net-conn".into())
             .spawn(move || handle_connection(stream, conn_shared));
-        match handle {
-            Ok(handle) => shared.handlers.lock().unwrap().push(handle),
-            Err(_) => continue, // Thread spawn failed; drop the stream.
+        let Ok(handle) = handle else {
+            continue; // Thread spawn failed; drop the stream.
+        };
+        // Join the threads of closed connections, so the list holds
+        // only live ones.
+        let mut handlers = shared.handlers.lock().unwrap();
+        for done in handlers.extract_if(.., |h| h.is_finished()) {
+            let _ = done.join();
         }
+        handlers.push(handle);
     }
 }
 
@@ -227,9 +233,6 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
     // delay the connection at an exact byte boundary; transparent
     // passthrough when the chaos registry is disarmed.
     let mut stream = strata_chaos::ChaosStream::new("net.server", stream);
-    // One producer per connection so keyless round-robin state is
-    // connection-local, like an in-process producer handle.
-    let producer = shared.broker.producer();
     shared.metrics.active_connections.add(1);
     while !shared.stop.load(Ordering::SeqCst) {
         let request = match codec::read_request(&mut stream) {
@@ -254,7 +257,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
             }
             Err(_) => break,
         };
-        let response = serve(&shared, &producer, request);
+        let response = serve(&shared, request);
         if codec::write_response(&mut stream, &response).is_err() {
             break;
         }
@@ -263,7 +266,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
 }
 
 /// Executes one request against the broker.
-fn serve(shared: &Shared, producer: &Producer, request: Request) -> Response {
+fn serve(shared: &Shared, request: Request) -> Response {
     let started = Instant::now();
     let latency = shared.metrics.for_request(&request).clone();
     let broker = &shared.broker;
@@ -275,14 +278,9 @@ fn serve(shared: &Shared, producer: &Producer, request: Request) -> Response {
             topic,
             partition,
             record,
-        } => match partition {
-            Some(partition) => producer
-                .send_to_partition(&topic, partition, record)
-                .map(|offset| Response::Produced { partition, offset }),
-            None => producer
-                .send_record(&topic, record)
-                .map(|(partition, offset)| Response::Produced { partition, offset }),
-        },
+        } => broker
+            .produce(&topic, partition, record)
+            .map(|(partition, offset)| Response::Produced { partition, offset }),
         Request::Fetch {
             topic,
             partition,
@@ -510,13 +508,14 @@ mod tests {
     fn long_poll_fetch_waits_for_data() {
         let broker = Broker::new();
         broker.create_topic("t", TopicConfig::new(1)).unwrap();
-        let producer = broker.producer();
+        let producer = broker.clone();
         let server = BrokerServer::bind("127.0.0.1:0", broker).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
 
         let feeder = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(50));
-            producer.send("t", None, "late").unwrap();
+            let record = strata_pubsub::Record::new(None::<&[u8]>, "late");
+            producer.produce("t", None, record).unwrap();
         });
         let start = Instant::now();
         let response = roundtrip(
@@ -554,6 +553,33 @@ mod tests {
                 // must fail either way since no accept loop remains.
                 true
             }
+        );
+    }
+
+    #[test]
+    fn finished_connection_threads_are_joined_at_accept() {
+        let server = BrokerServer::bind("127.0.0.1:0", Broker::new()).unwrap();
+        for _ in 0..20 {
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            roundtrip(&mut stream, &Request::Metadata { topics: vec![] });
+            drop(stream);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !server
+                .shared
+                .handlers
+                .lock()
+                .unwrap()
+                .iter()
+                .all(|h| h.is_finished())
+            {
+                assert!(Instant::now() < deadline, "handler thread never ended");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let handlers = server.shared.handlers.lock().unwrap().len();
+        assert!(
+            handlers <= 3,
+            "{handlers} handles kept for 20 closed connections"
         );
     }
 }

@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use strata_net::{BrokerClient, BrokerServer};
-use strata_pubsub::{Broker, Consumer, RetentionPolicy, TopicConfig, Transport};
+use strata_pubsub::{Broker, Consumer, Record, RetentionPolicy, TopicConfig, Transport};
 
 type AnyConsumer = Consumer<Box<dyn Transport + Send>>;
 
@@ -40,9 +40,10 @@ fn create_topic(broker: &Broker) {
 
 /// Produces 20 records to `t`, of which offsets 15..20 are kept.
 fn produce(broker: &Broker) {
-    let producer = broker.producer();
     for n in 0..20u8 {
-        producer.send("t", None, vec![n]).unwrap();
+        broker
+            .produce("t", None, Record::new(None::<&[u8]>, vec![n]))
+            .unwrap();
     }
     assert_eq!(broker.offsets("t", 0).unwrap(), (15, 20));
 }

@@ -1,8 +1,11 @@
-//! The broker: topic registry, committed group offsets, and the
-//! wakeup machinery connecting producers to blocked fetches.
+//! The broker: topic registry, partitioner, committed group offsets,
+//! and the wakeup machinery connecting appends to blocked fetches.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -13,8 +16,7 @@ use crate::consumer::{Consumer, PartitionRange, Transport};
 use crate::error::{Error, Result};
 use crate::log::{LogKind, SyncPolicy};
 use crate::offsets::OffsetStore;
-use crate::producer::Producer;
-use crate::record::StoredRecord;
+use crate::record::{Record, StoredRecord};
 use crate::retention::RetentionPolicy;
 use crate::topic::Topic;
 
@@ -61,7 +63,7 @@ impl TopicConfig {
     }
 }
 
-pub(crate) struct BrokerInner {
+struct BrokerInner {
     topics: RwLock<HashMap<String, Arc<Topic>>>,
     /// Committed group offsets, durable when opened from a file.
     offsets: Mutex<OffsetStore>,
@@ -80,17 +82,12 @@ pub(crate) struct BrokerInner {
 }
 
 impl BrokerInner {
-    pub(crate) fn topic(&self, name: &str) -> Result<Arc<Topic>> {
+    fn topic(&self, name: &str) -> Result<Arc<Topic>> {
         self.topics
             .read()
             .get(name)
             .cloned()
             .ok_or_else(|| Error::UnknownTopic(name.to_string()))
-    }
-
-    pub(crate) fn notify_append(&self) {
-        *self.appends.lock() += 1;
-        self.data_ready.notify_all();
     }
 }
 
@@ -237,9 +234,38 @@ impl Broker {
         self.inner.topic(topic)?.offsets(partition)
     }
 
-    /// Creates a producer for this broker.
-    pub fn producer(&self) -> Producer {
-        Producer::new(Arc::clone(&self.inner))
+    /// Appends `record` to `topic` and wakes blocked fetches,
+    /// returning `(partition, offset)`.
+    ///
+    /// With `partition` `None` the topic picks it, as Kafka does: a
+    /// keyed record goes to `hash(key) % partitions`, which keeps each
+    /// key's records in order, and keyless records round-robin over the
+    /// partitions, whoever sends them.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::UnknownTopic`] / [`Error::UnknownPartition`], or
+    /// storage failures.
+    pub fn produce(
+        &self,
+        topic: &str,
+        partition: Option<u32>,
+        record: Record,
+    ) -> Result<(u32, u64)> {
+        let t = self.inner.topic(topic)?;
+        let count = t.partition_count();
+        let partition = partition.unwrap_or_else(|| match &record.key {
+            Some(key) => {
+                let mut hasher = DefaultHasher::new();
+                key.hash(&mut hasher);
+                (hasher.finish() % u64::from(count)) as u32
+            }
+            None => (t.round_robin.fetch_add(1, Ordering::Relaxed) % count as usize) as u32,
+        });
+        let offset = t.append(partition, record)?;
+        *self.inner.appends.lock() += 1;
+        self.inner.data_ready.notify_all();
+        Ok((partition, offset))
     }
 
     /// Creates a consumer in `group` reading every partition of
@@ -366,9 +392,13 @@ impl Broker {
     }
 }
 
-/// The in-process transport: the consumer's calls go straight to the
-/// broker, and its epoch never changes.
+/// The in-process transport: every call goes straight to the broker,
+/// and the epoch never changes.
 impl Transport for Broker {
+    fn produce(&mut self, topic: &str, record: Record) -> Result<(u32, u64)> {
+        Broker::produce(self, topic, None, record)
+    }
+
     fn partitions(&mut self, topics: &[String]) -> Result<Vec<PartitionRange>> {
         let mut partitions = Vec::new();
         for name in topics {
@@ -434,9 +464,10 @@ mod tests {
     fn consumer_lag_tracks_committed_offsets() {
         let broker = Broker::new();
         broker.create_topic("t", TopicConfig::new(2)).unwrap();
-        let producer = broker.producer();
         for i in 0..10u8 {
-            producer.send("t", Some(&[i]), vec![i]).unwrap();
+            broker
+                .produce("t", None, Record::new(Some(vec![i]), vec![i]))
+                .unwrap();
         }
         // No group state yet: everything is backlog.
         assert_eq!(broker.consumer_lag("g", "t").unwrap(), 10);
@@ -449,7 +480,9 @@ mod tests {
         assert_eq!(broker.consumer_lag("g", "t").unwrap(), 10);
         consumer.commit().unwrap();
         assert_eq!(broker.consumer_lag("g", "t").unwrap(), 0);
-        producer.send("t", Some(&[7]), vec![7]).unwrap();
+        broker
+            .produce("t", None, Record::new(Some(vec![7]), vec![7]))
+            .unwrap();
         assert_eq!(broker.consumer_lag("g", "t").unwrap(), 1);
         assert!(broker.consumer_lag("g", "missing").is_err());
     }
@@ -458,9 +491,10 @@ mod tests {
     fn fetch_reads_without_group_state() {
         let broker = Broker::new();
         broker.create_topic("t", TopicConfig::new(1)).unwrap();
-        let producer = broker.producer();
         for n in 0..4u8 {
-            producer.send("t", None, vec![n]).unwrap();
+            broker
+                .produce("t", None, Record::new(None::<&[u8]>, vec![n]))
+                .unwrap();
         }
         let batch = broker.fetch("t", 0, 1, 2).unwrap();
         assert_eq!(batch.len(), 2);
@@ -481,9 +515,10 @@ mod tests {
         broker.commit_offset("g", "t", 0, 7).unwrap();
         assert_eq!(broker.committed_offset("g", "t", 0), Some(7));
         // A committed offset bounds consumer lag like any other.
-        let producer = broker.producer();
         for n in 0..10u8 {
-            producer.send("t", None, vec![n]).unwrap();
+            broker
+                .produce("t", None, Record::new(None::<&[u8]>, vec![n]))
+                .unwrap();
         }
         assert_eq!(broker.consumer_lag("g", "t").unwrap(), 3);
     }
@@ -513,7 +548,6 @@ mod tests {
     fn fetch_wait_wakes_on_produce_and_on_stop() {
         let broker = Broker::new();
         broker.create_topic("t", TopicConfig::new(1)).unwrap();
-        let producer = broker.producer();
         let waiter = broker.clone();
         let handle = std::thread::spawn(move || {
             let start = std::time::Instant::now();
@@ -521,7 +555,9 @@ mod tests {
             (batch.unwrap().len(), start.elapsed())
         });
         std::thread::sleep(Duration::from_millis(30));
-        producer.send("t", None, "x").unwrap();
+        broker
+            .produce("t", None, Record::new(None::<&[u8]>, "x"))
+            .unwrap();
         let (got, waited) = handle.join().unwrap();
         assert_eq!(got, 1);
         assert!(

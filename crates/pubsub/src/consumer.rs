@@ -30,9 +30,21 @@ pub struct PolledRecord {
 /// A topic's partition with its `(start, end)` offsets.
 pub type PartitionRange = (String, u32, (u64, u64));
 
-/// The broker calls a [`Consumer`] makes. [`Broker`] answers them in
-/// process; `strata-net`'s `BrokerClient` sends them over TCP.
+/// The broker calls of both ends of a topic: producers (such as core's
+/// connector publisher) append through [`produce`](Transport::produce),
+/// and the one [`Consumer`] reads and commits through the rest.
+/// [`Broker`] answers them in process; `strata-net`'s `BrokerClient`
+/// sends them over TCP.
 pub trait Transport: std::fmt::Debug {
+    /// Appends `record` to `topic`, letting the broker pick the
+    /// partition (see [`Broker::produce`]), and returns `(partition,
+    /// offset)`.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::UnknownTopic`], storage failures, or transport errors.
+    fn produce(&mut self, topic: &str, record: Record) -> Result<(u32, u64)>;
+
     /// Every partition of `topics` with its `(start, end)` offsets.
     ///
     /// # Errors
@@ -83,6 +95,10 @@ pub trait Transport: std::fmt::Debug {
 }
 
 impl<T: Transport + ?Sized> Transport for Box<T> {
+    fn produce(&mut self, topic: &str, record: Record) -> Result<(u32, u64)> {
+        (**self).produce(topic, record)
+    }
+
     fn partitions(&mut self, topics: &[String]) -> Result<Vec<PartitionRange>> {
         (**self).partitions(topics)
     }
@@ -292,9 +308,12 @@ mod tests {
     #[test]
     fn polls_produced_records() {
         let broker = broker_with("t", 1);
-        let producer = broker.producer();
-        producer.send("t", None, "a").unwrap();
-        producer.send("t", None, "b").unwrap();
+        broker
+            .produce("t", None, Record::new(None::<&[u8]>, "a"))
+            .unwrap();
+        broker
+            .produce("t", None, Record::new(None::<&[u8]>, "b"))
+            .unwrap();
         let mut consumer = broker.consumer("g", &["t"]).unwrap();
         let got = consumer.poll(Duration::from_millis(100)).unwrap();
         assert_eq!(got.len(), 2);
@@ -315,11 +334,12 @@ mod tests {
     #[test]
     fn blocked_poll_wakes_on_produce() {
         let broker = broker_with("t", 1);
-        let producer = broker.producer();
         let mut consumer = broker.consumer("g", &["t"]).unwrap();
         let handle = std::thread::spawn(move || consumer.poll(Duration::from_secs(5)).unwrap());
         std::thread::sleep(Duration::from_millis(30));
-        producer.send("t", None, "late").unwrap();
+        broker
+            .produce("t", None, Record::new(None::<&[u8]>, "late"))
+            .unwrap();
         let got = handle.join().unwrap();
         assert_eq!(got.len(), 1);
     }
@@ -327,9 +347,10 @@ mod tests {
     #[test]
     fn independent_groups_both_see_everything() {
         let broker = broker_with("t", 2);
-        let producer = broker.producer();
         for n in 0..10u8 {
-            producer.send("t", Some(&[n]), vec![n]).unwrap();
+            broker
+                .produce("t", None, Record::new(Some(vec![n]), vec![n]))
+                .unwrap();
         }
         for group in ["g1", "g2"] {
             let mut consumer = broker.consumer(group, &["t"]).unwrap();
@@ -341,9 +362,10 @@ mod tests {
     #[test]
     fn committed_offsets_resume_a_group() {
         let broker = broker_with("t", 1);
-        let producer = broker.producer();
         for n in 0..6u8 {
-            producer.send("t", None, vec![n]).unwrap();
+            broker
+                .produce("t", None, Record::new(None::<&[u8]>, vec![n]))
+                .unwrap();
         }
         {
             let mut c = broker.consumer("g", &["t"]).unwrap();
@@ -361,7 +383,9 @@ mod tests {
     #[test]
     fn commits_are_timed() {
         let broker = broker_with("t", 1);
-        broker.producer().send("t", None, "a").unwrap();
+        broker
+            .produce("t", None, Record::new(None::<&[u8]>, "a"))
+            .unwrap();
         let mut consumer = broker.consumer("g", &["t"]).unwrap();
         consumer.poll(Duration::from_millis(100)).unwrap();
         consumer.commit().unwrap();
@@ -383,13 +407,16 @@ mod tests {
                 ),
             )
             .unwrap();
-        let producer = broker.producer();
         let mut consumer = broker.consumer("g", &["t"]).unwrap();
-        producer.send("t", None, "a").unwrap();
+        broker
+            .produce("t", None, Record::new(None::<&[u8]>, "a"))
+            .unwrap();
         let _ = consumer.poll(Duration::from_millis(50)).unwrap();
         // Produce enough that offset 1 is trimmed away.
         for n in 0..5u8 {
-            producer.send("t", None, vec![n]).unwrap();
+            broker
+                .produce("t", None, Record::new(None::<&[u8]>, vec![n]))
+                .unwrap();
         }
         let got = consumer.poll(Duration::from_millis(100)).unwrap();
         assert!(!got.is_empty(), "must recover instead of erroring");

@@ -9,8 +9,9 @@
 //! * named **topics** split into **partitions**;
 //! * each partition is an append-only, offset-addressed **log**,
 //!   either memory-resident or file-backed with segment files;
-//! * **producers** append records, picking the partition by key hash
-//!   (or sticky round-robin for keyless records);
+//! * [`Broker::produce`] appends a record, picking the partition by
+//!   key hash, or round-robin per record for keyless records. Remote
+//!   producers reach it through [`Transport::produce`];
 //! * **consumers** poll every partition of their topics at their own
 //!   pace and **commit** their positions under a **group**, so a
 //!   successor in the group resumes after a restart. One
@@ -28,12 +29,12 @@
 //! # Example
 //!
 //! ```
-//! use strata_pubsub::{Broker, TopicConfig};
+//! use strata_pubsub::{Broker, Record, TopicConfig};
 //!
 //! let broker = Broker::new();
 //! broker.create_topic("ot-images", TopicConfig::new(2))?;
-//! let producer = broker.producer();
-//! producer.send("ot-images", Some(b"job-1"), b"layer-0 bytes".to_vec())?;
+//! let record = Record::new(Some("job-1"), b"layer-0 bytes".to_vec());
+//! broker.produce("ot-images", None, record)?;
 //!
 //! let mut consumer = broker.consumer("monitor-group", &["ot-images"])?;
 //! let records = consumer.poll(std::time::Duration::from_millis(100))?;
@@ -49,7 +50,6 @@ pub mod consumer;
 pub mod error;
 pub mod log;
 pub mod offsets;
-pub mod producer;
 pub mod record;
 pub mod retention;
 pub mod topic;
@@ -60,6 +60,5 @@ pub use consumer::{Consumer, PartitionRange, PolledRecord, Transport};
 pub use error::{Error, Result};
 pub use log::{LogKind, SyncPolicy};
 pub use offsets::OffsetStore;
-pub use producer::Producer;
 pub use record::{Record, StoredRecord};
 pub use retention::RetentionPolicy;

@@ -1,5 +1,7 @@
 //! Topics and partitions: named groups of ordered logs.
 
+use std::sync::atomic::AtomicUsize;
+
 use parking_lot::Mutex;
 use strata_obs::{Counter, Registry};
 
@@ -62,6 +64,8 @@ pub(crate) struct Topic {
     name: String,
     partitions: Vec<Partition>,
     retention: RetentionPolicy,
+    /// Keyless records sent so far: the next one's round-robin turn.
+    pub(crate) round_robin: AtomicUsize,
     metrics: TopicMetrics,
 }
 
@@ -108,6 +112,7 @@ impl Topic {
             name,
             partitions: parts,
             retention,
+            round_robin: AtomicUsize::new(0),
             metrics,
         })
     }

@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use strata_pubsub::{Broker, LogKind, RetentionPolicy, SyncPolicy, TopicConfig};
+use strata_pubsub::{Broker, LogKind, Record, RetentionPolicy, SyncPolicy, TopicConfig};
 
 #[test]
 fn file_backed_topic_round_trips_and_retains() {
@@ -22,10 +22,13 @@ fn file_backed_topic_round_trips_and_retains() {
                 .with_retention(RetentionPolicy::default().with_max_records(64)),
         )
         .unwrap();
-    let producer = broker.producer();
     for i in 0..100u32 {
-        producer
-            .send("persisted", Some(&[i as u8 % 7]), vec![i as u8; 16])
+        broker
+            .produce(
+                "persisted",
+                None,
+                Record::new(Some(vec![i as u8 % 7]), vec![i as u8; 16]),
+            )
             .unwrap();
     }
     // Segment files exist on disk.
@@ -86,11 +89,14 @@ fn many_topics_are_isolated() {
             .create_topic(format!("topic-{t}"), TopicConfig::new(1))
             .unwrap();
     }
-    let producer = broker.producer();
     for t in 0..20 {
         for _ in 0..=t {
-            producer
-                .send(&format!("topic-{t}"), None, vec![t as u8])
+            broker
+                .produce(
+                    &format!("topic-{t}"),
+                    None,
+                    Record::new(None::<&[u8]>, vec![t as u8]),
+                )
                 .unwrap();
         }
     }

@@ -83,11 +83,9 @@ proptest! {
     ) {
         let broker = Broker::new();
         broker.create_topic("t", TopicConfig::new(partitions)).unwrap();
-        let producer = broker.producer();
         // Value = production sequence number.
         for (seq, key) in keys.iter().enumerate() {
-            producer
-                .send("t", Some(&[*key]), (seq as u64).to_le_bytes().to_vec())
+            broker.produce("t", None, Record::new(Some(vec![*key]), (seq as u64).to_le_bytes().to_vec()))
                 .unwrap();
         }
         let mut consumer = broker.consumer("g", &["t"]).unwrap();

@@ -17,9 +17,9 @@ use std::time::Duration;
 use strata_chaos::frame::tails_truncated;
 use strata_chaos::{fired, simulate_crash, Fault, Scenario};
 use strata_kv::{Db, DbOptions, SyncPolicy as KvSync};
-use strata_net::{BrokerClient, BrokerServer, RemoteConsumer, RemoteProducer};
+use strata_net::{BrokerClient, BrokerServer, RemoteConsumer};
 use strata_pubsub::log::{FileLog, PartitionLog};
-use strata_pubsub::{Broker, LogKind, Record, SyncPolicy as PubSync, TopicConfig};
+use strata_pubsub::{Broker, LogKind, Record, SyncPolicy as PubSync, TopicConfig, Transport};
 
 /// Fixed seed for probabilistic triggers: same seed, same fault
 /// schedule, same test outcome.
@@ -271,11 +271,14 @@ fn remote_consumer_resumes_exactly_once_across_sever_and_restart() {
     let mut server = BrokerServer::bind("127.0.0.1:0", open_broker()).unwrap();
     let addr = server.local_addr().to_string();
     {
-        let mut producer = RemoteProducer::connect(&addr).unwrap();
+        let mut producer = BrokerClient::connect(&addr).unwrap();
         for seq in 0..RECORDS {
             let key = format!("m-{}", seq % 5);
             producer
-                .send("t", Some(key.as_bytes()), seq.to_le_bytes().to_vec())
+                .produce(
+                    "t",
+                    Record::new(Some(key.as_bytes()), seq.to_le_bytes().to_vec()),
+                )
                 .unwrap();
         }
     }

@@ -165,3 +165,23 @@ fn deleting_a_connector_topic_fails_the_subscriber() {
         "unexpected outcome: {result:?}"
     );
 }
+
+#[test]
+fn an_unreachable_remote_broker_fails_deploy_and_builds_no_topic() {
+    let closed = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = closed.local_addr().unwrap().to_string();
+    drop(closed); // Nothing listens there any more.
+    let config = StrataConfig::default().connector_mode(strata::ConnectorMode::Remote { addr });
+    let strata = Strata::new(config).unwrap();
+    let mut pipeline = strata.pipeline("unreachable");
+    let ot = pipeline.add_source("ot", OtImageCollector::new(machine()).layers(0..3));
+    let events = pipeline.detect_event("ev", &ot, |tuple: &AmTuple| Some(vec![tuple.derive()]));
+    let out = pipeline.correlate_events("corr", &events, 1, |_| Vec::new());
+    let _rx = pipeline.deliver("expert", &out);
+    assert!(pipeline.deploy().is_err());
+    assert!(
+        strata.broker().topics().is_empty(),
+        "{:?}",
+        strata.broker().topics()
+    );
+}

@@ -8,8 +8,8 @@ use std::collections::HashMap;
 use std::thread;
 use std::time::Duration;
 
-use strata_net::{BrokerClient, BrokerServer, RemoteConsumer, RemoteProducer};
-use strata_pubsub::Broker;
+use strata_net::{BrokerClient, BrokerServer, RemoteConsumer};
+use strata_pubsub::{Broker, Record, Transport};
 
 const PARTITIONS: u32 = 3;
 const RECORDS: u64 = 240;
@@ -19,9 +19,8 @@ fn remote_consumer_resumes_exactly_once_after_disconnect() {
     let mut server = BrokerServer::bind("127.0.0.1:0", Broker::new()).expect("bind loopback");
     let addr = server.local_addr().to_string();
 
-    let mut admin = RemoteProducer::connect(&addr).expect("admin connect");
+    let mut admin = BrokerClient::connect(&addr).expect("admin connect");
     admin
-        .client_mut()
         .create_topic("melt.pool", PARTITIONS)
         .expect("create topic");
 
@@ -29,16 +28,11 @@ fn remote_consumer_resumes_exactly_once_after_disconnect() {
     // busy disconnecting and resuming on the other side.
     let producer_addr = addr.clone();
     let producer = thread::spawn(move || {
-        let mut producer = RemoteProducer::connect(&producer_addr).expect("producer connect");
+        let mut producer = BrokerClient::connect(&producer_addr).expect("producer connect");
         for seq in 0..RECORDS {
             let key = format!("machine-{}", seq % 7);
-            producer
-                .send(
-                    "melt.pool",
-                    Some(key.as_bytes()),
-                    seq.to_le_bytes().to_vec(),
-                )
-                .expect("produce");
+            let record = Record::new(Some(key.as_bytes()), seq.to_le_bytes().to_vec());
+            producer.produce("melt.pool", record).expect("produce");
             if seq % 48 == 0 {
                 thread::sleep(Duration::from_millis(5));
             }
@@ -147,16 +141,13 @@ fn a_backlog_above_the_frame_cap_drains_in_order() {
     let mut server = BrokerServer::bind("127.0.0.1:0", Broker::new()).expect("bind loopback");
     let addr = server.local_addr().to_string();
 
-    let mut producer = RemoteProducer::connect(&addr).expect("producer connect");
-    producer
-        .client_mut()
-        .create_topic("ot.images", 1)
-        .expect("create topic");
+    let mut producer = BrokerClient::connect(&addr).expect("producer connect");
+    producer.create_topic("ot.images", 1).expect("create topic");
     for seq in 0..IMAGES {
         let mut image = vec![seq as u8; IMAGE_BYTES];
         image[..8].copy_from_slice(&seq.to_le_bytes());
         producer
-            .send("ot.images", None, image)
+            .produce("ot.images", Record::new(None::<&[u8]>, image))
             .expect("a 4 MiB record fits one frame");
     }
 
