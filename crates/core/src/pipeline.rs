@@ -4,18 +4,27 @@
 //! declares sources (`addSource`), fuses them (`fuse`), partitions
 //! layers into specimens and portions (`partition`), detects events
 //! (`detectEvent`) and correlates them within and across layers
-//! (`correlateEvents`). On [`deploy`](PipelineBuilder::deploy) the
-//! builder compiles the declaration into up to three stream-engine
-//! queries — Raw Data Collector, Event Monitor, Event Aggregator —
-//! bridged by pub/sub connector topics (or fused into a single query
-//! under [`ConnectorMode::Direct`]).
+//! (`correlateEvents`).
+//!
+//! The builder keeps one stream-engine query per architectural module
+//! in a table indexed by `Module`: Raw Data Collector, Event Monitor,
+//! Event Aggregator. `addSource` and `correlateEvents` pick the module
+//! their stage runs in, and that pick is the only place the connector
+//! mode matters: the pub/sub modes run sources in the collector and
+//! correlation in the aggregator, and bridge each module boundary with
+//! a connector topic (Raw Data Connector, Event Connector);
+//! [`ConnectorMode::Direct`] runs both in the monitor, so everything is
+//! one query and no bridge is built. Whether a topic lives on the
+//! in-process broker or a remote one is decided where it is created.
+//! On [`deploy`](PipelineBuilder::deploy) every module that received a
+//! node is built and started.
 //!
 //! Every method is a composition of *native* operators: `fuse` is a
 //! Join, `partition` and `detectEvent` are FlatMaps, and
 //! `correlateEvents` is a watermark-driven windowed aggregate over
 //! the last `L + 1` layers.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver};
@@ -31,9 +40,11 @@ use crate::error::{Error, Result};
 use crate::report::ExpertReport;
 use crate::tuple::AmTuple;
 
-/// Which architectural module a stream lives in.
+/// The architectural modules, in data-flow order; each compiles to one
+/// query, and the value indexes `PipelineBuilder::queries`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Module {
+    Collector,
     Monitor,
     Aggregator,
 }
@@ -81,7 +92,8 @@ pub struct CorrelationWindow<'a> {
 struct Correlate<F> {
     depth: u32,
     f: F,
-    groups: HashMap<(u32, u32), GroupState>,
+    /// Keyed by `(job, specimen)`; iterated in key order.
+    groups: BTreeMap<(u32, u32), GroupState>,
 }
 
 #[derive(Default)]
@@ -99,16 +111,12 @@ where
         Correlate {
             depth,
             f,
-            groups: HashMap::new(),
+            groups: BTreeMap::new(),
         }
     }
 
     fn emit_ready(&mut self, limit: Timestamp, out: &mut Vec<AmTuple>) {
-        // Deterministic group order.
-        let mut keys: Vec<(u32, u32)> = self.groups.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
-            let group = self.groups.get_mut(&key).expect("known key");
+        for (key, group) in &mut self.groups {
             let ready: Vec<u32> = group
                 .layers
                 .iter()
@@ -208,14 +216,12 @@ pub struct PipelineBuilder {
     topic_prefix: String,
     config: StrataConfig,
     broker: Broker,
-    collector: QueryBuilder,
-    monitor: QueryBuilder,
-    aggregator: QueryBuilder,
-    collector_nodes: usize,
-    monitor_nodes: usize,
-    aggregator_nodes: usize,
-    monitor_sinks: usize,
-    aggregator_sinks: usize,
+    /// One query per `Module`, indexed by it.
+    queries: [QueryBuilder; 3],
+    /// Which modules received a node; only those are deployed.
+    used: [bool; 3],
+    /// Whether any stream reaches the expert.
+    delivered: bool,
     errors: Vec<Error>,
 }
 
@@ -229,13 +235,12 @@ impl std::fmt::Debug for PipelineBuilder {
 
 impl PipelineBuilder {
     pub(crate) fn new(name: String, instance: u64, config: StrataConfig, broker: Broker) -> Self {
-        let mut collector = QueryBuilder::new(format!("{name}.collector"));
-        let mut monitor = QueryBuilder::new(format!("{name}.monitor"));
-        let mut aggregator = QueryBuilder::new(format!("{name}.aggregator"));
-        for qb in [&mut collector, &mut monitor, &mut aggregator] {
-            qb.channel_capacity(CHANNEL_CAPACITY);
-            qb.batch_size(config.batch_size_value());
-        }
+        let queries = ["collector", "monitor", "aggregator"].map(|module| {
+            let mut query = QueryBuilder::new(format!("{name}.{module}"));
+            query.channel_capacity(CHANNEL_CAPACITY);
+            query.batch_size(config.batch_size_value());
+            query
+        });
         // The process id keeps prefixes apart on a remote broker,
         // whose topic namespace every process pointed at the same
         // server shares.
@@ -244,14 +249,9 @@ impl PipelineBuilder {
             name,
             config,
             broker,
-            collector,
-            monitor,
-            aggregator,
-            collector_nodes: 0,
-            monitor_nodes: 0,
-            aggregator_nodes: 0,
-            monitor_sinks: 0,
-            aggregator_sinks: 0,
+            queries,
+            used: [false; 3],
+            delivered: false,
             errors: Vec::new(),
         }
     }
@@ -265,6 +265,21 @@ impl PipelineBuilder {
         self.errors.push(Error::InvalidPipeline(message.into()));
     }
 
+    /// The query of `module`, which `deploy` will therefore build.
+    fn query(&mut self, module: Module) -> &mut QueryBuilder {
+        self.used[module as usize] = true;
+        &mut self.queries[module as usize]
+    }
+
+    /// Where a stage of `module` runs under the connector mode:
+    /// [`ConnectorMode::Direct`] runs every stage in the monitor.
+    fn placed(&self, module: Module) -> Module {
+        match self.config.connector_mode_value() {
+            ConnectorMode::Direct => Module::Monitor,
+            ConnectorMode::PubSub | ConnectorMode::Remote { .. } => module,
+        }
+    }
+
     /// Table 1 `addSource`: registers a raw-data collector whose
     /// stream carries `⟨τ, job, layer, payload⟩` tuples. In pub/sub
     /// mode the stream is published to a *Raw Data Connector* topic
@@ -273,44 +288,34 @@ impl PipelineBuilder {
     where
         S: Source<Out = AmTuple> + 'static,
     {
-        match self.config.connector_mode_value() {
-            ConnectorMode::Direct => {
-                let stream = self.monitor.source(name.to_string(), source);
-                self.monitor_nodes += 1;
-                AmStream {
-                    module: Module::Monitor,
-                    stage: Stage::Source,
-                    stream,
-                }
-            }
-            ConnectorMode::PubSub | ConnectorMode::Remote { .. } => {
-                let raw = self.collector.source(name.to_string(), source);
-                self.collector_nodes += 1;
-                let stream = self.bridge(raw, &format!("raw.{name}"), Module::Monitor, true);
-                AmStream {
-                    module: Module::Monitor,
-                    stage: Stage::Source,
-                    stream,
-                }
-            }
+        let module = self.placed(Module::Collector);
+        let raw = self.query(module).source(name.to_string(), source);
+        AmStream {
+            module: Module::Monitor,
+            stage: Stage::Source,
+            stream: self.bridge(module, raw, &format!("raw.{name}"), Module::Monitor),
         }
     }
 
-    /// Publishes `upstream` into a connector topic and subscribes the
-    /// target module to it. `from_collector` picks the upstream query
-    /// and the topic's retention bound.
+    /// Publishes `upstream` from module `from` into a connector topic
+    /// and subscribes module `to` to it; the topic's retention bound
+    /// follows `from`. Within one module there is nothing to bridge.
     fn bridge(
         &mut self,
+        from: Module,
         upstream: Stream<AmTuple>,
         label: &str,
-        target: Module,
-        from_collector: bool,
+        to: Module,
     ) -> Stream<AmTuple> {
+        if from == to {
+            return upstream;
+        }
         let topic = format!("{}.{label}", self.topic_prefix);
-        let retention = if from_collector {
-            RetentionPolicy::default().with_max_bytes(RAW_TOPIC_MAX_BYTES)
-        } else {
-            RetentionPolicy::default().with_max_records(EVENT_TOPIC_MAX_RECORDS)
+        let retention = match from {
+            Module::Collector => RetentionPolicy::default().with_max_bytes(RAW_TOPIC_MAX_BYTES),
+            Module::Monitor | Module::Aggregator => {
+                RetentionPolicy::default().with_max_records(EVENT_TOPIC_MAX_RECORDS)
+            }
         };
         let (transport, consumer) = match self.connect(&topic, retention) {
             Ok(ends) => ends,
@@ -321,30 +326,12 @@ impl PipelineBuilder {
                 return upstream;
             }
         };
-
-        let name = format!("publish.{label}");
         let publish = publisher(transport, topic);
-        if from_collector {
-            self.collector.element_sink(name, &upstream, publish);
-            self.collector_nodes += 1;
-        } else {
-            self.monitor.element_sink(name, &upstream, publish);
-            self.monitor_nodes += 1;
-            self.monitor_sinks += 1;
-        }
-
-        let name = format!("subscribe.{label}");
-        let source = TopicSource::new(consumer, POLL_TIMEOUT);
-        match target {
-            Module::Monitor => {
-                self.monitor_nodes += 1;
-                self.monitor.source(name, source)
-            }
-            Module::Aggregator => {
-                self.aggregator_nodes += 1;
-                self.aggregator.source(name, source)
-            }
-        }
+        self.query(from)
+            .element_sink(format!("publish.{label}"), &upstream, publish);
+        let subscribe = TopicSource::new(consumer, POLL_TIMEOUT);
+        self.query(to)
+            .source(format!("subscribe.{label}"), subscribe)
     }
 
     /// Creates `topic` on the connector mode's broker and connects
@@ -377,21 +364,39 @@ impl PipelineBuilder {
         }
     }
 
-    fn monitor_qb(&mut self) -> &mut QueryBuilder {
-        &mut self.monitor
-    }
-
-    fn expect_monitor(&mut self, s: &AmStream, method: &str, allowed: &[Stage]) {
-        if s.module != Module::Monitor {
-            self.fail(format!(
-                "{method} operates in the Event Monitor module; got an Aggregator stream"
-            ));
+    /// Adds the Event Monitor stage that produces `stage`, after
+    /// checking its inputs against the rule Table 1 states for the
+    /// method behind it.
+    fn monitor_stage(
+        &mut self,
+        stage: Stage,
+        inputs: &[&AmStream],
+        add: impl FnOnce(&mut QueryBuilder) -> Stream<AmTuple>,
+    ) -> AmStream {
+        let before_events = &[Stage::Source, Stage::Fused, Stage::Partitioned];
+        let (method, allowed): (&str, &[Stage]) = match stage {
+            Stage::Fused => ("fuse", &[Stage::Source, Stage::Fused]),
+            Stage::Partitioned => ("partition", before_events),
+            Stage::Event => ("detectEvent", before_events),
+            Stage::Source | Stage::Correlated => unreachable!("not a monitor stage"),
+        };
+        for input in inputs {
+            if input.module != Module::Monitor {
+                self.fail(format!(
+                    "{method} operates in the Event Monitor module; got an Aggregator stream"
+                ));
+            }
+            if !allowed.contains(&input.stage) {
+                self.fail(format!(
+                    "{method} expects an input produced by one of {allowed:?}, got {:?}",
+                    input.stage
+                ));
+            }
         }
-        if !allowed.contains(&s.stage) {
-            self.fail(format!(
-                "{method} expects an input produced by one of {allowed:?}, got {:?}",
-                s.stage
-            ));
+        AmStream {
+            module: Module::Monitor,
+            stage,
+            stream: add(self.query(Module::Monitor)),
         }
     }
 
@@ -411,30 +416,24 @@ impl PipelineBuilder {
         right: &AmStream,
         ws_millis: u64,
     ) -> AmStream {
-        self.expect_monitor(left, "fuse", &[Stage::Source, Stage::Fused]);
-        self.expect_monitor(right, "fuse", &[Stage::Source, Stage::Fused]);
-        let stream = self.monitor_qb().join(
-            name.to_string(),
-            &left.stream,
-            &right.stream,
-            ws_millis,
-            |t: &AmTuple| (t.metadata().job, t.metadata().layer),
-            |t: &AmTuple| (t.metadata().job, t.metadata().layer),
-            |l: &AmTuple, r: &AmTuple| {
-                let mut fused = l.clone();
-                fused.payload_mut().merge(r.payload());
-                let m = fused.metadata_mut();
-                m.timestamp = m.timestamp.max(r.metadata().timestamp);
-                m.ingest_ns = m.ingest_ns.max(r.metadata().ingest_ns);
-                Some(fused)
-            },
-        );
-        self.monitor_nodes += 1;
-        AmStream {
-            module: Module::Monitor,
-            stage: Stage::Fused,
-            stream,
-        }
+        self.monitor_stage(Stage::Fused, &[left, right], |query| {
+            query.join(
+                name.to_string(),
+                &left.stream,
+                &right.stream,
+                ws_millis,
+                |t: &AmTuple| (t.metadata().job, t.metadata().layer),
+                |t: &AmTuple| (t.metadata().job, t.metadata().layer),
+                |l: &AmTuple, r: &AmTuple| {
+                    let mut fused = l.clone();
+                    fused.payload_mut().merge(r.payload());
+                    let m = fused.metadata_mut();
+                    m.timestamp = m.timestamp.max(r.metadata().timestamp);
+                    m.ingest_ns = m.ingest_ns.max(r.metadata().ingest_ns);
+                    Some(fused)
+                },
+            )
+        })
     }
 
     fn normalize_partition(mut outputs: Vec<AmTuple>) -> Vec<AmTuple> {
@@ -451,27 +450,15 @@ impl PipelineBuilder {
     /// (defaults of 0 are filled in when `f` leaves them unset). The
     /// paper's use-case calls this twice: `isolateSpecimen()` then
     /// `isolateCell()`.
-    pub fn partition<F>(&mut self, name: &str, input: &AmStream, f: F) -> AmStream
+    pub fn partition<F>(&mut self, name: &str, input: &AmStream, mut f: F) -> AmStream
     where
         F: FnMut(&AmTuple) -> Vec<AmTuple> + Send + 'static,
     {
-        self.expect_monitor(
-            input,
-            "partition",
-            &[Stage::Source, Stage::Fused, Stage::Partitioned],
-        );
-        let mut f = f;
-        let stream =
-            self.monitor_qb()
-                .flat_map(name.to_string(), &input.stream, move |t: AmTuple| {
-                    Self::normalize_partition(f(&t))
-                });
-        self.monitor_nodes += 1;
-        AmStream {
-            module: Module::Monitor,
-            stage: Stage::Partitioned,
-            stream,
-        }
+        self.monitor_stage(Stage::Partitioned, &[input], |query| {
+            query.flat_map(name.to_string(), &input.stream, move |t: AmTuple| {
+                Self::normalize_partition(f(&t))
+            })
+        })
     }
 
     /// [`partition`](Self::partition) with `parallelism` operator
@@ -487,53 +474,32 @@ impl PipelineBuilder {
     where
         F: FnMut(&AmTuple) -> Vec<AmTuple> + Clone + Send + 'static,
     {
-        self.expect_monitor(
-            input,
-            "partition",
-            &[Stage::Source, Stage::Fused, Stage::Partitioned],
-        );
-        let stream = self.monitor_qb().parallel_operator(
-            name.to_string(),
-            &input.stream,
-            parallelism,
-            RoutePolicy::RoundRobin,
-            |_| {
-                let mut f = f.clone();
-                FlatMap::new(move |t: AmTuple| Self::normalize_partition(f(&t)))
-            },
-        );
-        self.monitor_nodes += 1;
-        AmStream {
-            module: Module::Monitor,
-            stage: Stage::Partitioned,
-            stream,
-        }
+        self.monitor_stage(Stage::Partitioned, &[input], |query| {
+            query.parallel_operator(
+                name.to_string(),
+                &input.stream,
+                parallelism,
+                RoutePolicy::RoundRobin,
+                |_| {
+                    let mut f = f.clone();
+                    FlatMap::new(move |t: AmTuple| Self::normalize_partition(f(&t)))
+                },
+            )
+        })
     }
 
     /// Table 1 `detectEvent`: transforms each tuple into any number
     /// of event tuples (`None` is shorthand for "no event"). The
     /// result is an *event stream*, ready for `correlateEvents`.
-    pub fn detect_event<F>(&mut self, name: &str, input: &AmStream, f: F) -> AmStream
+    pub fn detect_event<F>(&mut self, name: &str, input: &AmStream, mut f: F) -> AmStream
     where
         F: FnMut(&AmTuple) -> Option<Vec<AmTuple>> + Send + 'static,
     {
-        self.expect_monitor(
-            input,
-            "detectEvent",
-            &[Stage::Source, Stage::Fused, Stage::Partitioned],
-        );
-        let mut f = f;
-        let stream =
-            self.monitor_qb()
-                .flat_map(name.to_string(), &input.stream, move |t: AmTuple| {
-                    f(&t).unwrap_or_default()
-                });
-        self.monitor_nodes += 1;
-        AmStream {
-            module: Module::Monitor,
-            stage: Stage::Event,
-            stream,
-        }
+        self.monitor_stage(Stage::Event, &[input], |query| {
+            query.flat_map(name.to_string(), &input.stream, move |t: AmTuple| {
+                f(&t).unwrap_or_default()
+            })
+        })
     }
 
     /// [`detect_event`](Self::detect_event) with `parallelism`
@@ -548,27 +514,18 @@ impl PipelineBuilder {
     where
         F: FnMut(&AmTuple) -> Option<Vec<AmTuple>> + Clone + Send + 'static,
     {
-        self.expect_monitor(
-            input,
-            "detectEvent",
-            &[Stage::Source, Stage::Fused, Stage::Partitioned],
-        );
-        let stream = self.monitor_qb().parallel_operator(
-            name.to_string(),
-            &input.stream,
-            parallelism,
-            RoutePolicy::RoundRobin,
-            |_| {
-                let mut f = f.clone();
-                FlatMap::new(move |t: AmTuple| f(&t).unwrap_or_default())
-            },
-        );
-        self.monitor_nodes += 1;
-        AmStream {
-            module: Module::Monitor,
-            stage: Stage::Event,
-            stream,
-        }
+        self.monitor_stage(Stage::Event, &[input], |query| {
+            query.parallel_operator(
+                name.to_string(),
+                &input.stream,
+                parallelism,
+                RoutePolicy::RoundRobin,
+                |_| {
+                    let mut f = f.clone();
+                    FlatMap::new(move |t: AmTuple| f(&t).unwrap_or_default())
+                },
+            )
+        })
     }
 
     /// Table 1 `correlateEvents`: aggregates, per `(job, specimen)`,
@@ -592,38 +549,18 @@ impl PipelineBuilder {
                 input.stage
             ));
         }
-        let fused = matches!(self.config.connector_mode_value(), ConnectorMode::Direct);
-        let bridged = if fused {
-            input.stream
-        } else {
-            if input.module != Module::Monitor {
-                self.fail("correlateEvents input must come from the Event Monitor");
-            }
-            self.bridge(
-                input.stream,
-                &format!("events.{name}"),
-                Module::Aggregator,
-                false,
-            )
-        };
+        let module = self.placed(Module::Aggregator);
+        let events = self.bridge(
+            input.module,
+            input.stream,
+            &format!("events.{name}"),
+            module,
+        );
         let op = Correlate::new(depth_l, f);
-        let stream = if fused {
-            let s = self.monitor.operator(name.to_string(), &bridged, op);
-            self.monitor_nodes += 1;
-            s
-        } else {
-            let s = self.aggregator.operator(name.to_string(), &bridged, op);
-            self.aggregator_nodes += 1;
-            s
-        };
         AmStream {
-            module: if fused {
-                Module::Monitor
-            } else {
-                Module::Aggregator
-            },
+            module,
             stage: Stage::Correlated,
-            stream,
+            stream: self.query(module).operator(name.to_string(), &events, op),
         }
     }
 
@@ -641,18 +578,9 @@ impl PipelineBuilder {
                 tuple,
             });
         };
-        match input.module {
-            Module::Monitor => {
-                self.monitor.sink(name.to_string(), &input.stream, sink);
-                self.monitor_nodes += 1;
-                self.monitor_sinks += 1;
-            }
-            Module::Aggregator => {
-                self.aggregator.sink(name.to_string(), &input.stream, sink);
-                self.aggregator_nodes += 1;
-                self.aggregator_sinks += 1;
-            }
-        }
+        self.query(input.module)
+            .sink(name.to_string(), &input.stream, sink);
+        self.delivered = true;
         rx
     }
 
@@ -664,10 +592,12 @@ impl PipelineBuilder {
     /// or [`Error::InvalidPipeline`] when no source or no delivery
     /// was declared.
     pub fn deploy(mut self) -> Result<DeployedPipeline> {
-        if self.monitor_nodes == 0 && self.collector_nodes == 0 {
+        // Sources land in the collector, or in the monitor under
+        // `Direct`.
+        if !self.used[Module::Collector as usize] && !self.used[Module::Monitor as usize] {
             self.fail("pipeline has no source");
         }
-        if self.monitor_sinks == 0 && self.aggregator_sinks == 0 {
+        if !self.delivered {
             self.fail("pipeline delivers nothing (call deliver on at least one stream)");
         }
         if let Some(err) = self.errors.into_iter().next() {
@@ -676,14 +606,10 @@ impl PipelineBuilder {
         // Downstream modules first, so subscribers exist before the
         // collector floods the connector topics.
         let mut running = Vec::new();
-        if self.aggregator_nodes > 0 {
-            running.push(self.aggregator.build()?.run());
-        }
-        if self.monitor_nodes > 0 {
-            running.push(self.monitor.build()?.run());
-        }
-        if self.collector_nodes > 0 {
-            running.push(self.collector.build()?.run());
+        for (query, used) in self.queries.into_iter().zip(self.used).rev() {
+            if used {
+                running.push(query.build()?.run());
+            }
         }
         // Land every module's operator metrics in the instance-wide
         // registry so `Strata::metrics_text` covers live pipelines.

@@ -1,6 +1,7 @@
 //! Framework-level semantics tests: fuse windows, correlate windows
-//! with layer gaps, direct-mode correlate, multi-delivery, and
-//! offered-rate re-stamping.
+//! with layer gaps, direct-mode correlate, multi-delivery,
+//! offered-rate re-stamping, and the queries each connector mode
+//! compiles.
 
 use std::time::Duration;
 
@@ -185,4 +186,84 @@ fn offered_rate_source_restamps_ingest_time() {
         "latency {:?} includes pre-replay age",
         report.latency
     );
+}
+
+#[test]
+fn each_connector_mode_compiles_the_same_modules() {
+    // Direct mode fuses everything into the monitor query; the pub/sub
+    // modes split it into collector → monitor → aggregator, bridged by
+    // one raw topic per source and one event topic.
+    let mut server =
+        strata_net::BrokerServer::bind("127.0.0.1:0", strata_pubsub::Broker::new()).unwrap();
+    let remote = ConnectorMode::Remote {
+        addr: server.local_addr().to_string(),
+    };
+    let direct_monitor = vec![
+        "cell.0", "cell.1", "corr", "ev.0", "ev.1", "expert", "fuse", "left", "right", "spec",
+    ];
+    let monitor = vec![
+        "cell.0",
+        "cell.1",
+        "ev.0",
+        "ev.1",
+        "fuse",
+        "publish.events.corr",
+        "spec",
+        "subscribe.raw.left",
+        "subscribe.raw.right",
+    ];
+    let collector = vec!["left", "publish.raw.left", "publish.raw.right", "right"];
+    let aggregator = vec!["corr", "expert", "subscribe.events.corr"];
+    let split = vec![
+        ("layout.aggregator", aggregator),
+        ("layout.monitor", monitor),
+        ("layout.collector", collector),
+    ];
+    let cases = [
+        (
+            ConnectorMode::Direct,
+            vec![("layout.monitor", direct_monitor)],
+        ),
+        (ConnectorMode::PubSub, split.clone()),
+        (remote, split),
+    ];
+    for (mode, expected) in cases {
+        let strata = Strata::new(StrataConfig::default().connector_mode(mode.clone())).unwrap();
+        let mut pipeline = strata.pipeline("layout");
+        let script = |x| Scripted {
+            steps: (0..3u32)
+                .map(|l| (event(l as u64 * 100, 1, l, x), l as u64 * 100 + 50))
+                .collect(),
+        };
+        let left = pipeline.add_source("left", script(0.0));
+        let right = pipeline.add_source("right", script(1.0));
+        let fused = pipeline.fuse("fuse", &left, &right);
+        let specimens = pipeline.partition("spec", &fused, |t: &AmTuple| vec![t.clone()]);
+        let cells =
+            pipeline.partition_parallel("cell", &specimens, 2, |t: &AmTuple| vec![t.clone()]);
+        let events =
+            pipeline.detect_event_parallel("ev", &cells, 2, |t: &AmTuple| Some(vec![t.clone()]));
+        let out = pipeline.correlate_events("corr", &events, 1, |w| {
+            vec![AmTuple::new(Timestamp::MIN, w.job, w.layer)]
+        });
+        let rx = pipeline.deliver("expert", &out);
+        let running = pipeline.deploy().unwrap();
+        assert_eq!(drain(rx).len(), 3, "mode {mode:?}");
+        let layout: Vec<(String, Vec<String>)> = running
+            .join()
+            .unwrap()
+            .iter()
+            .map(|q| {
+                let mut nodes: Vec<String> = q.nodes().iter().map(|n| n.name().into()).collect();
+                nodes.sort_unstable();
+                (q.query().to_string(), nodes)
+            })
+            .collect();
+        let expected: Vec<(String, Vec<String>)> = expected
+            .into_iter()
+            .map(|(q, nodes)| (q.into(), nodes.into_iter().map(String::from).collect()))
+            .collect();
+        assert_eq!(layout, expected, "mode {mode:?}");
+    }
+    server.shutdown();
 }

@@ -85,7 +85,7 @@ impl BrokerClient {
             epoch: 0,
             salt,
         };
-        client.ensure_connected()?;
+        RetryPolicy::DEFAULT.run(salt, |_| client.ensure_connected())?;
         Ok(client)
     }
 
@@ -344,5 +344,19 @@ mod tests {
         let a = BrokerClient::connect(addr.clone()).unwrap();
         let b = BrokerClient::connect(addr).unwrap();
         assert_ne!(a.salt, b.salt);
+    }
+
+    #[test]
+    fn connect_waits_for_a_server_that_is_still_starting() {
+        let reserved = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = reserved.local_addr().unwrap();
+        drop(reserved);
+        let late = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(100));
+            BrokerServer::bind(addr, Broker::new()).unwrap()
+        });
+        let client = BrokerClient::connect(addr.to_string());
+        let _server = late.join().unwrap();
+        assert!(client.is_ok(), "{:?}", client.err());
     }
 }

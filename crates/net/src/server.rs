@@ -15,7 +15,7 @@
 
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -59,7 +59,6 @@ pub struct BrokerServer {
 struct Shared {
     broker: Broker,
     stop: AtomicBool,
-    connections: AtomicU64,
     handlers: Mutex<Vec<JoinHandle<()>>>,
     metrics: ServerMetrics,
 }
@@ -139,7 +138,6 @@ impl BrokerServer {
         let shared = Arc::new(Shared {
             broker,
             stop: AtomicBool::new(false),
-            connections: AtomicU64::new(0),
             handlers: Mutex::new(Vec::new()),
             metrics,
         });
@@ -158,11 +156,6 @@ impl BrokerServer {
     /// The address the server actually bound (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
-    }
-
-    /// Number of connections accepted over the server's lifetime.
-    pub fn connections_accepted(&self) -> u64 {
-        self.shared.connections.load(Ordering::Relaxed)
     }
 
     /// Stops accepting, lets in-flight requests finish, and joins all
@@ -192,7 +185,6 @@ impl std::fmt::Debug for BrokerServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BrokerServer")
             .field("local_addr", &self.local_addr)
-            .field("connections", &self.connections_accepted())
             .finish()
     }
 }
@@ -206,7 +198,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         if shared.stop.load(Ordering::SeqCst) {
             break; // The shutdown self-connection (or a late client).
         }
-        shared.connections.fetch_add(1, Ordering::Relaxed);
         shared.metrics.connections_total.inc();
         let conn_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()

@@ -5,8 +5,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use strata::collector::OtImageCollector;
-use strata::{AmTuple, Error, Strata, StrataConfig};
+use strata::{AmTuple, ConnectorMode, Error, Strata, StrataConfig};
 use strata_amsim::{MachineConfig, PbfLbMachine};
+use strata_pubsub::Broker;
 use strata_spe::{Source, SourceContext};
 
 fn machine() -> Arc<PbfLbMachine> {
@@ -58,13 +59,28 @@ fn empty_pipeline_is_rejected() {
 
 #[test]
 fn pipeline_without_delivery_is_rejected() {
-    let strata = Strata::new(StrataConfig::default()).unwrap();
-    let mut pipeline = strata.pipeline("no-delivery");
-    let _ = pipeline.add_source("ot", OtImageCollector::new(machine()).layers(0..1));
-    assert!(matches!(
-        pipeline.deploy(),
-        Err(Error::InvalidPipeline(msg)) if msg.contains("deliver")
-    ));
+    let mut server = strata_net::BrokerServer::bind("127.0.0.1:0", Broker::new()).unwrap();
+    let remote = ConnectorMode::Remote {
+        addr: server.local_addr().to_string(),
+    };
+    for mode in [ConnectorMode::Direct, ConnectorMode::PubSub, remote] {
+        for correlated in [false, true] {
+            let strata = Strata::new(StrataConfig::default().connector_mode(mode.clone())).unwrap();
+            let mut pipeline = strata.pipeline("no-delivery");
+            let ot = pipeline.add_source("ot", OtImageCollector::new(machine()).layers(0..1));
+            if correlated {
+                let events =
+                    pipeline.detect_event("ev", &ot, |tuple: &AmTuple| Some(vec![tuple.derive()]));
+                let _ = pipeline.correlate_events("corr", &events, 1, |_| Vec::new());
+            }
+            let result = pipeline.deploy();
+            assert!(
+                matches!(&result, Err(Error::InvalidPipeline(msg)) if msg.contains("deliver")),
+                "{mode:?}, correlated {correlated}: {result:?}"
+            );
+        }
+    }
+    server.shutdown();
 }
 
 #[test]
@@ -171,7 +187,7 @@ fn an_unreachable_remote_broker_fails_deploy_and_builds_no_topic() {
     let closed = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = closed.local_addr().unwrap().to_string();
     drop(closed); // Nothing listens there any more.
-    let config = StrataConfig::default().connector_mode(strata::ConnectorMode::Remote { addr });
+    let config = StrataConfig::default().connector_mode(ConnectorMode::Remote { addr });
     let strata = Strata::new(config).unwrap();
     let mut pipeline = strata.pipeline("unreachable");
     let ot = pipeline.add_source("ot", OtImageCollector::new(machine()).layers(0..3));
