@@ -186,8 +186,11 @@ fn scenario_lock() -> &'static Mutex<()> {
 /// Holding a `Scenario` serializes chaos tests process-wide (the
 /// registry is global state): `setup` blocks until any previous
 /// scenario drops, then clears all points and counters. Dropping the
-/// scenario disarms every point, so un-instrumented tests running
-/// concurrently are never affected.
+/// scenario disarms every point. While it is armed, though, a point
+/// fires in every thread that reaches it: a concurrent test that runs
+/// through an armed point without holding a scenario of its own can
+/// take the fault. Tests that share instrumented code paths with a
+/// chaos test therefore hold a `Scenario` too, armed or not.
 #[must_use = "faults are disarmed when the Scenario drops"]
 pub struct Scenario {
     _guard: MutexGuard<'static, ()>,

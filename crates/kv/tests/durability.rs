@@ -1,6 +1,12 @@
 //! Durability-focused integration tests: large values, byte-wise key
 //! ordering, log compaction, batch atomicity across crashes and
 //! failed writes, and directories of the retired LSM layout.
+//!
+//! The failpoint registry is process-wide, and a point armed by one
+//! test fires in every thread that reaches it. So every test that opens
+//! a `Db` holds a [`Scenario`] for its whole body, armed or not: the
+//! scenarios serialize, and no test writes through `kv.wal.write` while
+//! a sibling has that point armed.
 
 use std::fs;
 use std::io::ErrorKind;
@@ -14,6 +20,7 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn with_wal_everything_survives() {
+    let _serial = Scenario::setup();
     let dir = temp_dir("wal");
     let _ = std::fs::remove_dir_all(&dir);
     {
@@ -30,6 +37,7 @@ fn with_wal_everything_survives() {
 
 #[test]
 fn megabyte_values_round_trip_through_the_log() {
+    let _serial = Scenario::setup();
     let dir = temp_dir("large");
     let _ = std::fs::remove_dir_all(&dir);
     let db = Db::open(&dir, DbOptions::default()).unwrap();
@@ -45,6 +53,7 @@ fn megabyte_values_round_trip_through_the_log() {
 
 #[test]
 fn range_order_is_bytewise() {
+    let _serial = Scenario::setup();
     let dir = temp_dir("order");
     let _ = std::fs::remove_dir_all(&dir);
     let db = Db::open(&dir, DbOptions::default()).unwrap();
@@ -70,6 +79,7 @@ fn range_order_is_bytewise() {
 
 #[test]
 fn overwrite_heavy_workload_compacts_away_garbage() {
+    let _serial = Scenario::setup();
     let dir = temp_dir("compactgc");
     let _ = std::fs::remove_dir_all(&dir);
     let db = Db::open(&dir, DbOptions::default()).unwrap();
@@ -109,6 +119,7 @@ fn keys(db: &Db) -> Vec<Vec<u8>> {
 /// the batch is one frame, so its torn tail is cut whole.
 #[test]
 fn a_batch_survives_a_torn_tail_whole_or_not_at_all() {
+    let _serial = Scenario::setup();
     let dir = temp_dir("batch-torn");
     let _ = fs::remove_dir_all(&dir);
     let wal = dir.join("wal.log");
@@ -159,11 +170,12 @@ fn a_batch_whose_log_write_fails_is_applied_whole_or_not_at_all() {
                 Vec::new()
             }
         };
-        drop(scenario);
+        scenario.clear("kv.wal.write");
         assert_eq!(keys(&db), expected, "in memory, write {nth} failing");
         drop(db);
         let db = Db::open(&dir, DbOptions::default()).unwrap();
         assert_eq!(keys(&db), expected, "after reopen, write {nth} failing");
+        drop((db, scenario));
     }
     assert!(failures >= 1, "the armed failpoint fails a batch");
     fs::remove_dir_all(&dir).unwrap();
@@ -188,7 +200,8 @@ fn a_torn_put_does_not_hide_the_next_one() {
     scenario.fail_nth("kv.wal.write", 1, torn);
     assert!(db.put("b", "2").is_err());
     db.put("c", "3").unwrap();
-    drop((db, scenario));
+    scenario.clear("kv.wal.write");
+    drop(db);
     let db = Db::open(&dir, DbOptions::default()).unwrap();
     assert_eq!(keys(&db), vec![b"a".to_vec(), b"c".to_vec()]);
     fs::remove_dir_all(&dir).unwrap();
@@ -199,6 +212,7 @@ fn a_torn_put_does_not_hide_the_next_one() {
 /// all three.
 #[test]
 fn a_damaged_length_mid_log_fails_open_and_keeps_the_log() {
+    let _serial = Scenario::setup();
     let dir = temp_dir("flipped-length");
     let _ = fs::remove_dir_all(&dir);
     let db = Db::open(&dir, DbOptions::default()).unwrap();
@@ -224,6 +238,7 @@ fn a_damaged_length_mid_log_fails_open_and_keeps_the_log() {
 /// without it.
 #[test]
 fn open_refuses_a_directory_of_the_retired_sstable_layout() {
+    let _serial = Scenario::setup();
     let dir = temp_dir("sstables");
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();

@@ -17,8 +17,8 @@ use crate::operators::aggregate::{Aggregate, WindowBounds};
 use crate::operators::join::{Join, JoinInput};
 use crate::operators::router::{RoutePolicy, Router};
 use crate::operators::{Filter, FlatMap, Identity, Map};
-use crate::query::Query;
-use crate::runtime::{self, Inbound, Outlet};
+use crate::query::{Query, Worker};
+use crate::runtime::{self, Inbound, NodeState, Outlet};
 use crate::sink::{CollectHandle, ElementSink, Sink};
 use crate::source::Source;
 use crate::time::Timestamped;
@@ -58,10 +58,20 @@ impl<T> Clone for Stream<T> {
 
 impl<T> Copy for Stream<T> {}
 
-type WorkerFn = Box<dyn FnOnce() + Send>;
-type Factory = Box<
-    dyn FnOnce(Box<dyn Any + Send>, Arc<AtomicBool>, Arc<Mutex<Vec<Error>>>) -> WorkerFn + Send,
->;
+/// What a node becomes when the query is built.
+enum Built {
+    /// A node with a thread of its own, which runs this.
+    Worker(Box<dyn FnOnce() + Send>),
+    /// A chained instance: the node at index `.0` runs it, through the
+    /// outlet that `.1` pushes onto that node's `Vec<Outlet<_>>`.
+    Chained(usize, Attach),
+}
+
+/// Pushes a chained instance's outlet onto its upstream's outlets.
+type Attach = Box<dyn FnOnce(&mut (dyn Any + Send))>;
+
+type Factory =
+    Box<dyn FnOnce(Box<dyn Any + Send>, Arc<AtomicBool>, Arc<Mutex<Vec<Error>>>) -> Built + Send>;
 
 struct NodeSpec {
     name: String,
@@ -230,7 +240,7 @@ impl QueryBuilder {
         let (max_batch, batch_timeout) = (self.batch_size, self.batch_timeout);
         let factory: Factory = Box::new(move |outlets, stop, errors| {
             let outlets = *outlets.downcast().expect("source outlet type");
-            Box::new(move || {
+            Built::Worker(Box::new(move || {
                 runtime::run_source(
                     source,
                     node_name,
@@ -241,7 +251,7 @@ impl QueryBuilder {
                     max_batch,
                     batch_timeout,
                 )
-            })
+            }))
         });
         self.nodes.push(NodeSpec {
             name,
@@ -302,13 +312,57 @@ impl QueryBuilder {
         O: Clone + Send + Sync + 'static,
         Op: UnaryOperator<I, O> + 'static,
     {
+        let max_batch = self.batch_size;
+        self.push_node(name, move |outlets, metrics, _errors| {
+            Built::Worker(Box::new(move || {
+                runtime::run_node(op, inbox, inputs, outlets, metrics, max_batch)
+            }))
+        })
+    }
+
+    /// Registers a node that runs `op` chained behind node `upstream`,
+    /// in that node's thread, on that node's items alone.
+    fn add_chained<I, O, Op>(&mut self, name: String, upstream: usize, op: Op) -> Stream<O>
+    where
+        I: Clone + Send + Sync + 'static,
+        O: Clone + Send + Sync + 'static,
+        Op: UnaryOperator<I, O> + 'static,
+    {
+        let max_batch = self.batch_size;
+        self.push_node(name, move |outlets, metrics, errors| {
+            let node = NodeState::new(op, 1, outlets, metrics, max_batch);
+            let outlet = runtime::chain(node, errors);
+            Built::Chained(
+                upstream,
+                Box::new(move |outlets| {
+                    outlets
+                        .downcast_mut::<Vec<Outlet<I>>>()
+                        .expect("upstream outlet type")
+                        .push(outlet);
+                }),
+            )
+        })
+    }
+
+    /// Registers node `name`, which `make` turns into a worker or a
+    /// chained instance at build time from its outlets, its metrics and
+    /// the query's error list.
+    fn push_node<O>(
+        &mut self,
+        name: String,
+        make: impl FnOnce(Vec<Outlet<O>>, Arc<NodeMetrics>, Arc<Mutex<Vec<Error>>>) -> Built
+            + Send
+            + 'static,
+    ) -> Stream<O>
+    where
+        O: Send + 'static,
+    {
         self.check_name(&name);
         let metrics = Arc::new(NodeMetrics::new(name.clone()));
         let m = Arc::clone(&metrics);
-        let max_batch = self.batch_size;
-        let factory: Factory = Box::new(move |outlets, _stop, _errors| {
+        let factory: Factory = Box::new(move |outlets, _stop, errors| {
             let outlets = *outlets.downcast().expect("node outlet type");
-            Box::new(move || runtime::run_node(op, inbox, inputs, outlets, m, max_batch))
+            make(outlets, m, errors)
         });
         self.nodes.push(NodeSpec {
             name,
@@ -433,6 +487,13 @@ impl QueryBuilder {
     /// no routing: it is one node called `name`, like
     /// [`operator`](Self::operator).
     ///
+    /// A [`RoutePolicy::RoundRobin`] stage over an input of exactly
+    /// `parallelism` nodes — another parallel stage of the same width —
+    /// is *chained*: instance `i` takes upstream node `i`'s items alone
+    /// and runs in that node's thread, with no inbox of its own, so its
+    /// items are moved to it and never cross a channel. It keeps its
+    /// name and its metrics.
+    ///
     /// For stateful operators use [`RoutePolicy::by_key`] with the
     /// operator's group-by key so each instance sees complete groups.
     pub fn parallel_operator<I, O, Op>(
@@ -459,10 +520,20 @@ impl QueryBuilder {
         if parallelism == 1 {
             return self.operator(name, input, op_factory(0));
         }
+        let first = self.nodes.len();
+        if matches!(policy, RoutePolicy::RoundRobin)
+            && input.count == parallelism
+            && input.builder == self.id
+        {
+            for i in 0..parallelism {
+                let instance = format!("{name}.{i}");
+                self.add_chained::<I, O, Op>(instance, input.first + i, op_factory(i));
+            }
+            return self.stream(first, parallelism);
+        }
         let (senders, inboxes): (Vec<_>, Vec<_>) =
             (0..parallelism).map(|_| self.inbox(input.count)).unzip();
         self.connect(input, &senders, 0, |e| e, Some(&policy));
-        let first = self.nodes.len();
         for (i, inbox) in inboxes.into_iter().enumerate() {
             self.add_node::<I, O, Op>(format!("{name}.{i}"), inbox, input.count, op_factory(i));
         }
@@ -535,13 +606,18 @@ impl QueryBuilder {
         }
         let stop = Arc::new(AtomicBool::new(false));
         let errors = Arc::new(Mutex::new(Vec::new()));
-        let mut workers = Vec::with_capacity(self.nodes.len());
-        let mut metrics = Vec::with_capacity(self.nodes.len());
-        for node in self.nodes {
-            metrics.push(Arc::clone(&node.metrics));
-            let worker = (node.factory)(node.outlets, Arc::clone(&stop), Arc::clone(&errors));
-            workers.push((node.name, worker));
+        let metrics = self.nodes.iter().map(|n| Arc::clone(&n.metrics)).collect();
+        // Consumers first: a chained instance adds its outlet to its
+        // upstream, which must not have been built yet.
+        let mut workers: Vec<Worker> = Vec::with_capacity(self.nodes.len());
+        let mut nodes = self.nodes;
+        while let Some(node) = nodes.pop() {
+            match (node.factory)(node.outlets, Arc::clone(&stop), Arc::clone(&errors)) {
+                Built::Worker(worker) => workers.push((node.name, worker, node.metrics)),
+                Built::Chained(upstream, attach) => attach(nodes[upstream].outlets.as_mut()),
+            }
         }
+        workers.reverse();
         Ok(Query::new(self.name, workers, stop, metrics, errors))
     }
 }

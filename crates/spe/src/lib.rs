@@ -5,8 +5,9 @@
 //! on. It follows the execution model of Liebre, the lightweight SPE
 //! used in the paper's prototype: continuous queries are Directed
 //! Acyclic Graphs of *operators* connected by bounded in-memory
-//! channels, each operator runs on its own thread, and time is *event
-//! time* driven by watermarks.
+//! channels, each operator runs on its own thread (a chained parallel
+//! instance aside, see below), and time is *event time* driven by
+//! watermarks.
 //!
 //! # Native operators
 //!
@@ -39,8 +40,12 @@
 //!
 //! # Threads, backpressure and termination
 //!
-//! Every node (source, operator, sink) runs on a dedicated thread.
-//! Each non-source node has one bounded inbox that all of its inputs
+//! Every node (source, operator, sink) runs on a dedicated thread,
+//! except a *chained* parallel instance: a round-robin stage behind a
+//! stage of the same width runs instance `i` in upstream `i`'s thread,
+//! on upstream `i`'s items (see
+//! [`QueryBuilder::parallel_operator`]). Each threaded non-source node
+//! has one bounded inbox that all of its inputs
 //! feed, tagged by input; a fast producer blocks on a full inbox,
 //! which propagates backpressure to the sources. Data moves in
 //! micro-batches ([`Batch`]; a single item is a batch of one), and

@@ -13,15 +13,16 @@
 //! `{query=..., node=...}` labels.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use strata_obs::{Counter, Histogram, HistogramSnapshot, Registry};
 
 /// Metrics for one node (source, operator, or sink) of a query.
 ///
 /// All counters are monotonically increasing and updated with relaxed
-/// atomics by the node's worker thread; readers may observe slightly
-/// stale values, never torn ones.
+/// atomics by the thread that runs the node (its own, or for a chained
+/// instance its upstream's); readers may observe slightly stale
+/// values, never torn ones.
 #[derive(Debug)]
 pub struct NodeMetrics {
     name: String,
@@ -84,7 +85,8 @@ impl NodeMetrics {
     }
 
     /// Distribution of this node's total input queue depth, sampled
-    /// at each item receipt.
+    /// at each item receipt. A chained instance has no inbox and
+    /// records none.
     pub fn queue_depth(&self) -> HistogramSnapshot {
         self.queue_depth.snapshot()
     }
@@ -114,6 +116,11 @@ impl NodeMetrics {
 
     pub(crate) fn record_process_since(&self, started: Instant) {
         self.process_ns.record_since(started);
+    }
+
+    pub(crate) fn record_process(&self, elapsed: Duration) {
+        self.process_ns
+            .record(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
     }
 
     pub(crate) fn record_queue_depth(&self, depth: u64) {

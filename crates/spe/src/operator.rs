@@ -8,8 +8,9 @@ use crate::time::Timestamp;
 /// Every non-source node runs one: maps, filters, aggregates, unions,
 /// joins (over [`JoinInput`](crate::operators::JoinInput)-tagged items)
 /// and sinks (which emit nothing). The engine calls the hooks from the
-/// node's dedicated worker thread, in inbox order, so implementations
-/// never need internal synchronization:
+/// one thread that runs the node — its own, or for a chained instance
+/// its upstream's — in arrival order, so implementations never need
+/// internal synchronization:
 ///
 /// * [`on_batch`](UnaryOperator::on_batch) for every micro-batch of
 ///   data tuples (a single tuple is a batch of one); the default loops
@@ -30,7 +31,8 @@ pub trait UnaryOperator<I, O>: Send {
     /// default simply loops over [`on_item`](UnaryOperator::on_item);
     /// stateless operators override it to amortize per-item dispatch.
     /// Implementations must be observationally equivalent to the
-    /// item-at-a-time loop.
+    /// item-at-a-time loop: a node whose consumer is chained calls
+    /// [`on_item`](UnaryOperator::on_item) instead.
     fn on_batch(&mut self, items: Vec<I>, out: &mut Vec<O>) {
         for item in items {
             self.on_item(item, out);

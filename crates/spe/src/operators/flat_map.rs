@@ -26,15 +26,16 @@ where
     F: FnMut(I) -> II + Send,
     II: IntoIterator<Item = O>,
 {
+    /// Into an empty `out` the expansion is moved rather than copied:
+    /// collecting a `Vec`'s iterator into a `Vec` reuses its buffer, so
+    /// a stage that expands one item into thousands hands them on
+    /// without touching them.
     fn on_item(&mut self, item: I, out: &mut Vec<O>) {
-        out.extend((self.f)(item));
-    }
-
-    /// Batch fast path: a single loop of extends, no per-item
-    /// dispatch.
-    fn on_batch(&mut self, items: Vec<I>, out: &mut Vec<O>) {
-        for item in items {
-            out.extend((self.f)(item));
+        let outputs = (self.f)(item);
+        if out.is_empty() {
+            *out = outputs.into_iter().collect();
+        } else {
+            out.extend(outputs);
         }
     }
 }

@@ -4,7 +4,9 @@
 //! run event detection in parallel (§4 of the paper). A parallel stage
 //! is just its instances: each upstream node sends every item to the
 //! one instance its router picks, and watermarks and end-of-stream to
-//! all of them.
+//! all of them — except that a round-robin stage behind a stage of the
+//! same width is chained, instance `i` running on upstream `i`'s items
+//! in upstream `i`'s thread.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -17,6 +19,13 @@ use std::sync::Arc;
 pub enum RoutePolicy<T> {
     /// Cycle through the instances: item `k` of each upstream node goes
     /// to instance `k mod n`. Only safe for stateless operators.
+    ///
+    /// Over an input of exactly `n` nodes (a parallel stage of the same
+    /// width) instance `i` instead takes every item of upstream node
+    /// `i`, and runs chained in that node's thread (see
+    /// [`QueryBuilder::parallel_operator`](crate::QueryBuilder::parallel_operator)).
+    /// Either way each item reaches exactly one instance; only which
+    /// one differs, and that is immaterial to a stateless operator.
     RoundRobin,
     /// Route by a key extracted from the item, so that all items with
     /// the same key share an instance — required for keyed stateful

@@ -9,12 +9,14 @@ use parking_lot::Mutex;
 use crate::error::{Error, Result};
 use crate::metrics::{NodeMetrics, QueryMetrics};
 
-type WorkerFn = Box<dyn FnOnce() + Send>;
+/// The thread body of one threaded node, with the node's name and
+/// metrics.
+pub(crate) type Worker = (String, Box<dyn FnOnce() + Send>, Arc<NodeMetrics>);
 
 /// A fully built continuous query, ready to [`run`](Query::run).
 pub struct Query {
     name: String,
-    workers: Vec<(String, WorkerFn)>,
+    workers: Vec<Worker>,
     stop: Arc<AtomicBool>,
     metrics: Vec<Arc<NodeMetrics>>,
     errors: Arc<Mutex<Vec<Error>>>,
@@ -24,7 +26,8 @@ impl std::fmt::Debug for Query {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Query")
             .field("name", &self.name)
-            .field("nodes", &self.workers.len())
+            .field("nodes", &self.metrics.len())
+            .field("threads", &self.workers.len())
             .finish()
     }
 }
@@ -32,7 +35,7 @@ impl std::fmt::Debug for Query {
 impl Query {
     pub(crate) fn new(
         name: String,
-        workers: Vec<(String, WorkerFn)>,
+        workers: Vec<Worker>,
         stop: Arc<AtomicBool>,
         metrics: Vec<Arc<NodeMetrics>>,
         errors: Arc<Mutex<Vec<Error>>>,
@@ -52,19 +55,24 @@ impl Query {
         &self.name
     }
 
-    /// Number of nodes (threads) this query deploys.
+    /// Number of nodes this query deploys. A chained instance of a
+    /// parallel stage counts as a node, though it runs in its
+    /// upstream's thread.
     pub fn node_count(&self) -> usize {
-        self.workers.len()
+        self.metrics.len()
     }
 
-    /// Spawns one thread per node and starts processing.
+    /// Spawns one thread per node, chained instances aside, and starts
+    /// processing.
     ///
     /// Every worker runs under panic supervision: a panic in user
     /// code (an operator closure, a source, a sink) is caught, its
     /// node's inbox closes and its outlets end the inputs it fed, so
     /// the rest of the graph drains normally, and [`join`](RunningQuery::join) reports a
     /// structured [`Error::OperatorPanicked`] instead of the query
-    /// hanging or aborting the process.
+    /// hanging or aborting the process. A chained instance's panic is
+    /// caught in its upstream's outlet and reported under the
+    /// instance's own name.
     pub fn run(self) -> RunningQuery {
         let Query {
             name,
@@ -75,10 +83,8 @@ impl Query {
         } = self;
         let handles = workers
             .into_iter()
-            .zip(metrics.iter())
-            .map(|((node_name, worker), node_metrics)| {
+            .map(|(node_name, worker, node_metrics)| {
                 let errors = Arc::clone(&errors);
-                let node_metrics = Arc::clone(node_metrics);
                 let node = node_name.clone();
                 let supervised = move || {
                     // AssertUnwindSafe: on panic the worker's state
@@ -112,7 +118,7 @@ impl Query {
 }
 
 /// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -1,31 +1,50 @@
-//! The two worker loops — one per node, one per source — and the
-//! plumbing between them: one inbox per node, watermark merging across
-//! inputs, broadcast fan-out, cooperative termination.
+//! The two worker loops — one per threaded node, one per source — and
+//! the plumbing between them: one inbox per threaded node, chained
+//! instances run inside their upstream's thread, watermark merging
+//! across inputs, broadcast fan-out, cooperative termination.
 //!
 //! # One inbox, one loop
 //!
-//! Every non-source node owns a single bounded inbox of
-//! `(input, Element)` pairs. Each upstream node holds one [`Outlet`] per
-//! consumer: the consumer's inbox sender plus the index of the input it
-//! feeds — or, for a parallel stage, one sender per instance and a
-//! router that picks an instance per item. One generic loop,
-//! [`run_node`], drives every node kind: unary operators, unions, joins
-//! (a unary operator over left/right-tagged items), parallel instances
-//! and sinks (operators without outlets).
+//! A non-source node owns a single bounded inbox of `(input, Element)`
+//! pairs. Each upstream node holds one [`Outlet`] per consumer: the
+//! consumer's inbox sender plus the index of the input it feeds — or,
+//! for a parallel stage, one sender per instance and a router that
+//! picks an instance per item. One [`NodeState`] holds what every node
+//! kind needs between elements — unary operators, unions, joins (a
+//! unary operator over left/right-tagged items), parallel instances
+//! and sinks (operators without outlets) — and [`run_node`] drives it
+//! from the inbox.
+//!
+//! # Chained instances
+//!
+//! An instance of a round-robin parallel stage whose input is a stage
+//! of the same width has no inbox and no thread: upstream node `i`'s
+//! outlet holds instance `i`'s `NodeState` and calls
+//! [`NodeState::accept`] on it directly ([`chain`]). The upstream's
+//! output vectors are moved into the instance whole. A node with such
+//! an outlet runs its drained batch item by item and hands its outputs
+//! on as soon as they fill a batch, so what a chained consumer holds at
+//! once is one upstream item's outputs, not a whole wakeup's. Dropping
+//! the outlet ends the instance, and a panic in the instance's operator
+//! is caught in the outlet and reported under the instance's name.
+//!
+//! # Batches
 //!
 //! Data is always a [`Batch`]; a single item is a batch of one. Each
 //! wakeup drains up to `max_batch` buffered items, invokes the operator
 //! once over the whole batch, and forwards the outputs as shared
-//! batches of at most `max_batch` items. Watermarks and end-of-stream
-//! are always batch boundaries — a control marker found mid-drain is
-//! set aside and processed on the next iteration, after the data
-//! before it.
+//! batches of at most `max_batch` items — or uncut, when every consumer
+//! is chained. Watermarks and end-of-stream are always batch boundaries
+//! — a control marker found mid-drain is set aside and processed on the
+//! next iteration, after the data before it.
 //!
 //! Broadcast fan-out never clones for the sole (or last) consumer: the
 //! original element is moved into the final send, and batches are
 //! reference-counted so the extra N−1 sends bump an `Arc` instead of
 //! copying items.
 
+use std::marker::PhantomData;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -38,6 +57,7 @@ use crate::error::Error;
 use crate::metrics::NodeMetrics;
 use crate::operator::UnaryOperator;
 use crate::operators::router::Router;
+use crate::query::panic_message;
 use crate::source::{Source, SourceContext};
 use crate::time::Timestamp;
 
@@ -51,15 +71,17 @@ pub(crate) type Inbound<T> = (usize, Element<T>);
 /// identity everywhere except on the two sides of a join). Into a
 /// parallel stage a [`Router`] picks each item's instance, in arrival
 /// order, so routing is the same at every batch size; watermarks and
-/// end-of-stream reach every instance.
+/// end-of-stream reach every instance. A chained outlet ([`chain`])
+/// runs its consumer in place instead of sending to an inbox.
 ///
 /// Dropping an outlet sends `End` on its input. A node therefore closes
 /// its outputs by returning — whether it finished, lost its consumers
 /// or panicked — and every input of a downstream node closes exactly
 /// once, just as a disconnected channel would.
 pub(crate) struct Outlet<T> {
-    inboxes: Vec<Box<dyn Fn(Element<T>) -> bool + Send>>,
+    inboxes: Vec<Box<dyn FnMut(Element<T>) -> bool + Send>>,
     router: Option<Router<T>>,
+    chained: bool,
 }
 
 impl<T: 'static> Outlet<T> {
@@ -78,7 +100,11 @@ impl<T: 'static> Outlet<T> {
                 Box::new(move |element| inbox.send((input, wrap(element))).is_ok()) as Box<_>
             })
             .collect();
-        Outlet { inboxes, router }
+        Outlet {
+            inboxes,
+            router,
+            chained: false,
+        }
     }
 }
 
@@ -93,14 +119,17 @@ impl<T: Clone> Outlet<T> {
                 for item in batch.into_vec() {
                     split[router.route(&item)].push(item);
                 }
-                for (items, send) in split.into_iter().zip(&self.inboxes) {
+                for (items, send) in split.into_iter().zip(&mut self.inboxes) {
                     if !items.is_empty() {
                         ok &= send(Element::Batch(Batch::new(items)));
                     }
                 }
             }
             (_, element) => {
-                let (last, rest) = self.inboxes.split_last().expect("an outlet feeds an inbox");
+                let (last, rest) = self
+                    .inboxes
+                    .split_last_mut()
+                    .expect("an outlet feeds an inbox");
                 for send in rest {
                     ok &= send(element.clone());
                 }
@@ -113,7 +142,7 @@ impl<T: Clone> Outlet<T> {
 
 impl<T> Drop for Outlet<T> {
     fn drop(&mut self) {
-        for send in &self.inboxes {
+        for send in &mut self.inboxes {
             send(Element::End);
         }
     }
@@ -121,7 +150,9 @@ impl<T> Drop for Outlet<T> {
 
 impl<T> std::fmt::Debug for Outlet<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Outlet").finish_non_exhaustive()
+        f.debug_struct("Outlet")
+            .field("chained", &self.chained)
+            .finish_non_exhaustive()
     }
 }
 
@@ -143,8 +174,10 @@ pub(crate) fn broadcast<T: Clone>(outlets: &mut [Outlet<T>], element: Element<T>
 
 /// Sends a wakeup's outputs downstream as shared batches of at most
 /// `max_batch` items, and records them. The items are moved into their
-/// chunks, so a flush costs O(items) whatever the number of chunks.
-/// Returns `false` when the node's consumers are gone.
+/// chunks, so a flush costs O(items) whatever the number of chunks; a
+/// node whose every outlet is chained hands the whole vector on
+/// without cutting it. Returns `false` when the node's consumers are
+/// gone.
 fn flush<O: Clone>(
     out: &mut Vec<O>,
     outlets: &mut [Outlet<O>],
@@ -156,7 +189,7 @@ fn flush<O: Clone>(
     }
     metrics.record_out(out.len() as u64);
     let items = std::mem::take(out);
-    if items.len() <= max_batch {
+    if items.len() <= max_batch || outlets.iter().all(|outlet| outlet.chained) {
         return broadcast(outlets, Element::Batch(Batch::new(items)));
     }
     let mut items = items.into_iter();
@@ -249,16 +282,135 @@ fn drain<T: Clone>(
     (items, None)
 }
 
-/// The worker loop of every non-source node. `inputs` is the number of
+/// One non-source node between elements: its operator, the merge of
+/// its inputs' watermarks, its pending outputs and its outlets. A
+/// threaded node is fed from its inbox by [`run_node`]; a chained
+/// instance by its upstream's outlet ([`chain`]).
+pub(crate) struct NodeState<I, O, Op> {
+    op: Op,
+    merge: WatermarkMerge,
+    out: Vec<O>,
+    outlets: Vec<Outlet<O>>,
+    metrics: Arc<NodeMetrics>,
+    max_batch: usize,
+    /// Some outlet runs a chained instance: process item by item.
+    item_at_a_time: bool,
+    _input: PhantomData<fn(I)>,
+}
+
+impl<I, O, Op> NodeState<I, O, Op>
+where
+    I: Clone,
+    O: Clone,
+    Op: UnaryOperator<I, O>,
+{
+    /// A node fed by `inputs` upstream outlets.
+    pub(crate) fn new(
+        op: Op,
+        inputs: usize,
+        outlets: Vec<Outlet<O>>,
+        metrics: Arc<NodeMetrics>,
+        max_batch: usize,
+    ) -> Self {
+        NodeState {
+            op,
+            merge: WatermarkMerge::new(inputs),
+            out: Vec::new(),
+            item_at_a_time: outlets.iter().any(|outlet| outlet.chained),
+            outlets,
+            metrics,
+            max_batch,
+            _input: PhantomData,
+        }
+    }
+
+    /// Handles one element that arrived on `input`. Returns `false`
+    /// once the node is done: every input has ended (the operator has
+    /// then seen `on_end` and its last outputs are sent), or its
+    /// consumers are gone.
+    pub(crate) fn accept(&mut self, input: usize, element: Element<I>) -> bool {
+        let watermark = match element {
+            Element::Batch(batch) => return self.process(batch.into_vec()),
+            Element::Watermark(wm) => {
+                self.metrics.record_watermark();
+                self.merge.advance(input, wm)
+            }
+            Element::End => {
+                let released = self.merge.close(input);
+                if self.merge.all_closed() {
+                    self.finish();
+                    return false;
+                }
+                released
+            }
+        };
+        let Some(wm) = watermark else {
+            return true;
+        };
+        let started = Instant::now();
+        self.op.on_watermark(wm, &mut self.out);
+        self.metrics.record_process_since(started);
+        self.flush() && broadcast(&mut self.outlets, Element::Watermark(wm))
+    }
+
+    /// Runs the operator over `items` and sends the outputs on.
+    fn process(&mut self, items: Vec<I>) -> bool {
+        self.metrics.record_in(items.len() as u64);
+        self.metrics.record_batch(items.len() as u64);
+        // Time the operator callbacks only: send-side backpressure and
+        // chained consumers are not this node's processing.
+        let started = Instant::now();
+        if !self.item_at_a_time {
+            self.op.on_batch(items, &mut self.out);
+            self.metrics.record_process_since(started);
+            return self.flush();
+        }
+        let mut handing_on = Duration::ZERO;
+        let mut alive = true;
+        for item in items {
+            self.op.on_item(item, &mut self.out);
+            if self.out.len() >= self.max_batch {
+                let flushing = Instant::now();
+                alive = self.flush();
+                handing_on += flushing.elapsed();
+                if !alive {
+                    break;
+                }
+            }
+        }
+        self.metrics
+            .record_process(started.elapsed().saturating_sub(handing_on));
+        alive && self.flush()
+    }
+
+    /// Runs `on_end` and sends its outputs: every input has ended.
+    fn finish(&mut self) {
+        let started = Instant::now();
+        self.op.on_end(&mut self.out);
+        self.metrics.record_process_since(started);
+        self.flush();
+    }
+
+    fn flush(&mut self) -> bool {
+        flush(
+            &mut self.out,
+            &mut self.outlets,
+            &self.metrics,
+            self.max_batch,
+        )
+    }
+}
+
+/// The worker loop of a threaded node: `inputs` is the number of
 /// upstream outlets feeding `inbox`; the node ends once each of them
 /// has sent `End`, and returns early when a send finds its consumers
 /// gone. Returning drops `outlets`, which ends every downstream input
 /// this node feeds.
 pub(crate) fn run_node<I, O, Op>(
-    mut op: Op,
+    op: Op,
     inbox: Receiver<Inbound<I>>,
     inputs: usize,
-    mut outlets: Vec<Outlet<O>>,
+    outlets: Vec<Outlet<O>>,
     metrics: Arc<NodeMetrics>,
     max_batch: usize,
 ) where
@@ -266,8 +418,7 @@ pub(crate) fn run_node<I, O, Op>(
     O: Clone,
     Op: UnaryOperator<I, O>,
 {
-    let mut merge = WatermarkMerge::new(inputs);
-    let mut out: Vec<O> = Vec::new();
+    let mut node = NodeState::new(op, inputs, outlets, metrics, max_batch);
     let mut pending: Option<Inbound<I>> = None;
     loop {
         let (input, element) = match pending.take() {
@@ -276,51 +427,68 @@ pub(crate) fn run_node<I, O, Op>(
                 Ok(inbound) => inbound,
                 // Every outlet sends `End` before it goes, so all inputs
                 // have closed before the inbox can disconnect.
-                Err(_) => break,
+                Err(_) => return node.finish(),
             },
         };
-        let watermark = match element {
+        let alive = match element {
             Element::Batch(batch) => {
                 let (items, marker) = drain(batch, &inbox, max_batch);
                 pending = marker;
-                metrics.record_in(items.len() as u64);
-                metrics.record_batch(items.len() as u64);
-                metrics.record_queue_depth(inbox.len() as u64);
-                // Time the operator callbacks only: send-side
-                // backpressure in `flush` is queueing, not processing,
-                // and would drown the signal.
-                let started = Instant::now();
-                op.on_batch(items, &mut out);
-                metrics.record_process_since(started);
-                None
+                node.metrics.record_queue_depth(inbox.len() as u64);
+                node.process(items)
             }
-            Element::Watermark(wm) => {
-                metrics.record_watermark();
-                merge.advance(input, wm)
-            }
-            Element::End => {
-                let released = merge.close(input);
-                if merge.all_closed() {
-                    break;
-                }
-                released
-            }
+            marker => node.accept(input, marker),
         };
-        if let Some(wm) = watermark {
-            let started = Instant::now();
-            op.on_watermark(wm, &mut out);
-            metrics.record_process_since(started);
-        }
-        let alive = flush(&mut out, &mut outlets, &metrics, max_batch)
-            && watermark.is_none_or(|wm| broadcast(&mut outlets, Element::Watermark(wm)));
         if !alive {
             return;
         }
     }
-    let started = Instant::now();
-    op.on_end(&mut out);
-    metrics.record_process_since(started);
-    flush(&mut out, &mut outlets, &metrics, max_batch);
+}
+
+/// The outlet through which an upstream node runs the chained instance
+/// `node` in its own thread: every element goes straight to the
+/// instance's [`NodeState::accept`] on its only input, and batches are
+/// moved in whole. Dropping the outlet sends `End`, which runs the
+/// instance's `on_end` and ends its own outlets. A panic in the
+/// instance's operator is caught here, recorded on the instance's
+/// metrics and reported as [`Error::OperatorPanicked`] under its name;
+/// from then on the outlet acts as a gone consumer, and the upstream
+/// carries on as it does when a threaded consumer dies.
+pub(crate) fn chain<I, O, Op>(
+    node: NodeState<I, O, Op>,
+    errors: Arc<Mutex<Vec<Error>>>,
+) -> Outlet<I>
+where
+    I: Clone + 'static,
+    O: Clone + Send + 'static,
+    Op: UnaryOperator<I, O> + 'static,
+{
+    let mut node = Some(node);
+    let accept = move |element| {
+        let Some(state) = node.as_mut() else {
+            return false;
+        };
+        // AssertUnwindSafe: after a panic the instance is dropped
+        // wholesale, so no broken invariant can be observed.
+        match catch_unwind(AssertUnwindSafe(|| state.accept(0, element))) {
+            Ok(true) => return true,
+            Ok(false) => {}
+            Err(payload) => {
+                state.metrics.record_panic();
+                errors.lock().push(Error::OperatorPanicked {
+                    node: state.metrics.name().to_string(),
+                    message: panic_message(payload.as_ref()),
+                });
+            }
+        }
+        node = None;
+        false
+    };
+    Outlet {
+        inboxes: vec![Box::new(accept)],
+        router: None,
+        chained: true,
+    }
 }
 
 /// The worker loop for source nodes: runs the user source, then
@@ -514,6 +682,40 @@ mod tests {
                 Element::End,
             ]
         );
+    }
+
+    /// A chained outlet moves a flushed vector into its instance whole,
+    /// without cloning an item or cutting it to `max_batch`; the
+    /// instance cuts what it sends to a threaded consumer, and dropping
+    /// the outlet ends the instance and then its outlet.
+    #[test]
+    fn a_chained_outlet_moves_outputs_whole_and_ends_its_instance() {
+        let clones = Arc::new(AtomicUsize::new(0));
+        let (port, inbox) = outlet(16);
+        let chained = Arc::new(NodeMetrics::new("chained"));
+        let node = NodeState::new(
+            crate::operators::Identity::new(),
+            1,
+            vec![port],
+            Arc::clone(&chained),
+            4,
+        );
+        let mut upstream = [chain(node, Arc::default())];
+        let mut out: Vec<CloneCounter> =
+            (0..10).map(|_| CloneCounter(Arc::clone(&clones))).collect();
+        assert!(flush(&mut out, &mut upstream, &NodeMetrics::new("up"), 4));
+        assert_eq!(clones.load(Ordering::Relaxed), 0, "moved, not cloned");
+        assert_eq!(chained.items_in(), 10);
+        assert_eq!(chained.batch_items().count(), 1, "one uncut batch");
+        drop(upstream);
+        let sizes: Vec<Option<usize>> = inbox
+            .iter()
+            .map(|(_, element)| match element {
+                Element::Batch(batch) => Some(batch.len()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sizes, vec![Some(4), Some(4), Some(2), None]);
     }
 
     #[test]

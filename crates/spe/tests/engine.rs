@@ -498,3 +498,272 @@ fn a_panicking_join_input_closes_only_its_side() {
     }
     assert_eq!(metrics.node("join").unwrap().items_in(), RIGHT);
 }
+
+/// The names of the threads each instance of a stage ran on, keyed by
+/// instance index; `record(i)` is a map for instance `i` that notes its
+/// thread for every item.
+#[derive(Clone, Default)]
+struct ThreadLog(std::sync::Arc<std::sync::Mutex<std::collections::BTreeSet<(usize, String)>>>);
+
+impl ThreadLog {
+    fn record(&self, instance: usize) -> strata_spe::operators::Map<impl FnMut(u64) -> u64 + Send> {
+        let log = self.clone();
+        strata_spe::operators::Map::new(move |x: u64| {
+            let thread = std::thread::current().name().unwrap_or("").to_string();
+            log.0.lock().unwrap().insert((instance, thread));
+            x
+        })
+    }
+
+    fn threads(&self) -> Vec<(usize, String)> {
+        self.0.lock().unwrap().iter().cloned().collect()
+    }
+}
+
+/// A round-robin stage behind a stage of the same width is chained:
+/// instance `i` runs on upstream `i`'s thread, takes exactly upstream
+/// `i`'s items, and keeps its own metrics. The upstream instances emit
+/// unequal amounts, so an instance fed round-robin from both would not
+/// match its upstream's count.
+#[test]
+fn a_chained_instance_runs_on_its_upstreams_thread() {
+    const N: u64 = 2_000;
+    let log = ThreadLog::default();
+    let mut qb = QueryBuilder::new("chain");
+    qb.batch_size(16);
+    let src = qb.source("src", IteratorSource::new(0..N));
+    let spread = qb.parallel_operator("spread", &src, 2, RoutePolicy::RoundRobin, |i| {
+        strata_spe::operators::FlatMap::new(move |x: u64| vec![x; i + 1])
+    });
+    let label = qb.parallel_operator("label", &spread, 2, RoutePolicy::RoundRobin, |i| {
+        log.record(i)
+    });
+    let out = qb.collect_sink("out", &label);
+    let metrics = qb.build().unwrap().run().join().unwrap();
+
+    assert_eq!(
+        log.threads(),
+        [(0, "chain/spread.0".into()), (1, "chain/spread.1".into())]
+    );
+    assert_eq!(out.len() as u64, N / 2 + N);
+    for i in 0..2 {
+        let upstream = metrics.node(&format!("spread.{i}")).unwrap();
+        let chained = metrics.node(&format!("label.{i}")).unwrap();
+        assert!(upstream.items_out() > 0);
+        assert_eq!(chained.items_in(), upstream.items_out(), "instance {i}");
+        assert_eq!(chained.items_out(), chained.items_in(), "instance {i}");
+        assert!(chained.process_latency().count() > 0, "instance {i}");
+        assert_eq!(chained.queue_depth().count(), 0, "no inbox");
+    }
+}
+
+/// An upstream stage with a chained consumer still feeds its other
+/// consumers — a threaded sink and a second chained stage — every
+/// item.
+#[test]
+fn a_chained_stage_leaves_the_other_consumers_every_item() {
+    const N: u64 = 5_000;
+    let mut qb = QueryBuilder::new("chain-fan-out");
+    qb.batch_size(64);
+    let src = qb.source("src", IteratorSource::new(0..N));
+    let pass = qb.parallel_operator("pass", &src, 2, RoutePolicy::RoundRobin, |_| {
+        strata_spe::operators::Map::new(|x: u64| x)
+    });
+    let doubled = qb.parallel_operator("double", &pass, 2, RoutePolicy::RoundRobin, |_| {
+        strata_spe::operators::Map::new(|x: u64| 2 * x)
+    });
+    let negated = qb.parallel_operator("negate", &pass, 2, RoutePolicy::RoundRobin, |_| {
+        strata_spe::operators::Map::new(|x: u64| N - x)
+    });
+    let all = qb.collect_sink("all", &pass);
+    let twice = qb.collect_sink("twice", &doubled);
+    let mirrored = qb.collect_sink("mirrored", &negated);
+    qb.build().unwrap().run().join().unwrap();
+
+    let sorted = |handle: CollectHandle<u64>| {
+        let mut items = handle.take();
+        items.sort_unstable();
+        items
+    };
+    assert_eq!(sorted(all), (0..N).collect::<Vec<_>>());
+    assert_eq!(sorted(twice), (0..N).map(|x| 2 * x).collect::<Vec<_>>());
+    assert_eq!(sorted(mirrored), (1..=N).collect::<Vec<_>>());
+}
+
+/// A panic in a chained instance is reported under the instance's own
+/// name and recorded on its metrics, while the other instance's items
+/// still reach the sink. Instance 0 panics only once instance 1 has
+/// taken an item, so that instance always has something to deliver.
+#[test]
+fn a_panicking_chained_instance_is_named_and_the_other_still_delivers() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    let started = Arc::new(AtomicBool::new(false));
+    let mut qb = QueryBuilder::new("chain-panic");
+    let src = qb.source("src", IteratorSource::new(0u64..10_000));
+    let pass = qb.parallel_operator("pass", &src, 2, RoutePolicy::RoundRobin, |_| {
+        strata_spe::operators::Map::new(|x: u64| x)
+    });
+    let work = qb.parallel_operator("work", &pass, 2, RoutePolicy::RoundRobin, |i| {
+        let started = Arc::clone(&started);
+        strata_spe::operators::Map::new(move |x: u64| {
+            if i == 1 {
+                started.store(true, Ordering::Release);
+            } else {
+                while !started.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                panic!("instance 0 fails on {x}");
+            }
+            x
+        })
+    });
+    let out = qb.collect_sink("out", &work);
+    let running = qb.build().unwrap().run();
+    let metrics = running.metrics().clone();
+    match join_within_deadline(running) {
+        Err(Error::OperatorPanicked { node, message }) => {
+            assert_eq!(node, "work.0");
+            assert!(message.contains("instance 0 fails"), "{message}");
+        }
+        other => panic!("expected OperatorPanicked, got {other:?}"),
+    }
+    let failed = metrics.node("work.0").unwrap();
+    let survived = metrics.node("work.1").unwrap();
+    assert_eq!(failed.panics(), 1);
+    assert_eq!(failed.items_out(), 0);
+    assert_eq!(survived.panics(), 0);
+    assert!(survived.items_out() > 0);
+    assert_eq!(out.len() as u64, survived.items_out());
+    assert!(
+        out.take().iter().all(|x| x % 2 == 1),
+        "instance 1 took pass.1's odd items"
+    );
+}
+
+/// Only a round-robin stage of the same width is chained: behind a
+/// keyed router or over a different number of upstream nodes every
+/// instance runs on a thread of its own.
+#[test]
+fn keyed_and_unequal_width_stages_keep_their_own_threads() {
+    let (keyed, wider) = (ThreadLog::default(), ThreadLog::default());
+    let mut qb = QueryBuilder::new("unchained");
+    let src = qb.source("src", IteratorSource::new(0u64..1_000));
+    let pass = qb.parallel_operator("pass", &src, 2, RoutePolicy::RoundRobin, |_| {
+        strata_spe::operators::Map::new(|x: u64| x)
+    });
+    let by_key = qb.parallel_operator("keyed", &pass, 2, RoutePolicy::by_key(|x: &u64| *x), |i| {
+        keyed.record(i)
+    });
+    let wide = qb.parallel_operator("wide", &pass, 3, RoutePolicy::RoundRobin, |i| {
+        wider.record(i)
+    });
+    let _ = qb.collect_sink("keyed-out", &by_key);
+    let _ = qb.collect_sink("wide-out", &wide);
+    qb.build().unwrap().run().join().unwrap();
+
+    let own = |name: &str, instances: usize| -> Vec<(usize, String)> {
+        (0..instances)
+            .map(|i| (i, format!("unchained/{name}.{i}")))
+            .collect()
+    };
+    assert_eq!(keyed.threads(), own("keyed", 2));
+    assert_eq!(wider.threads(), own("wide", 3));
+}
+
+/// Watermarks, end-of-stream and windows pass through chained
+/// instances exactly as through threaded ones: an expanding stage
+/// followed by a chained stage (equal width) and by a threaded one
+/// (wider) feed the same tumbling count, which must see the same
+/// results and the same watermark sequence at every batch size.
+#[test]
+fn chained_stages_match_threaded_ones_at_every_batch_size() {
+    use std::sync::{Arc, Mutex};
+
+    const N: u64 = 3_000;
+    /// Emits `N` events with a watermark after every 50th.
+    struct Sparse;
+    impl strata_spe::Source for Sparse {
+        type Out = Event;
+        fn run(&mut self, ctx: &mut SourceContext<Event>) -> std::result::Result<(), String> {
+            for i in 0..N {
+                let event = Event {
+                    ts: i / 4,
+                    key: (i % 5) as u32,
+                    value: i as i64,
+                };
+                if !ctx.emit(event) {
+                    return Ok(());
+                }
+                if i % 50 == 49 && !ctx.emit_watermark(Timestamp::from_millis(i / 4)) {
+                    return Ok(());
+                }
+            }
+            Ok(())
+        }
+    }
+
+    let observe = |second_width: usize, batch_size: usize| {
+        let mut qb = QueryBuilder::new(format!("chain-equiv.{second_width}.{batch_size}"));
+        qb.batch_size(batch_size);
+        let src = qb.source("src", Sparse);
+        let spread = qb.parallel_operator("spread", &src, 3, RoutePolicy::RoundRobin, |_| {
+            strata_spe::operators::FlatMap::new(|e: Event| {
+                let copies = (e.value % 3) as usize;
+                vec![e; copies]
+            })
+        });
+        let scaled = qb.parallel_operator(
+            "scale",
+            &spread,
+            second_width,
+            RoutePolicy::RoundRobin,
+            |_| {
+                strata_spe::operators::Map::new(|e: Event| Event {
+                    value: 2 * e.value,
+                    ..e
+                })
+            },
+        );
+        let counted = qb.aggregate(
+            "count",
+            &scaled,
+            WindowSpec::tumbling(40).unwrap(),
+            |e: &Event| e.key,
+            |key: &u32, bounds, items: &[Event]| {
+                let sum: i64 = items.iter().map(|e| e.value).sum();
+                vec![(bounds.index, *key, items.len(), sum)]
+            },
+        );
+        let seen = Arc::new(Mutex::new((Vec::new(), Vec::new())));
+        let sink_seen = Arc::clone(&seen);
+        qb.element_sink("capture", &counted, move |element| {
+            let mut seen = sink_seen.lock().unwrap();
+            match element {
+                Element::Batch(batch) => seen.0.extend(batch.iter().copied()),
+                Element::Watermark(wm) => seen.1.push(wm),
+                Element::End => {}
+            }
+        });
+        qb.build().unwrap().run().join().unwrap();
+        let (mut results, watermarks) = std::mem::take(&mut *seen.lock().unwrap());
+        results.sort_unstable();
+        (results, watermarks)
+    };
+
+    let reference = observe(2, 1);
+    assert!(!reference.0.is_empty() && !reference.1.is_empty());
+    for batch_size in [1, 7, 64] {
+        assert_eq!(
+            observe(3, batch_size),
+            reference,
+            "chained, batch {batch_size}"
+        );
+        assert_eq!(
+            observe(2, batch_size),
+            reference,
+            "threaded, batch {batch_size}"
+        );
+    }
+}

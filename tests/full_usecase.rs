@@ -323,3 +323,50 @@ fn parallel_monitor_query_is_just_its_instances() {
         ]
     );
 }
+
+/// At parallelism 2 each `cellLabel` instance runs chained behind its
+/// `cell` instance: every cell that `cell.*` emits is labelled, and
+/// each `cellLabel.i` records its own processing time though it owns
+/// no thread.
+#[test]
+fn chained_cell_labelling_sees_every_cell() {
+    let machine = Arc::new(
+        PbfLbMachine::new(MachineConfig::paper_build(16).image_px(400).timing(40, 5)).unwrap(),
+    );
+    let strata = Strata::new(StrataConfig::default()).unwrap();
+    let options = ThermalPipelineOptions {
+        layers: 0..2,
+        parallelism: 2,
+        offered_rate: Some(0.0),
+        ..ThermalPipelineOptions::default()
+    };
+    let (running, reports) = thermal::deploy_pipeline(&strata, machine, options).unwrap();
+    // One summary closes the first layer's window; the query metrics
+    // come from shutting the pipeline down after it.
+    while let Ok(report) = reports.recv_timeout(Duration::from_secs(120)) {
+        if report.tuple.payload().str("report") == Some("summary") {
+            break;
+        }
+    }
+    let metrics = running.shutdown().unwrap();
+    let monitor = metrics
+        .iter()
+        .find(|q| q.query() == "thermal.monitor")
+        .expect("a monitor query");
+    let instances = |stage: &str| -> Vec<_> {
+        (0..2)
+            .map(|i| monitor.node(&format!("{stage}.{i}")).expect("an instance"))
+            .collect()
+    };
+    let cells: u64 = instances("cell").iter().map(|n| n.items_out()).sum();
+    let labelled: u64 = instances("cellLabel").iter().map(|n| n.items_in()).sum();
+    assert!(cells > 0, "the cell stage emitted cells");
+    assert_eq!(labelled, cells, "every cell reaches a labeller");
+    for node in instances("cellLabel") {
+        assert!(
+            node.process_latency().count() > 0,
+            "{} records its processing",
+            node.name()
+        );
+    }
+}
