@@ -16,8 +16,8 @@
 //! ```
 //!
 //! The checked-in `BENCH_spe_batch.json` instead lists, side by side,
-//! runs of this command on the engine before and after parallel stages
-//! were chained (the bench uses only API both versions have).
+//! runs of this command on the engine before and after every node got
+//! one item path (the bench uses only API both versions have).
 
 use std::time::{Duration, Instant};
 
@@ -74,7 +74,6 @@ fn run_chain(n: u64, batch_size: usize) -> Duration {
     let mut qb = QueryBuilder::new(format!("spe_batch.bs{batch_size}"));
     qb.channel_capacity(1024);
     qb.batch_size(batch_size);
-    qb.batch_timeout(Duration::from_millis(100));
     let src = qb.source("src", SparseSource { n });
     let mapped = qb.map("map", &src, |e: Ev| Ev {
         ts: e.ts,
@@ -114,7 +113,6 @@ fn run_parallel(n: u64, batch_size: usize) -> Duration {
     let mut qb = QueryBuilder::new(format!("spe_batch.parallel.bs{batch_size}"));
     qb.channel_capacity(1024);
     qb.batch_size(batch_size);
-    qb.batch_timeout(Duration::from_millis(100));
     let src = qb.source("src", SparseSource { n });
     let mapped = qb.parallel_operator("map", &src, 2, RoutePolicy::RoundRobin, |_| {
         Map::new(|e: Ev| Ev {

@@ -49,11 +49,7 @@ pub(crate) fn subscribe(
 /// the topic are identical whatever the SPE's batch size.
 fn connector_messages(element: Element<AmTuple>) -> Vec<ConnectorMessage> {
     match element {
-        Element::Batch(batch) => batch
-            .into_vec()
-            .into_iter()
-            .map(ConnectorMessage::Tuple)
-            .collect(),
+        Element::Batch(items) => items.into_iter().map(ConnectorMessage::Tuple).collect(),
         Element::Watermark(ts) => vec![ConnectorMessage::Watermark(ts)],
         Element::End => vec![ConnectorMessage::End],
     }
@@ -243,7 +239,7 @@ mod tests {
         for bus in [Bus::Local(Broker::new()), Bus::tcp()] {
             let mut publish = publisher(bus.producer("bridge"), "bridge".into());
             let t = AmTuple::new(Timestamp::from_millis(10), 1, 0);
-            publish(Element::Batch(Batch::new(vec![t.clone()])));
+            publish(Element::Batch(vec![t.clone()]));
             publish(Element::Watermark(Timestamp::from_millis(11)));
             publish(Element::End);
 
@@ -298,7 +294,7 @@ mod tests {
         let mut publish = publisher(broker.clone(), "wm".into());
         for layer in 0..3u32 {
             let t = AmTuple::new(Timestamp::from_millis(layer as u64 * 100), 1, layer);
-            publish(Element::Batch(Batch::new(vec![t])));
+            publish(Element::Batch(vec![t]));
             publish(Element::Watermark(Timestamp::from_millis(
                 (layer as u64 + 1) * 100,
             )));
@@ -325,11 +321,7 @@ mod tests {
         let broker = Broker::new();
         broker.create_topic("shared", TopicConfig::new(1)).unwrap();
         let mut publish = publisher(broker.clone(), "shared".into());
-        publish(Element::Batch(Batch::new(vec![AmTuple::new(
-            Timestamp::MIN,
-            1,
-            0,
-        )])));
+        publish(Element::Batch(vec![AmTuple::new(Timestamp::MIN, 1, 0)]));
         publish(Element::End);
 
         for group in ["monitor-a", "monitor-b"] {

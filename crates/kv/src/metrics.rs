@@ -1,7 +1,8 @@
 //! Store-level metrics: operation latency histograms.
 //!
 //! Every [`Db`](crate::Db) records into its own handles whether or
-//! not anything scrapes them; [`Db::register_metrics`] additionally
+//! not anything scrapes them;
+//! [`Db::register_metrics`](crate::Db::register_metrics) additionally
 //! lands them in a shared `strata-obs` registry under `kv_*` names.
 
 use strata_obs::{Histogram, Registry};

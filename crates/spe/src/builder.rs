@@ -4,7 +4,6 @@ use std::any::Any;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -95,7 +94,6 @@ pub struct QueryBuilder {
     name: String,
     capacity: usize,
     batch_size: usize,
-    batch_timeout: Duration,
     nodes: Vec<NodeSpec>,
     errors: Vec<Error>,
     source_count: usize,
@@ -120,7 +118,6 @@ impl QueryBuilder {
             name: name.into(),
             capacity: 256,
             batch_size: 1,
-            batch_timeout: Duration::from_millis(5),
             nodes: Vec::new(),
             errors: Vec::new(),
             source_count: 0,
@@ -145,12 +142,13 @@ impl QueryBuilder {
 
     /// Sets the micro-batch size of every node created from now on:
     /// worker loops drain up to this many buffered items per wakeup
-    /// and move them through the graph as shared batches of at most
-    /// this many items, trading per-item latency for amortized
-    /// synchronization. There is one data path at every size; the
-    /// default of 1 sends each item as a batch of one. Watermarks and
-    /// end-of-stream are always batch boundaries, so event-time
-    /// semantics are unaffected.
+    /// and move them through the graph as batches of at most this many
+    /// items, trading per-item latency for amortized synchronization.
+    /// A source flushes a partial batch once it is 5 ms old (see
+    /// [`SourceContext`](crate::SourceContext)). There is one data path
+    /// at every size; the default of 1 sends each item as a batch of
+    /// one. Watermarks and end-of-stream are always batch boundaries,
+    /// so event-time semantics are unaffected.
     pub fn batch_size(&mut self, batch_size: usize) -> &mut Self {
         if batch_size == 0 {
             self.errors
@@ -158,14 +156,6 @@ impl QueryBuilder {
         } else {
             self.batch_size = batch_size;
         }
-        self
-    }
-
-    /// Bounds how long a partially filled source batch may wait for
-    /// more items before it is flushed downstream (default 5 ms).
-    /// Only meaningful with [`batch_size`](Self::batch_size) > 1.
-    pub fn batch_timeout(&mut self, timeout: Duration) -> &mut Self {
-        self.batch_timeout = timeout;
         self
     }
 
@@ -237,20 +227,11 @@ impl QueryBuilder {
         let metrics = Arc::new(NodeMetrics::new(name.clone()));
         let m = Arc::clone(&metrics);
         let node_name = name.clone();
-        let (max_batch, batch_timeout) = (self.batch_size, self.batch_timeout);
+        let max_batch = self.batch_size;
         let factory: Factory = Box::new(move |outlets, stop, errors| {
             let outlets = *outlets.downcast().expect("source outlet type");
             Built::Worker(Box::new(move || {
-                runtime::run_source(
-                    source,
-                    node_name,
-                    outlets,
-                    stop,
-                    m,
-                    errors,
-                    max_batch,
-                    batch_timeout,
-                )
+                runtime::run_source(source, node_name, outlets, stop, m, errors, max_batch)
             }))
         });
         self.nodes.push(NodeSpec {
@@ -553,8 +534,8 @@ impl QueryBuilder {
         self.sink_count += 1;
     }
 
-    /// Adds an element-level sink: `f` receives the data batches,
-    /// merged watermarks and the final end-of-stream marker —
+    /// Adds an element-level sink: `f` receives each item as a batch of
+    /// one, the merged watermarks and the final end-of-stream marker —
     /// everything a connector needs to republish a stream (control
     /// flow included) into an external system.
     pub fn element_sink<T>(
@@ -613,7 +594,7 @@ impl QueryBuilder {
         let mut nodes = self.nodes;
         while let Some(node) = nodes.pop() {
             match (node.factory)(node.outlets, Arc::clone(&stop), Arc::clone(&errors)) {
-                Built::Worker(worker) => workers.push((node.name, worker, node.metrics)),
+                Built::Worker(worker) => workers.push((worker, node.metrics)),
                 Built::Chained(upstream, attach) => attach(nodes[upstream].outlets.as_mut()),
             }
         }

@@ -48,9 +48,9 @@
 //! has one bounded inbox that all of its inputs
 //! feed, tagged by input; a fast producer blocks on a full inbox,
 //! which propagates backpressure to the sources. Data moves in
-//! micro-batches ([`Batch`]; a single item is a batch of one), and
-//! watermarks and end-of-stream travel in-band behind the data they
-//! follow. Termination is cooperative: when a [`source::Source`]
+//! micro-batches ([`Element::Batch`], a `Vec`; a single item is a
+//! batch of one), and watermarks and end-of-stream travel in-band
+//! behind the data they follow. Termination is cooperative: when a [`source::Source`]
 //! finishes (or the query is [stopped](query::RunningQuery::stop)), an
 //! *end-of-stream* marker flows through the graph, flushing stateful
 //! operators on the way, and every thread exits. A node that stops for
@@ -72,7 +72,7 @@ pub mod window;
 mod runtime;
 
 pub use builder::{QueryBuilder, Stream};
-pub use element::{Batch, Element};
+pub use element::Element;
 pub use error::{Error, Result};
 pub use metrics::{NodeMetrics, NodeMetricsSnapshot, QueryMetrics, QueryMetricsSnapshot};
 pub use query::{Query, RunningQuery};
@@ -84,7 +84,7 @@ pub use window::WindowSpec;
 /// Convenience re-exports for building queries.
 pub mod prelude {
     pub use crate::builder::{QueryBuilder, Stream};
-    pub use crate::element::{Batch, Element};
+    pub use crate::element::Element;
     pub use crate::error::{Error, Result};
     pub use crate::operators::aggregate::WindowBounds;
     pub use crate::operators::RoutePolicy;

@@ -78,8 +78,9 @@ impl NodeMetrics {
     }
 
     /// Distribution of the time spent in the operator's callbacks, in
-    /// nanoseconds: one sample per `on_batch`, `on_watermark` and
-    /// `on_end` call (send-side backpressure is excluded).
+    /// nanoseconds: one sample per batch of input items (its `on_item`
+    /// calls together), and one per `on_watermark` and `on_end` call.
+    /// The time spent handing outputs on is excluded.
     pub fn process_latency(&self) -> HistogramSnapshot {
         self.process_ns.snapshot()
     }

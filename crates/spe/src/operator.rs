@@ -12,32 +12,20 @@ use crate::time::Timestamp;
 /// its upstream's — in arrival order, so implementations never need
 /// internal synchronization:
 ///
-/// * [`on_batch`](UnaryOperator::on_batch) for every micro-batch of
-///   data tuples (a single tuple is a batch of one); the default loops
-///   over [`on_item`](UnaryOperator::on_item);
+/// * [`on_item`](UnaryOperator::on_item) for every data tuple, in
+///   inbox order;
 /// * [`on_watermark`](UnaryOperator::on_watermark) whenever the
 ///   *combined* (minimum across inputs) watermark advances — stateful
 ///   operators close windows here;
 /// * [`on_end`](UnaryOperator::on_end) exactly once, after all inputs
 ///   reached end-of-stream — stateful operators flush here.
 ///
-/// Outputs are appended to `out`; the worker broadcasts them to all
-/// downstream nodes after the hook returns.
+/// Outputs are appended to `out`; the engine hands them downstream as
+/// soon as a batch of them is pending, after the last item of each
+/// wakeup, and after every `on_watermark` and `on_end`.
 pub trait UnaryOperator<I, O>: Send {
     /// Processes one input tuple, appending any number of outputs.
     fn on_item(&mut self, item: I, out: &mut Vec<O>);
-
-    /// Processes a micro-batch of input tuples in inbox order. The
-    /// default simply loops over [`on_item`](UnaryOperator::on_item);
-    /// stateless operators override it to amortize per-item dispatch.
-    /// Implementations must be observationally equivalent to the
-    /// item-at-a-time loop: a node whose consumer is chained calls
-    /// [`on_item`](UnaryOperator::on_item) instead.
-    fn on_batch(&mut self, items: Vec<I>, out: &mut Vec<O>) {
-        for item in items {
-            self.on_item(item, out);
-        }
-    }
 
     /// Reacts to event-time progress. The default forwards nothing
     /// (the worker itself propagates the watermark downstream).

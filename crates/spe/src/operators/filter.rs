@@ -28,17 +28,6 @@ where
             out.push(item);
         }
     }
-
-    /// Batch fast path: when the output is empty the input vector is
-    /// filtered in place and handed over without copying survivors.
-    fn on_batch(&mut self, mut items: Vec<T>, out: &mut Vec<T>) {
-        items.retain(|item| (self.predicate)(item));
-        if out.is_empty() {
-            *out = items;
-        } else {
-            out.append(&mut items);
-        }
-    }
 }
 
 #[cfg(test)]

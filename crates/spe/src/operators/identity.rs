@@ -22,16 +22,6 @@ impl<T: Send> UnaryOperator<T, T> for Identity {
     fn on_item(&mut self, item: T, out: &mut Vec<T>) {
         out.push(item);
     }
-
-    /// Batch fast path: the whole input vector is forwarded by move —
-    /// a union under batching costs one pointer swap per wakeup.
-    fn on_batch(&mut self, mut items: Vec<T>, out: &mut Vec<T>) {
-        if out.is_empty() {
-            *out = items;
-        } else {
-            out.append(&mut items);
-        }
-    }
 }
 
 #[cfg(test)]

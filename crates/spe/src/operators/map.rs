@@ -26,15 +26,6 @@ where
     fn on_item(&mut self, item: I, out: &mut Vec<O>) {
         out.push((self.f)(item));
     }
-
-    /// Batch fast path: one reservation, one tight loop — no per-item
-    /// dispatch through the trait object.
-    fn on_batch(&mut self, items: Vec<I>, out: &mut Vec<O>) {
-        out.reserve(items.len());
-        for item in items {
-            out.push((self.f)(item));
-        }
-    }
 }
 
 #[cfg(test)]

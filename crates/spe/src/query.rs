@@ -9,9 +9,8 @@ use parking_lot::Mutex;
 use crate::error::{Error, Result};
 use crate::metrics::{NodeMetrics, QueryMetrics};
 
-/// The thread body of one threaded node, with the node's name and
-/// metrics.
-pub(crate) type Worker = (String, Box<dyn FnOnce() + Send>, Arc<NodeMetrics>);
+/// The thread body of one threaded node, with the node's metrics.
+pub(crate) type Worker = (Box<dyn FnOnce() + Send>, Arc<NodeMetrics>);
 
 /// A fully built continuous query, ready to [`run`](Query::run).
 pub struct Query {
@@ -83,25 +82,14 @@ impl Query {
         } = self;
         let handles = workers
             .into_iter()
-            .map(|(node_name, worker, node_metrics)| {
+            .map(|(worker, node_metrics)| {
                 let errors = Arc::clone(&errors);
-                let node = node_name.clone();
-                let supervised = move || {
-                    // AssertUnwindSafe: on panic the worker's state
-                    // (operators, channels) is dropped wholesale, so
-                    // no broken invariants can be observed afterwards.
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(worker));
-                    if let Err(payload) = result {
-                        node_metrics.record_panic();
-                        errors.lock().push(Error::OperatorPanicked {
-                            node,
-                            message: panic_message(payload.as_ref()),
-                        });
-                    }
-                };
+                let node_name = node_metrics.name().to_string();
                 let handle = std::thread::Builder::new()
                     .name(format!("{name}/{node_name}"))
-                    .spawn(supervised)
+                    .spawn(move || {
+                        supervise(&node_metrics, &errors, worker);
+                    })
                     .expect("spawning a worker thread cannot fail under normal limits");
                 (node_name, handle)
             })
@@ -117,8 +105,33 @@ impl Query {
     }
 }
 
+/// Runs `f` on behalf of the node that `metrics` belongs to. A panic in
+/// `f` is caught, recorded on the node's metrics and reported as
+/// [`Error::OperatorPanicked`] under the node's name; the result is then
+/// `None`.
+pub(crate) fn supervise<R>(
+    metrics: &NodeMetrics,
+    errors: &Mutex<Vec<Error>>,
+    f: impl FnOnce() -> R,
+) -> Option<R> {
+    // AssertUnwindSafe: after a panic the caller drops the node's state
+    // (operator, channels) wholesale, so no broken invariant can be
+    // observed.
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+        Ok(result) => Some(result),
+        Err(payload) => {
+            metrics.record_panic();
+            errors.lock().push(Error::OperatorPanicked {
+                node: metrics.name().to_string(),
+                message: panic_message(payload.as_ref()),
+            });
+            None
+        }
+    }
+}
+
 /// Best-effort extraction of a panic payload's message.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

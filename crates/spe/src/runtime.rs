@@ -21,30 +21,29 @@
 //! of the same width has no inbox and no thread: upstream node `i`'s
 //! outlet holds instance `i`'s `NodeState` and calls
 //! [`NodeState::accept`] on it directly ([`chain`]). The upstream's
-//! output vectors are moved into the instance whole. A node with such
-//! an outlet runs its drained batch item by item and hands its outputs
-//! on as soon as they fill a batch, so what a chained consumer holds at
-//! once is one upstream item's outputs, not a whole wakeup's. Dropping
-//! the outlet ends the instance, and a panic in the instance's operator
-//! is caught in the outlet and reported under the instance's name.
+//! output vectors are moved into the instance whole, so what a chained
+//! consumer holds at once is at most one batch of upstream outputs, or
+//! one upstream item's if that item alone emits more. Dropping the
+//! outlet ends the instance, and a panic in the instance's operator is
+//! caught in the outlet and reported under the instance's name.
 //!
 //! # Batches
 //!
-//! Data is always a [`Batch`]; a single item is a batch of one. Each
-//! wakeup drains up to `max_batch` buffered items, invokes the operator
-//! once over the whole batch, and forwards the outputs as shared
-//! batches of at most `max_batch` items — or uncut, when every consumer
-//! is chained. Watermarks and end-of-stream are always batch boundaries
-//! — a control marker found mid-drain is set aside and processed on the
-//! next iteration, after the data before it.
+//! Data is always an [`Element::Batch`], a plain `Vec`; a single item
+//! is a batch of one. Each wakeup drains up to `max_batch` buffered
+//! items and runs them through the operator one by one. Every node
+//! hands its outputs on as soon as `max_batch` of them are pending, and
+//! once more after the last item, as batches of at most `max_batch`
+//! items — or uncut, when every consumer is chained. Watermarks and
+//! end-of-stream are always batch boundaries — a control marker found
+//! mid-drain is set aside and processed on the next iteration, after
+//! the data before it.
 //!
 //! Broadcast fan-out never clones for the sole (or last) consumer: the
-//! original element is moved into the final send, and batches are
-//! reference-counted so the extra N−1 sends bump an `Arc` instead of
-//! copying items.
+//! original element is moved into the final send, and each of the other
+//! N−1 consumers gets a clone at send time.
 
 use std::marker::PhantomData;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -52,12 +51,12 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
-use crate::element::{Batch, Element};
+use crate::element::Element;
 use crate::error::Error;
 use crate::metrics::NodeMetrics;
 use crate::operator::UnaryOperator;
 use crate::operators::router::Router;
-use crate::query::panic_message;
+use crate::query::supervise;
 use crate::source::{Source, SourceContext};
 use crate::time::Timestamp;
 
@@ -114,14 +113,14 @@ impl<T: Clone> Outlet<T> {
     fn send(&mut self, element: Element<T>) -> bool {
         let mut ok = true;
         match (&mut self.router, element) {
-            (Some(router), Element::Batch(batch)) => {
+            (Some(router), Element::Batch(items)) => {
                 let mut split: Vec<Vec<T>> = self.inboxes.iter().map(|_| Vec::new()).collect();
-                for item in batch.into_vec() {
+                for item in items {
                     split[router.route(&item)].push(item);
                 }
                 for (items, send) in split.into_iter().zip(&mut self.inboxes) {
                     if !items.is_empty() {
-                        ok &= send(Element::Batch(Batch::new(items)));
+                        ok &= send(Element::Batch(items));
                     }
                 }
             }
@@ -172,7 +171,7 @@ pub(crate) fn broadcast<T: Clone>(outlets: &mut [Outlet<T>], element: Element<T>
     last.send(element) || alive
 }
 
-/// Sends a wakeup's outputs downstream as shared batches of at most
+/// Sends a node's pending outputs downstream as batches of at most
 /// `max_batch` items, and records them. The items are moved into their
 /// chunks, so a flush costs O(items) whatever the number of chunks; a
 /// node whose every outlet is chained hands the whole vector on
@@ -188,9 +187,11 @@ fn flush<O: Clone>(
         return true;
     }
     metrics.record_out(out.len() as u64);
-    let items = std::mem::take(out);
+    // The next batch starts with room for `max_batch` outputs instead of
+    // growing from empty, one reallocation at a time.
+    let items = std::mem::replace(out, Vec::with_capacity(max_batch));
     if items.len() <= max_batch || outlets.iter().all(|outlet| outlet.chained) {
-        return broadcast(outlets, Element::Batch(Batch::new(items)));
+        return broadcast(outlets, Element::Batch(items));
     }
     let mut items = items.into_iter();
     loop {
@@ -198,7 +199,7 @@ fn flush<O: Clone>(
         if chunk.is_empty() {
             return true;
         }
-        if !broadcast(outlets, Element::Batch(Batch::new(chunk))) {
+        if !broadcast(outlets, Element::Batch(chunk)) {
             return false;
         }
     }
@@ -266,15 +267,14 @@ impl WatermarkMerge {
 /// a control marker appears. The marker, if any, is returned so the
 /// caller processes it *after* the data that preceded it — keeping
 /// watermarks and end-of-stream exact batch boundaries.
-fn drain<T: Clone>(
-    first: Batch<T>,
+fn drain<T>(
+    mut items: Vec<T>,
     inbox: &Receiver<Inbound<T>>,
     max_batch: usize,
 ) -> (Vec<T>, Option<Inbound<T>>) {
-    let mut items = first.into_vec();
     while items.len() < max_batch {
         match inbox.try_recv() {
-            Ok((_, Element::Batch(more))) => items.extend(more.into_vec()),
+            Ok((_, Element::Batch(more))) => items.extend(more),
             Ok(marker) => return (items, Some(marker)),
             Err(_) => break,
         }
@@ -293,14 +293,11 @@ pub(crate) struct NodeState<I, O, Op> {
     outlets: Vec<Outlet<O>>,
     metrics: Arc<NodeMetrics>,
     max_batch: usize,
-    /// Some outlet runs a chained instance: process item by item.
-    item_at_a_time: bool,
     _input: PhantomData<fn(I)>,
 }
 
 impl<I, O, Op> NodeState<I, O, Op>
 where
-    I: Clone,
     O: Clone,
     Op: UnaryOperator<I, O>,
 {
@@ -316,7 +313,6 @@ where
             op,
             merge: WatermarkMerge::new(inputs),
             out: Vec::new(),
-            item_at_a_time: outlets.iter().any(|outlet| outlet.chained),
             outlets,
             metrics,
             max_batch,
@@ -330,7 +326,7 @@ where
     /// consumers are gone.
     pub(crate) fn accept(&mut self, input: usize, element: Element<I>) -> bool {
         let watermark = match element {
-            Element::Batch(batch) => return self.process(batch.into_vec()),
+            Element::Batch(items) => return self.process(items),
             Element::Watermark(wm) => {
                 self.metrics.record_watermark();
                 self.merge.advance(input, wm)
@@ -353,18 +349,15 @@ where
         self.flush() && broadcast(&mut self.outlets, Element::Watermark(wm))
     }
 
-    /// Runs the operator over `items` and sends the outputs on.
+    /// Runs the operator over `items` one by one, handing the outputs on
+    /// whenever `max_batch` of them are pending and once more after the
+    /// last item.
     fn process(&mut self, items: Vec<I>) -> bool {
         self.metrics.record_in(items.len() as u64);
         self.metrics.record_batch(items.len() as u64);
         // Time the operator callbacks only: send-side backpressure and
         // chained consumers are not this node's processing.
         let started = Instant::now();
-        if !self.item_at_a_time {
-            self.op.on_batch(items, &mut self.out);
-            self.metrics.record_process_since(started);
-            return self.flush();
-        }
         let mut handing_on = Duration::ZERO;
         let mut alive = true;
         for item in items {
@@ -414,7 +407,6 @@ pub(crate) fn run_node<I, O, Op>(
     metrics: Arc<NodeMetrics>,
     max_batch: usize,
 ) where
-    I: Clone,
     O: Clone,
     Op: UnaryOperator<I, O>,
 {
@@ -431,8 +423,8 @@ pub(crate) fn run_node<I, O, Op>(
             },
         };
         let alive = match element {
-            Element::Batch(batch) => {
-                let (items, marker) = drain(batch, &inbox, max_batch);
+            Element::Batch(items) => {
+                let (items, marker) = drain(items, &inbox, max_batch);
                 pending = marker;
                 node.metrics.record_queue_depth(inbox.len() as u64);
                 node.process(items)
@@ -459,27 +451,18 @@ pub(crate) fn chain<I, O, Op>(
     errors: Arc<Mutex<Vec<Error>>>,
 ) -> Outlet<I>
 where
-    I: Clone + 'static,
+    I: 'static,
     O: Clone + Send + 'static,
     Op: UnaryOperator<I, O> + 'static,
 {
+    let metrics = Arc::clone(&node.metrics);
     let mut node = Some(node);
     let accept = move |element| {
         let Some(state) = node.as_mut() else {
             return false;
         };
-        // AssertUnwindSafe: after a panic the instance is dropped
-        // wholesale, so no broken invariant can be observed.
-        match catch_unwind(AssertUnwindSafe(|| state.accept(0, element))) {
-            Ok(true) => return true,
-            Ok(false) => {}
-            Err(payload) => {
-                state.metrics.record_panic();
-                errors.lock().push(Error::OperatorPanicked {
-                    node: state.metrics.name().to_string(),
-                    message: panic_message(payload.as_ref()),
-                });
-            }
+        if supervise(&metrics, &errors, || state.accept(0, element)) == Some(true) {
+            return true;
         }
         node = None;
         false
@@ -491,9 +474,12 @@ where
     }
 }
 
+/// How long a partially filled source batch may wait for more items
+/// before it is flushed downstream.
+const BATCH_TIMEOUT: Duration = Duration::from_millis(5);
+
 /// The worker loop for source nodes: runs the user source, then
 /// flushes any partial batch and closes the stream.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_source<S>(
     mut source: S,
     name: String,
@@ -502,11 +488,10 @@ pub(crate) fn run_source<S>(
     metrics: Arc<NodeMetrics>,
     errors: Arc<Mutex<Vec<Error>>>,
     max_batch: usize,
-    batch_timeout: Duration,
 ) where
     S: Source,
 {
-    let mut ctx = SourceContext::new(outlets, stop, metrics, max_batch, batch_timeout);
+    let mut ctx = SourceContext::new(outlets, stop, metrics, max_batch, BATCH_TIMEOUT);
     if let Err(reason) = source.run(&mut ctx) {
         errors
             .lock()
@@ -528,7 +513,7 @@ mod tests {
     }
 
     fn batch<T>(items: Vec<T>) -> Element<T> {
-        Element::Batch(Batch::new(items))
+        Element::Batch(items)
     }
 
     #[test]
@@ -591,9 +576,8 @@ mod tests {
                 &mut outlets,
                 batch(vec![CloneCounter(Arc::clone(&clones))])
             ));
-            // The consumers share one `Arc`'d batch; each one that
-            // unwraps it while it is still shared clones the item, the
-            // last one takes it by move.
+            // Every consumer but the last got a clone at send time; the
+            // last one got the original by move.
             for inbox in &inboxes {
                 let (_, element) = inbox.try_recv().unwrap();
                 drop(element.into_items());
@@ -605,30 +589,6 @@ mod tests {
                 consumers - 1
             );
         }
-    }
-
-    #[test]
-    fn broadcast_batches_share_instead_of_cloning_items() {
-        let clones = Arc::new(AtomicUsize::new(0));
-        let (a, rx_a) = outlet(4);
-        let (b, rx_b) = outlet(4);
-        let items = vec![
-            CloneCounter(Arc::clone(&clones)),
-            CloneCounter(Arc::clone(&clones)),
-        ];
-        assert!(broadcast(&mut [a, b], batch(items)));
-        // Two outlets share one Arc'd batch: zero item clones on the
-        // way out...
-        assert_eq!(clones.load(Ordering::Relaxed), 0);
-        let (_, first) = rx_a.try_recv().unwrap();
-        let (_, second) = rx_b.try_recv().unwrap();
-        // ...one clone pass when the first consumer unwraps while the
-        // batch is still shared...
-        drop(first.into_items());
-        assert_eq!(clones.load(Ordering::Relaxed), 2);
-        // ...and the last consumer takes the items by move.
-        drop(second.into_items());
-        assert_eq!(clones.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -718,6 +678,30 @@ mod tests {
         assert_eq!(sizes, vec![Some(4), Some(4), Some(2), None]);
     }
 
+    /// A threaded node hands its outputs on as soon as `max_batch` of
+    /// them are pending, not after its whole drained batch: by the time
+    /// the operator runs on the second item, the first item's outputs
+    /// are already in the consumer's inbox.
+    #[test]
+    fn a_node_hands_on_a_full_batch_before_its_next_item() {
+        let (port, inbox) = outlet(16);
+        let peek = inbox.clone();
+        let expand = crate::operators::FlatMap::new(move |item: u32| {
+            if item == 1 {
+                assert_eq!(
+                    peek.try_recv(),
+                    Ok((0, batch(vec![0; 4]))),
+                    "item 0's outputs were not handed on before item 1 ran"
+                );
+            }
+            vec![item; 4]
+        });
+        let metrics = Arc::new(NodeMetrics::new("expand"));
+        let mut node = NodeState::new(expand, 1, vec![port], metrics, 4);
+        assert!(node.process(vec![0, 1]));
+        assert_eq!(inbox.try_recv(), Ok((0, batch(vec![1; 4]))));
+    }
+
     #[test]
     fn drain_stops_at_control_markers() {
         let (tx, rx) = bounded(16);
@@ -726,7 +710,7 @@ mod tests {
         tx.send((1, Element::Watermark(Timestamp::from_millis(9))))
             .unwrap();
         tx.send((0, batch(vec![5]))).unwrap();
-        let (items, marker) = drain(Batch::new(vec![1]), &rx, 64);
+        let (items, marker) = drain(vec![1], &rx, 64);
         assert_eq!(items, vec![1, 2, 3, 4]);
         assert_eq!(
             marker,
@@ -742,7 +726,7 @@ mod tests {
         for i in 2..10 {
             tx.send((0, batch(vec![i]))).unwrap();
         }
-        let (items, marker) = drain(Batch::new(vec![1]), &rx, 4);
+        let (items, marker) = drain(vec![1], &rx, 4);
         assert_eq!(items, vec![1, 2, 3, 4]);
         assert_eq!(marker, None);
         assert_eq!(rx.len(), 5);

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::element::{Batch, Element};
+use crate::element::Element;
 use crate::operator::UnaryOperator;
 use crate::time::Timestamp;
 
@@ -21,17 +21,13 @@ impl<T, F: FnMut(T) + Send> UnaryOperator<T, ()> for Sink<F> {
 
 /// The operator of an
 /// [`element_sink`](crate::builder::QueryBuilder::element_sink) node:
-/// hands the callback each batch, each merged watermark and the final
-/// end-of-stream marker.
+/// hands the callback each item as a batch of one, each merged
+/// watermark and the final end-of-stream marker.
 pub(crate) struct ElementSink<F>(pub(crate) F);
 
 impl<T, F: FnMut(Element<T>) + Send> UnaryOperator<T, ()> for ElementSink<F> {
-    fn on_item(&mut self, item: T, out: &mut Vec<()>) {
-        self.on_batch(vec![item], out);
-    }
-
-    fn on_batch(&mut self, items: Vec<T>, _out: &mut Vec<()>) {
-        (self.0)(Element::Batch(Batch::new(items)));
+    fn on_item(&mut self, item: T, _out: &mut Vec<()>) {
+        (self.0)(Element::Batch(vec![item]));
     }
 
     fn on_watermark(&mut self, watermark: Timestamp, _out: &mut Vec<()>) {

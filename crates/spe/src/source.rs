@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::element::{Batch, Element};
+use crate::element::Element;
 use crate::metrics::NodeMetrics;
 use crate::runtime::{self, Outlet};
 use crate::time::{Timestamp, Timestamped};
@@ -35,10 +35,10 @@ pub trait Source: Send {
 /// Handle given to a [`Source`] for emitting data and watermarks and
 /// for observing cooperative-stop requests.
 ///
-/// Consecutive [`emit`] calls are coalesced into a shared [`Batch`]
-/// that is forwarded when it reaches the query's batch size, when the
-/// batch timeout elapses (checked on the next `emit`), or when a
-/// watermark or end-of-stream follows — so control markers are always
+/// Consecutive [`emit`] calls are coalesced into one
+/// [`Element::Batch`] that is forwarded when it reaches the query's
+/// batch size, when the 5 ms batch timeout elapses (checked on the
+/// next `emit`), or when a watermark or end-of-stream follows — so control markers are always
 /// batch boundaries. At batch size one every item travels alone. The
 /// timeout is emit-driven: a source that stops emitting mid-batch
 /// holds the partial batch until its next call, its watermark, or the
@@ -115,7 +115,7 @@ impl<T: Clone> SourceContext<T> {
         }
         self.metrics.record_out(self.buf.len() as u64);
         self.metrics.record_batch(self.buf.len() as u64);
-        let batch = Batch::new(std::mem::take(&mut self.buf));
+        let batch = std::mem::take(&mut self.buf);
         self.broadcast(Element::Batch(batch));
     }
 
@@ -332,7 +332,7 @@ mod tests {
     }
 
     fn one<T>(item: T) -> Element<T> {
-        Element::Batch(Batch::new(vec![item]))
+        Element::Batch(vec![item])
     }
 
     #[test]
@@ -450,9 +450,9 @@ mod tests {
         assert_eq!(
             received(rx),
             vec![
-                Element::Batch(Batch::new(vec![0, 1, 2, 3])),
-                Element::Batch(Batch::new(vec![4, 5, 6, 7])),
-                Element::Batch(Batch::new(vec![8, 9])),
+                Element::Batch(vec![0, 1, 2, 3]),
+                Element::Batch(vec![4, 5, 6, 7]),
+                Element::Batch(vec![8, 9]),
                 Element::Watermark(Timestamp::from_millis(99)),
                 Element::End,
             ]

@@ -18,7 +18,6 @@
 
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -93,7 +92,6 @@ fn run_pipeline(seed: u64, batch_size: usize) -> String {
 
     let mut qb = QueryBuilder::new(format!("equiv.seed{seed}.bs{batch_size}"));
     qb.batch_size(batch_size);
-    qb.batch_timeout(Duration::from_secs(1));
     let mut stream = qb.source("src", SparseSource { items, wm_every });
 
     let n_stages = 3 + rng.gen_range(0..3usize);

@@ -332,7 +332,7 @@ fn metrics_count_items_through_the_graph() {
 
 /// A node's process time counts every operator callback: work done
 /// when a watermark arrives, as `correlateEvents` does its clustering,
-/// shows up in `process_latency` next to `on_batch`.
+/// shows up in `process_latency` next to `on_item`.
 #[test]
 fn process_time_includes_watermark_callbacks() {
     const NAP: std::time::Duration = std::time::Duration::from_millis(25);
